@@ -19,8 +19,11 @@ weights (:class:`repro.defects.fault_types.FaultList`).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from repro import obs
 from repro.defects.critical_area import average_critical_area
@@ -32,6 +35,7 @@ from repro.defects.fault_types import (
     TransistorStuckOn,
     TransistorStuckOpen,
 )
+from repro.defects.separation import Separation
 from repro.defects.statistics import (
     LAYER_MECHANISMS,
     DefectMechanism,
@@ -40,10 +44,10 @@ from repro.defects.statistics import (
 from repro.layout.cells import GND, VDD
 from repro.layout.design import LayoutDesign
 from repro.layout.extract import build_connectivity
-from repro.layout.geometry import Layer, Rect, facing_span
-from repro.layout.spatial import SpatialIndex
+from repro.layout.geometry import Layer, Rect
+from repro.layout.sweep import GridOrder, facing_spans, rect_arrays, sweep_pairs
 
-__all__ = ["FaultExtractor", "extract_faults"]
+__all__ = ["FaultExtractor", "extract_faults", "facing_pairs"]
 
 _SUPPLIES = (VDD, GND)
 _DIFF_LAYERS = (Layer.NDIFF, Layer.PDIFF)
@@ -55,6 +59,59 @@ def extract_faults(
 ) -> FaultList:
     """One-call extraction: all weighted realistic faults of ``design``."""
     return FaultExtractor(design, statistics or DefectStatistics()).extract()
+
+
+def facing_pairs(
+    shapes: list[Rect], margin: float
+) -> tuple[list[tuple[int, int, float, float]], dict[str, int]]:
+    """Bridge candidates: same-layer, different-net shapes facing within ``margin``.
+
+    Returns ``(a, b, spacing, run)`` per pair, ``a < b``, in the order
+    ``SpatialIndex(shapes).candidate_pairs(margin)`` would yield them, and
+    the number of sweep pairs examined per conductor layer.  Candidates come
+    from one x sort-and-sweep per conductor layer over its labelled shapes;
+    :class:`GridOrder` restores the bucket-grid order (and drops any pair
+    the grid would never have offered), so the extracted faults, their merge
+    order and every weight stay what the bucket-grid pass produced.
+    """
+    boxes = rect_arrays(shapes)
+    grid = GridOrder(boxes, margin)
+    net_ids: dict[str, int] = {}
+    net = np.array([net_ids.setdefault(s.net, len(net_ids)) for s in shapes])
+    layers = np.array([s.layer.value for s in shapes])
+    labelled = np.array([bool(s.net) for s in shapes], dtype=bool)
+    examined: dict[str, int] = {}
+    kept: list[tuple[np.ndarray, ...]] = []
+    for layer in Layer:
+        if not layer.is_conductor:
+            continue
+        members = np.flatnonzero(labelled & (layers == layer.value))
+        examined[layer.value] = 0
+        for i, j in sweep_pairs(boxes[members, 0], boxes[members, 2], margin):
+            examined[layer.value] += len(i)
+            a = np.minimum(members[i], members[j])
+            b = np.maximum(members[i], members[j])
+            faces, spacing, run = facing_spans(boxes, a, b)
+            keep = faces & (net[a] != net[b]) & (spacing < margin) & (run > 0)
+            a, b, spacing, run = a[keep], b[keep], spacing[keep], run[keep]
+            rank = grid.rank(a, b)
+            on_grid = rank >= 0
+            kept.append(
+                (rank[on_grid], a[on_grid], b[on_grid], spacing[on_grid], run[on_grid])
+            )
+    if not kept:
+        return [], examined
+    rank, a, b, spacing, run = (np.concatenate(column) for column in zip(*kept))
+    order = np.lexsort((b, a, rank))
+    pairs = list(
+        zip(
+            a[order].tolist(),
+            b[order].tolist(),
+            spacing[order].tolist(),
+            run[order].tolist(),
+        )
+    )
+    return pairs, examined
 
 
 @dataclass
@@ -69,6 +126,16 @@ class _NetContext:
     po_ports: set[int] = field(default_factory=set)
     diff_shapes: set[int] = field(default_factory=set)
 
+    @cached_property
+    def from_anchors(self) -> Separation:
+        """Which nodes still reach a driver once any one node breaks."""
+        return Separation(self.adjacency, self.anchors)
+
+    @cached_property
+    def from_sinks(self) -> Separation:
+        """Which nodes still reach a gate or PO sink once any one node breaks."""
+        return Separation(self.adjacency, self.gate_shapes | self.po_ports)
+
 
 class FaultExtractor:
     """Stateful extractor bound to one design and one defect-density table."""
@@ -82,6 +149,12 @@ class FaultExtractor:
         self._adjacent_transistors = self._map_seg_transistors()
         self._sd_pair_transistor = self._map_sd_pairs()
         self._instance_of = {t.name: t.name.rsplit(".", 1)[0] for t in design.transistors}
+        self._devices_by_gate: dict[str, list] = defaultdict(list)
+        for t in design.transistors:
+            self._devices_by_gate[t.gate].append(t)
+        self._output_of: dict[str, str] = {}
+        for net, cell in design.cell_of_net.items():
+            self._output_of.setdefault(cell.instance, net)
 
     # ------------------------------------------------------------------
     # Public API
@@ -111,27 +184,21 @@ class FaultExtractor:
     # ------------------------------------------------------------------
     def extract_bridges(self, faults: FaultList) -> None:
         """Same-layer proximity bridges (plus channel stuck-on shorts)."""
-        margin = self.size.x_max
-        index = SpatialIndex(self.shapes)
-        for a, b in index.candidate_pairs(margin=margin):
-            if a.layer != b.layer or not a.layer.is_conductor:
-                continue
-            if not a.net or not b.net or a.net == b.net:
-                continue
-            span = facing_span(a, b)
-            if span is None:
-                continue
-            spacing, run = span
-            if spacing >= margin or run <= 0:
-                continue
+        pairs, examined = facing_pairs(self.shapes, self.size.x_max)
+        accepted: Counter[str] = Counter()
+        for ia, ib, spacing, run in pairs:
+            a, b = self.shapes[ia], self.shapes[ib]
             mech = LAYER_MECHANISMS[a.layer][0]
             weight = self.stats.density(mech) * average_critical_area(
                 run, spacing, self.size
             )
             if weight <= 0:
                 continue
-            fault = self._classify_bridge(a, b, weight, mech)
-            faults.add(fault)
+            faults.add(self._classify_bridge(a, b, weight, mech))
+            accepted[a.layer.value] += 1
+        for layer, count in examined.items():
+            obs.inc(f"extraction.pairs_examined.{layer}", count)
+            obs.inc(f"extraction.pairs_accepted.{layer}", accepted[layer])
 
     def _classify_bridge(
         self, a: Rect, b: Rect, weight: float, mech: DefectMechanism
@@ -185,7 +252,12 @@ class FaultExtractor:
     # Open extraction
     # ------------------------------------------------------------------
     def extract_opens(self, faults: FaultList) -> None:
-        """All open mechanisms, classified per electrical consequence."""
+        """All open mechanisms, classified per electrical consequence.
+
+        The graph questions ("what floats once this cut or wire breaks?")
+        are answered per net by one :class:`Separation` DFS from the net's
+        anchors, and one from its sinks for stranded-anchor checks.
+        """
         contexts = self._build_net_contexts()
         for ctx in contexts.values():
             self._opens_for_net(ctx, faults)
@@ -244,7 +316,7 @@ class FaultExtractor:
             elif shape.layer.is_cut:
                 self._cut_open(ctx, i, faults)
             elif shape.layer is Layer.POLY and shape.purpose == "gate":
-                self._gate_stripe_opens(shape, faults)
+                self._gate_stripe_opens(i, faults)
             elif shape.layer in _GENERIC_OPEN_LAYERS and not internal:
                 self._wire_opens(ctx, i, faults)
 
@@ -267,22 +339,22 @@ class FaultExtractor:
                 )
             )
 
-    def _gate_stripe_opens(self, shape: Rect, faults: FaultList) -> None:
+    def _gate_stripe_opens(self, node: int, faults: FaultList) -> None:
         """Breaks along a poly gate stripe.
 
         Connection points: the pin contact plus each transistor channel the
         stripe forms.  A break below the lowest channel floats the whole
         input pin; a break between channels floats only the devices above it.
         """
+        shape = self.shapes[node]
         mech = DefectMechanism.POLY_OPEN
         density = self.stats.density(mech)
         if density <= 0:
             return
         devices = [
             t
-            for t in self.design.transistors
-            if t.gate == shape.net
-            and t.channel.llx >= shape.llx - 1e-9
+            for t in self._devices_by_gate.get(shape.net, ())
+            if t.channel.llx >= shape.llx - 1e-9
             and t.channel.urx <= shape.urx + 1e-9
             and t.channel.lly >= shape.lly - 1e-9
             and t.channel.ury <= shape.ury + 1e-9
@@ -293,7 +365,7 @@ class FaultExtractor:
         # Connection intervals along y: contacts first, then channels.
         contacts = [
             (self.shapes[j].lly, self.shapes[j].ury)
-            for j in self.graph.neighbors(self._index_of(shape))
+            for j in self.graph.neighbors(node)
             if self.shapes[j].layer is Layer.CONTACT
         ]
         channels = sorted(
@@ -356,9 +428,7 @@ class FaultExtractor:
         weight = self.stats.density(mech)
         if weight <= 0 or not ctx.anchors:
             return
-        reach = self._bfs(ctx, ctx.anchors, removed=frozenset((node,)))
-        floating = set(ctx.nodes) - reach - {node}
-        self._emit_open(ctx, floating, weight, mech, faults)
+        self._emit_open(ctx, ctx.from_anchors.cut_off(node), weight, mech, faults)
 
     def _wire_opens(self, ctx: _NetContext, node: int, faults: FaultList) -> None:
         """Breaks along a metal wire: one fault per inter-connection gap."""
@@ -405,24 +475,16 @@ class FaultExtractor:
         faults: FaultList,
     ) -> None:
         """Open splitting ``node`` with its neighbours divided left/right."""
-        removed = frozenset((node,))
-        anchors = ctx.anchors
-        # Seed from anchor-side: anchors themselves plus whichever side of
-        # the split they reach.
-        reach = self._bfs(ctx, anchors, removed=removed)
-        floating = set()
-        anchor_sides = {"left": False, "right": False}
-        for group, name in ((left, "left"), (right, "right")):
-            if any(j in reach for j in group):
-                anchor_sides[name] = True
-        if anchor_sides["left"] and anchor_sides["right"]:
+        reach = ctx.from_anchors
+        if any(reach.reaches(node, j) for j in left) and any(
+            reach.reaches(node, j) for j in right
+        ):
             # Both sides independently reach anchors: check for stranded
             # anchor groups that lost every sink (partial drive loss).
             self._stranded_anchor_check(ctx, node, weight, mech, faults)
             return
         # Nodes not reachable from anchors (excluding the broken one) float.
-        floating = set(ctx.nodes) - reach - {node}
-        self._emit_open(ctx, floating, weight, mech, faults)
+        self._emit_open(ctx, reach.cut_off(node), weight, mech, faults)
 
     def _stranded_anchor_check(
         self,
@@ -432,11 +494,10 @@ class FaultExtractor:
         mech: DefectMechanism,
         faults: FaultList,
     ) -> None:
-        sinks = ctx.gate_shapes | ctx.po_ports
-        if not sinks:
+        if not ctx.gate_shapes and not ctx.po_ports:
             return
-        reach_from_sinks = self._bfs(ctx, sinks, removed=frozenset((node,)))
-        stranded = [a for a in ctx.anchors if a not in reach_from_sinks]
+        reach = ctx.from_sinks
+        stranded = [a for a in ctx.anchors if not reach.reaches(node, a)]
         if not stranded:
             return
         devices: set[str] = set()
@@ -462,6 +523,7 @@ class FaultExtractor:
     ) -> None:
         if not floating:
             return
+        obs.inc("extraction.open_nodes_separated", len(floating))
         floating_inputs: set[tuple[str, str]] = set()
         stuck_open: set[str] = set()
         floats_po = False
@@ -489,19 +551,6 @@ class FaultExtractor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _bfs(
-        self, ctx: _NetContext, seeds: set[int], removed: frozenset[int]
-    ) -> set[int]:
-        seen = set(s for s in seeds if s not in removed)
-        stack = list(seen)
-        while stack:
-            current = stack.pop()
-            for nxt in ctx.adjacency.get(current, ()):  # pragma: no branch
-                if nxt not in seen and nxt not in removed:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
     def _map_seg_transistors(self) -> dict[int, tuple[str, ...]]:
         """id(diff shape) -> names of devices horizontally adjacent to it."""
         by_owner: dict[str, list] = defaultdict(list)
@@ -535,17 +584,9 @@ class FaultExtractor:
         return mapping
 
     def _cell_output_of(self, transistor_name: str) -> str:
-        instance = self._instance(transistor_name)
-        for net, cell in self.design.cell_of_net.items():
-            if cell.instance == instance:
-                return net
-        return GND
+        return self._output_of.get(self._instance(transistor_name), GND)
 
     @staticmethod
     def _instance(transistor_name: str) -> str:
         return transistor_name.rsplit(".", 1)[0]
 
-    def _index_of(self, shape: Rect) -> int:
-        if not hasattr(self, "_id_index"):
-            self._id_index = {id(s): i for i, s in enumerate(self.shapes)}
-        return self._id_index[id(shape)]

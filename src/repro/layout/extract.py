@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from repro.layout.design import LayoutDesign
 from repro.layout.geometry import Layer, Rect
 from repro.layout.spatial import SpatialIndex
+from repro.layout.sweep import cross_pairs, rect_arrays, sweep_pairs
 
 __all__ = [
     "ExtractedTransistor",
@@ -35,6 +37,11 @@ __all__ = [
 
 _CONDUCTORS = (Layer.NDIFF, Layer.PDIFF, Layer.POLY, Layer.METAL1, Layer.METAL2)
 _CONTACT_BOTTOM = (Layer.POLY, Layer.NDIFF, Layer.PDIFF)
+#: Conductor layers each cut layer joins.
+_CUT_JOINS = {
+    Layer.CONTACT: (Layer.METAL1, *_CONTACT_BOTTOM),
+    Layer.VIA: (Layer.METAL1, Layer.METAL2),
+}
 
 
 def build_connectivity(shapes: list[Rect]) -> nx.Graph:
@@ -46,31 +53,38 @@ def build_connectivity(shapes: list[Rect]) -> nx.Graph:
     """
     graph = nx.Graph()
     graph.add_nodes_from(range(len(shapes)))
-    index_of = {id(s): i for i, s in enumerate(shapes)}
-    index = SpatialIndex(shapes)
+    boxes = rect_arrays(shapes)
+    llx, lly, urx, ury = boxes.T
+    layers = np.array([s.layer.value for s in shapes])
+    members = {layer: np.flatnonzero(layers == layer.value) for layer in Layer}
+    edges: list[np.ndarray] = []
 
-    for i, shape in enumerate(shapes):
-        for other in index.near(shape):
-            j = index_of[id(other)]
-            if j <= i:
-                continue
-            if shape.layer == other.layer and shape.layer in _CONDUCTORS:
-                if shape.intersects(other):
-                    graph.add_edge(i, j)
-            elif shape.layer.is_cut or other.layer.is_cut:
-                cut, metal = (shape, other) if shape.layer.is_cut else (other, shape)
-                if cut.overlap_area(metal) <= 0:
-                    continue
-                if cut.layer is Layer.CONTACT and metal.layer in (
-                    Layer.METAL1,
-                    *_CONTACT_BOTTOM,
-                ):
-                    graph.add_edge(i, j)
-                elif cut.layer is Layer.VIA and metal.layer in (
-                    Layer.METAL1,
-                    Layer.METAL2,
-                ):
-                    graph.add_edge(i, j)
+    for layer in _CONDUCTORS:
+        idx = members[layer]
+        for i, j in sweep_pairs(llx[idx], urx[idx]):
+            a, b = idx[i], idx[j]
+            touch = (
+                (llx[a] <= urx[b])
+                & (llx[b] <= urx[a])
+                & (lly[a] <= ury[b])
+                & (lly[b] <= ury[a])
+            )
+            edges.append(np.stack((a[touch], b[touch]), axis=1))
+
+    for cut_layer, joined in _CUT_JOINS.items():
+        cuts = members[cut_layer]
+        for layer in joined:
+            metal = members[layer]
+            for i, j in cross_pairs(llx[cuts], urx[cuts], llx[metal], urx[metal]):
+                a, b = cuts[i], metal[j]
+                w = np.minimum(urx[a], urx[b]) - np.maximum(llx[a], llx[b])
+                h = np.minimum(ury[a], ury[b]) - np.maximum(lly[a], lly[b])
+                overlap = (np.maximum(0.0, w) * np.maximum(0.0, h)) > 0
+                edges.append(np.stack((a[overlap], b[overlap]), axis=1))
+
+    if edges:
+        found = np.sort(np.concatenate(edges), axis=1)
+        graph.add_edges_from(np.unique(found, axis=0).tolist())
     return graph
 
 

@@ -378,3 +378,28 @@ def test_profile_report_renders(c17_circuit):
     assert "fault_sim.run" in report
     assert "fault_sim.patterns_applied" in report
     assert "counter" in report
+
+
+def test_extraction_counters_where_the_cost_is(c17_design):
+    from repro.defects import DefectStatistics, extract_faults
+    from repro.defects.extraction import facing_pairs
+    from repro.layout.geometry import Layer
+
+    # Off: a registry left over from an earlier run receives nothing.
+    _, stale = obs.enable()
+    obs.disable()
+    extract_faults(c17_design)
+    assert not stale.snapshot()["counters"]
+
+    _, registry = obs.enable()
+    extract_faults(c17_design)
+    counters = registry.snapshot()["counters"]
+    pairs, examined = facing_pairs(c17_design.shapes, DefectStatistics().size.x_max)
+    conductors = [layer.value for layer in Layer if layer.is_conductor]
+    for layer in conductors:
+        assert counters[f"extraction.pairs_examined.{layer}"] == examined[layer]
+    assert sum(examined.values()) > len(pairs) > 0
+    # At the default densities every facing pair has a positive weight.
+    accepted = sum(counters[f"extraction.pairs_accepted.{layer}"] for layer in conductors)
+    assert accepted == len(pairs)
+    assert counters["extraction.open_nodes_separated"] > 0
