@@ -44,6 +44,31 @@ _CUT_JOINS = {
 }
 
 
+def _touching_pairs(
+    boxes: np.ndarray, members: dict[Layer, np.ndarray]
+) -> np.ndarray:
+    """``(k, 2)`` index pairs, each once, of same-layer conductors that touch."""
+    llx, lly, urx, ury = boxes.T
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for layer in _CONDUCTORS:
+        idx = members[layer]
+        for i, j in sweep_pairs(llx[idx], urx[idx]):
+            a, b = idx[i], idx[j]
+            touch = (
+                (llx[a] <= urx[b])
+                & (llx[b] <= urx[a])
+                & (lly[a] <= ury[b])
+                & (lly[b] <= ury[a])
+            )
+            found.append(np.stack((a[touch], b[touch]), axis=1))
+    return np.concatenate(found)
+
+
+def _layer_members(shapes: list[Rect]) -> dict[Layer, np.ndarray]:
+    layers = np.array([s.layer.value for s in shapes])
+    return {layer: np.flatnonzero(layers == layer.value) for layer in Layer}
+
+
 def build_connectivity(shapes: list[Rect]) -> nx.Graph:
     """Electrical connectivity graph over shape indices.
 
@@ -55,21 +80,8 @@ def build_connectivity(shapes: list[Rect]) -> nx.Graph:
     graph.add_nodes_from(range(len(shapes)))
     boxes = rect_arrays(shapes)
     llx, lly, urx, ury = boxes.T
-    layers = np.array([s.layer.value for s in shapes])
-    members = {layer: np.flatnonzero(layers == layer.value) for layer in Layer}
-    edges: list[np.ndarray] = []
-
-    for layer in _CONDUCTORS:
-        idx = members[layer]
-        for i, j in sweep_pairs(llx[idx], urx[idx]):
-            a, b = idx[i], idx[j]
-            touch = (
-                (llx[a] <= urx[b])
-                & (llx[b] <= urx[a])
-                & (lly[a] <= ury[b])
-                & (lly[b] <= ury[a])
-            )
-            edges.append(np.stack((a[touch], b[touch]), axis=1))
+    members = _layer_members(shapes)
+    edges = [_touching_pairs(boxes, members)]
 
     for cut_layer, joined in _CUT_JOINS.items():
         cuts = members[cut_layer]
@@ -82,9 +94,8 @@ def build_connectivity(shapes: list[Rect]) -> nx.Graph:
                 overlap = (np.maximum(0.0, w) * np.maximum(0.0, h)) > 0
                 edges.append(np.stack((a[overlap], b[overlap]), axis=1))
 
-    if edges:
-        found = np.sort(np.concatenate(edges), axis=1)
-        graph.add_edges_from(np.unique(found, axis=0).tolist())
+    found = np.sort(np.concatenate(edges), axis=1)
+    graph.add_edges_from(np.unique(found, axis=0).tolist())
     return graph
 
 
@@ -103,19 +114,17 @@ class VerificationReport:
 
 
 def find_shorts(shapes: list[Rect]) -> list[tuple[Rect, Rect]]:
-    """Same-layer shape pairs of *different* nets that touch or overlap."""
+    """Same-layer shape pairs of *different* nets that touch or overlap.
+
+    Pairs come in ascending ``(a, b)`` shape index order, ``a < b``.
+    """
+    touching = _touching_pairs(rect_arrays(shapes), _layer_members(shapes))
+    pairs = np.sort(touching, axis=1)
     shorts = []
-    index = SpatialIndex(shapes)
-    for a, b in index.candidate_pairs():
-        if (
-            a.layer == b.layer
-            and a.layer in _CONDUCTORS
-            and a.net != b.net
-            and a.net
-            and b.net
-            and a.intersects(b)
-        ):
-            shorts.append((a, b))
+    for a, b in np.unique(pairs, axis=0).tolist():
+        first, second = shapes[a], shapes[b]
+        if first.net and second.net and first.net != second.net:
+            shorts.append((first, second))
     return shorts
 
 

@@ -12,13 +12,17 @@ from typing import Iterable, Iterator
 
 from repro.layout.geometry import Rect
 
-__all__ = ["SpatialIndex"]
+__all__ = ["CELL_SIZE", "SpatialIndex"]
+
+#: Default bucket edge, in microns.  :class:`repro.layout.sweep.GridOrder`
+#: reproduces the pair order of an index built with it.
+CELL_SIZE = 25.0
 
 
 class SpatialIndex:
     """Buckets rectangles into a uniform grid for neighbourhood queries."""
 
-    def __init__(self, shapes: Iterable[Rect], cell_size: float = 25.0):
+    def __init__(self, shapes: Iterable[Rect], cell_size: float = CELL_SIZE):
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.cell_size = cell_size

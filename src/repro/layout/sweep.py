@@ -20,6 +20,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.layout.geometry import Rect
+from repro.layout.spatial import CELL_SIZE
 
 __all__ = [
     "BLOCK_PAIRS",
@@ -93,25 +94,24 @@ def cross_pairs(
     a_urx: np.ndarray,
     b_llx: np.ndarray,
     b_urx: np.ndarray,
-    margin: float = 0.0,
     block: int = BLOCK_PAIRS,
 ) -> IndexPairs:
-    """Each pair ``(i into a, j into b)`` whose x-extents lie within ``margin``.
+    """Each pair ``(i into a, j into b)`` whose x-extents overlap or touch.
 
-    The bipartite form of :func:`sweep_pairs`: pairs whose ``b`` starts at or
-    after ``a`` come from a sweep of ``b``'s sorted starts, the rest from a
-    sweep of ``a``'s.
+    The bipartite form of :func:`sweep_pairs` at zero margin: pairs whose
+    ``b`` starts at or after ``a`` come from a sweep of ``b``'s sorted
+    starts, the rest from a sweep of ``a``'s.
     """
     b_order = np.argsort(b_llx, kind="stable")
     b_lo = b_llx[b_order]
     starts = np.searchsorted(b_lo, a_llx, side="left")
-    stops = np.searchsorted(b_lo, a_urx + margin, side="right")
+    stops = np.searchsorted(b_lo, a_urx, side="right")
     for rows, cols in _expand(starts, stops, block):
         yield rows, b_order[cols]
     a_order = np.argsort(a_llx, kind="stable")
     a_lo = a_llx[a_order]
     starts = np.searchsorted(a_lo, b_llx, side="right")
-    stops = np.searchsorted(a_lo, b_urx + margin, side="right")
+    stops = np.searchsorted(a_lo, b_urx, side="right")
     for rows, cols in _expand(starts, stops, block):
         yield a_order[cols], rows
 
@@ -140,6 +140,8 @@ def facing_spans(
 class GridOrder:
     """The pair order of ``SpatialIndex(shapes).candidate_pairs(margin)``.
 
+    Valid for an index with the default bucket size, :data:`CELL_SIZE`.
+
     That generator walks the widened bucket grid in bucket creation order
     and yields each pair ``(a, b)``, ``a < b``, in the first bucket that
     holds both.  Buckets are created while shapes are inserted in index
@@ -148,11 +150,11 @@ class GridOrder:
     Sorting pairs by ``(rank(a, b), a, b)`` reproduces the emission order.
     """
 
-    def __init__(self, boxes: np.ndarray, margin: float, cell_size: float = 25.0):
-        self.x0 = np.floor_divide(boxes[:, 0] - margin, cell_size).astype(np.int64)
-        self.y0 = np.floor_divide(boxes[:, 1] - margin, cell_size).astype(np.int64)
-        self.x1 = np.floor_divide(boxes[:, 2] + margin, cell_size).astype(np.int64)
-        self.y1 = np.floor_divide(boxes[:, 3] + margin, cell_size).astype(np.int64)
+    def __init__(self, boxes: np.ndarray, margin: float):
+        self.x0 = np.floor_divide(boxes[:, 0] - margin, CELL_SIZE).astype(np.int64)
+        self.y0 = np.floor_divide(boxes[:, 1] - margin, CELL_SIZE).astype(np.int64)
+        self.x1 = np.floor_divide(boxes[:, 2] + margin, CELL_SIZE).astype(np.int64)
+        self.y1 = np.floor_divide(boxes[:, 3] + margin, CELL_SIZE).astype(np.int64)
         if not len(boxes):
             self._rank = np.zeros(0, dtype=np.int64)
             return

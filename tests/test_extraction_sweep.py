@@ -4,7 +4,8 @@
   must yield exactly the pairs, spans and order of the bucket-grid filter
   it replaced: ``SpatialIndex.candidate_pairs(margin)`` plus ``facing_span``.
 * :func:`build_connectivity` must find exactly the edges of a brute-force
-  pass over every shape pair.
+  pass over every shape pair, and :func:`find_shorts` exactly the shorts
+  of the bucket-grid pass it replaced.
 * :class:`Separation` must agree with one BFS per removed node.
 """
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.defects.extraction import facing_pairs
 from repro.defects.separation import Separation
-from repro.layout import build_connectivity
+from repro.layout import build_connectivity, find_shorts
 from repro.layout.geometry import Layer, Rect, facing_span
 from repro.layout.spatial import SpatialIndex
 from repro.layout.sweep import cross_pairs, sweep_pairs
@@ -151,27 +152,34 @@ def test_sweep_blocks_cover_every_window_pair_once():
     rng = np.random.default_rng(3)
     llx = np.round(rng.uniform(0, 50, 300), 1)
     urx = llx + np.round(rng.uniform(0, 6, 300), 1)
-    expected = {
-        (i, j)
-        for i in range(300)
-        for j in range(i + 1, 300)
-        if max(llx[i], llx[j]) <= min(urx[i], urx[j]) + 2.0
-    }
+
+    def within(margin):
+        return {
+            (i, j)
+            for i in range(300)
+            for j in range(i + 1, 300)
+            if max(llx[i], llx[j]) <= min(urx[i], urx[j]) + margin
+        }
+
+    touching = within(0.0)
     for block in (1, 7, 1 << 18):
-        got = [
-            tuple(sorted(p))
-            for i, j in sweep_pairs(llx, urx, 2.0, block=block)
-            for p in zip(i.tolist(), j.tolist())
-        ]
-        assert len(got) == len(set(got))
-        assert set(got) >= expected
+        for margin in (0.0, 2.0):
+            got = [
+                tuple(sorted(p))
+                for i, j in sweep_pairs(llx, urx, margin, block=block)
+                for p in zip(i.tolist(), j.tolist())
+            ]
+            assert len(got) == len(set(got))
+            assert set(got) >= within(margin)
+            if margin == 0.0:
+                assert set(got) == touching
         crossed = [
             p
-            for i, j in cross_pairs(llx[:150], urx[:150], llx[150:], urx[150:], 2.0, block)
+            for i, j in cross_pairs(llx[:150], urx[:150], llx[150:], urx[150:], block)
             for p in zip(i.tolist(), (j + 150).tolist())
         ]
         assert len(crossed) == len(set(crossed))
-        assert set(crossed) >= {(i, j) for i, j in expected if i < 150 <= j}
+        assert set(crossed) == {(i, j) for i, j in touching if i < 150 <= j}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +194,8 @@ def connectivity_layouts(draw):
         y = draw(st.integers(0, 60)) * 0.5
         w = draw(st.integers(0, 16)) * 0.5
         h = draw(st.integers(0, 16)) * 0.5
-        shapes.append(Rect(draw(st.sampled_from(layers)), x, y, x + w, y + h))
+        net = draw(st.sampled_from(["", "a", "b", "c"]))
+        shapes.append(Rect(draw(st.sampled_from(layers)), x, y, x + w, y + h, net=net))
     return shapes
 
 
@@ -196,6 +205,24 @@ def test_connectivity_matches_brute_force(shapes):
     graph = build_connectivity(shapes)
     assert set(graph.nodes) == set(range(len(shapes)))
     assert {tuple(sorted(e)) for e in graph.edges} == reference_connectivity(shapes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=connectivity_layouts())
+def test_find_shorts_matches_bucket_grid(shapes):
+    position = {id(shape): k for k, shape in enumerate(shapes)}
+    expected = {
+        tuple(sorted((position[id(a)], position[id(b)])))
+        for a, b in SpatialIndex(shapes).candidate_pairs()
+        if a.layer == b.layer
+        and a.layer.is_conductor
+        and a.net
+        and b.net
+        and a.net != b.net
+        and a.intersects(b)
+    }
+    got = [(position[id(a)], position[id(b)]) for a, b in find_shorts(shapes)]
+    assert got == sorted(expected)
 
 
 def test_connectivity_matches_brute_force_on_c17(c17_design):
