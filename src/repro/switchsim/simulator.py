@@ -25,10 +25,17 @@ injections —
 * stuck-open devices make the cell output float on the vectors where the
   broken network should drive, with charge-retention (sequence) semantics;
 * floating inputs are evaluated under both trapped-charge assumptions.
+
+A masked injection is "stuck-at force F, counted only on the vectors in mask
+M", and F's detection bitset does not depend on M.  The whole sequence is
+packed into one word, each distinct force is simulated once into a lazily
+filled table, and a fault's first detection is the lowest set bit of the OR
+of ``table[F] & M`` over its injections.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -131,10 +138,12 @@ class SwitchLevelFaultSimulator:
     ):
         self.design = design
         self.mapped = design.mapped
-        self.fault_sim = FaultSimulator(self.mapped)
-        self.width = self.fault_sim.width
         self.patterns = [list(p) for p in patterns]
         self.n_patterns = len(self.patterns)
+        # One packed word spans the whole sequence: every stuck-at force is
+        # simulated in a single pass (bit k = vector k), and no word carries
+        # bits past the last vector.
+        self.fault_sim = FaultSimulator(self.mapped, width=max(1, self.n_patterns))
         if not 0 < v_low <= 0.5 <= v_high < 1:
             raise ValueError("thresholds must satisfy 0 < v_low <= 0.5 <= v_high < 1")
         self.v_low = v_low
@@ -147,39 +156,47 @@ class SwitchLevelFaultSimulator:
             self.cells[gate.name] = info
             self.driver_cell[gate.output] = info
 
+        #: Force tuple -> sequence-wide detection bitset (bit k = vector k):
+        #: where those simultaneous stuck-at forces reach a primary output.
+        #: Filled lazily; a force is simulated once however many faults and
+        #: vector masks use it.
+        self._detections: dict[tuple[StuckAtFault, ...], int] = {}
+        #: Masked injections evaluated so far (nonempty vector mask).
+        self._n_injections = 0
+        self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._combos: dict[str, np.ndarray] = {}
+        self._stuck_open_memo: dict[tuple, Detection] = {}
         self._simulate_good()
 
     # ------------------------------------------------------------------
     # Fault-free preparation
     # ------------------------------------------------------------------
     def _simulate_good(self) -> None:
-        n_inputs = len(self.mapped.primary_inputs)
-        width = self.width
-        self.groups = pack_patterns(self.patterns, n_inputs, width)
-        self.good: list[dict[str, int]] = [
-            self.fault_sim.logic.simulate_packed(words) for words in self.groups
-        ]
-        self.group_masks = []
-        for g in range(len(self.groups)):
-            n_here = min(width, self.n_patterns - g * width)
-            self.group_masks.append((1 << n_here) - 1)
+        logic = self.fault_sim.logic
+        #: Fault-free value word of every net, indexed by net id.
+        self.good: list[int] = [0] * logic.n_nets
+        if self.patterns:
+            (words,) = pack_patterns(
+                self.patterns, len(self.mapped.primary_inputs), self.fault_sim.width
+            )
+            self.good = logic.simulate_packed_list(words)
 
         # Per-net value arrays over all vectors (numpy uint8).
-        nets = self.mapped.nets
-        self.values: dict[str, np.ndarray] = {}
-        for net in nets:
-            bits = np.zeros(self.n_patterns, dtype=np.uint8)
-            for g, good in enumerate(self.good):
-                word = good[net]
-                base = g * width
-                n_here = min(width, self.n_patterns - base)
-                for b in range(n_here):
-                    bits[base + b] = (word >> b) & 1
-            self.values[net] = bits
+        n_bytes = (self.n_patterns + 7) // 8
+        blob = b"".join(word.to_bytes(n_bytes, "little") for word in self.good)
+        rows = np.unpackbits(
+            np.frombuffer(blob, dtype=np.uint8).reshape(logic.n_nets, n_bytes),
+            axis=1,
+            count=self.n_patterns,
+            bitorder="little",
+        )
+        self.values: dict[str, np.ndarray] = {
+            net: rows[logic.net_id[net]] for net in self.mapped.nets
+        }
 
         # Per-net drive strength arrays (strength holding the current value).
         self.drive: dict[str, np.ndarray] = {}
-        for net in nets:
+        for net in self.mapped.nets:
             self.drive[net] = self._net_drive(net)
 
     def _net_drive(self, net: str) -> np.ndarray:
@@ -189,20 +206,18 @@ class SwitchLevelFaultSimulator:
         if cell is None:  # primary input: tester-driven
             return np.full(self.n_patterns, PI_STRENGTH)
         combos = self._combo_indices(cell)
-        n = len(cell.inputs)
-        g_up = np.zeros(2**n)
-        g_down = np.zeros(2**n)
-        for code in range(2**n):
-            bits = tuple((code >> i) & 1 for i in range(n))
-            up, down = cell_conductances(cell.gate_type, bits)
-            g_up[code], g_down[code] = up, down
+        g_up, g_down = self._faulty_tables(cell, {}, {})
         value = self.values[net]
         return np.where(value == 1, g_up[combos], g_down[combos])
 
     def _combo_indices(self, cell: _CellInfo) -> np.ndarray:
-        combos = np.zeros(self.n_patterns, dtype=np.int64)
-        for i, net in enumerate(cell.inputs):
-            combos |= self.values[net].astype(np.int64) << i
+        """Per-vector input code of ``cell`` (bit i = input pin i)."""
+        combos = self._combos.get(cell.instance)
+        if combos is None:
+            combos = np.zeros(self.n_patterns, dtype=np.int64)
+            for i, net in enumerate(cell.inputs):
+                combos |= self.values[net].astype(np.int64) << i
+            self._combos[cell.instance] = combos
         return combos
 
     # ------------------------------------------------------------------
@@ -211,11 +226,18 @@ class SwitchLevelFaultSimulator:
     def run(self, faults: Sequence[RealisticFault]) -> SwitchSimResult:
         """Simulate every fault; return first-detection indices."""
         result = SwitchSimResult(faults=list(faults), n_patterns=self.n_patterns)
+        faults_by_class: Counter[str] = Counter()
+        injections_by_class: Counter[str] = Counter()
+        n_forces = len(self._detections)
         with obs.span(
             "switch_sim.run", n_faults=len(result.faults), n_patterns=self.n_patterns
         ):
             for fault in result.faults:
+                n_injections = self._n_injections
                 det = self._dispatch(fault)
+                name = type(fault).__name__
+                faults_by_class[name] += 1
+                injections_by_class[name] += self._n_injections - n_injections
                 if det.strict is not None:
                     result.first_detection[id(fault)] = det.strict
                 potential = det.merged_potential()
@@ -231,6 +253,12 @@ class SwitchLevelFaultSimulator:
             "switch_sim.detected_potential", len(result.first_detection_potential)
         )
         obs.inc("switch_sim.detected_iddq", len(result.first_detection_iddq))
+        if obs.is_enabled():
+            for name, count in faults_by_class.items():
+                obs.inc(f"switch_sim.faults.{name}", count)
+            for name, count in injections_by_class.items():
+                obs.inc(f"switch_sim.injections.{name}", count)
+            obs.inc("switch_sim.detection_words", len(self._detections) - n_forces)
         return result
 
     def _dispatch(self, fault: RealisticFault) -> Detection:
@@ -249,44 +277,28 @@ class SwitchLevelFaultSimulator:
     # ------------------------------------------------------------------
     # Masked packed detection helpers
     # ------------------------------------------------------------------
-    def _mask_words(self, mask: np.ndarray) -> list[int]:
-        words = []
-        width = self.width
-        for g in range(len(self.groups)):
-            base = g * width
-            n_here = min(width, self.n_patterns - base)
-            word = 0
-            for b in range(n_here):
-                if mask[base + b]:
-                    word |= 1 << b
-            words.append(word)
-        return words
+    def _detection_bits(self, forces: tuple[StuckAtFault, ...]) -> int:
+        """Vectors (bit k = vector k) where ``forces`` reach a primary output."""
+        bits = self._detections.get(forces)
+        if bits is None:
+            if len(forces) == 1:
+                bits = self.fault_sim.detection_word(forces[0], self.good)
+            else:
+                bits = self.fault_sim.detection_word_multi(forces, self.good)
+            self._detections[forces] = bits
+        return bits
 
     def _first_masked_detection(
-        self, injections: list[tuple[list[StuckAtFault], np.ndarray]]
+        self, injections: list[tuple[tuple[StuckAtFault, ...], np.ndarray]]
     ) -> int | None:
         """First vector where any (forces, vector-mask) injection misbehaves."""
-        mask_words = [
-            (forces, self._mask_words(mask))
-            for forces, mask in injections
-            if mask.any()
-        ]
-        if not mask_words:
-            return None
-        for g, good in enumerate(self.good):
-            hit = 0
-            for forces, words in mask_words:
-                word = words[g] & self.group_masks[g]
-                if not word:
-                    continue
-                if len(forces) == 1:
-                    diff = self.fault_sim.detection_word(forces[0], good)
-                else:
-                    diff = self.fault_sim.detection_word_multi(forces, good)
-                hit |= diff & word
-            if hit:
-                return g * self.width + ((hit & -hit).bit_length() - 1) + 1
-        return None
+        hit = 0
+        for forces, mask in injections:
+            mask_bits = _mask_bits(mask)
+            if mask_bits:
+                self._n_injections += 1
+                hit |= self._detection_bits(forces) & mask_bits
+        return (hit & -hit).bit_length() if hit else None
 
     @staticmethod
     def _first_true(mask: np.ndarray) -> int | None:
@@ -295,20 +307,20 @@ class SwitchLevelFaultSimulator:
 
     def _flip_injections(
         self, net: str, flip0: np.ndarray, flip1: np.ndarray
-    ) -> list[tuple[list[StuckAtFault], np.ndarray]]:
+    ) -> list[tuple[tuple[StuckAtFault, ...], np.ndarray]]:
         """Masked single-net injections for force-to-0/force-to-1 vectors."""
         if net in _SUPPLIES:
             return []
         injections = []
         if flip0.any():
-            injections.append(([StuckAtFault(net, 0)], flip0))
+            injections.append(((StuckAtFault(net, 0),), flip0))
         if flip1.any():
-            injections.append(([StuckAtFault(net, 1)], flip1))
+            injections.append(((StuckAtFault(net, 1),), flip1))
         return injections
 
     def _x_injections(
         self, net: str, x_mask: np.ndarray, values: np.ndarray
-    ) -> list[tuple[list[StuckAtFault], np.ndarray]]:
+    ) -> list[tuple[tuple[StuckAtFault, ...], np.ndarray]]:
         """Potential-detection injections: force opposite of good at X vectors."""
         if net in _SUPPLIES or not x_mask.any():
             return []
@@ -340,7 +352,7 @@ class SwitchLevelFaultSimulator:
         # Quiescent current of the fight: VDD through the two drive paths in
         # series (zero bridge resistance).
         fight_current = np.where(diff, ga * gb / (ga + gb), 0.0)
-        peak_current = float(fight_current.max()) if diff.any() else 0.0
+        peak_current = float(fight_current.max())
         v_node = (ga * va + gb * vb) / (ga + gb)
         # Wired-AND tie-break: an exactly balanced fight resolves low.
         low_wins = (v_node <= self.v_low) | (v_node == 0.5)
@@ -393,41 +405,19 @@ class SwitchLevelFaultSimulator:
         tap_index = int(tag[1:])
 
         out = cell.output
-        combos = self._combo_indices(cell)
         ext_vals = self._rail_or_values(external)
         ext_drive = self._rail_or_drive(external)
         out_vals = self.values[out]
+        out_new, tap_val = self._tap_levels(cell, tap_index, ext_vals, ext_drive)
 
-        out_flip0 = np.zeros(self.n_patterns, dtype=bool)
-        out_flip1 = np.zeros(self.n_patterns, dtype=bool)
-        out_x = np.zeros(self.n_patterns, dtype=bool)
-        ext_flip0 = np.zeros(self.n_patterns, dtype=bool)
-        ext_flip1 = np.zeros(self.n_patterns, dtype=bool)
-        ext_x = np.zeros(self.n_patterns, dtype=bool)
-        iddq_mask = np.zeros(self.n_patterns, dtype=bool)
-
-        n = len(cell.inputs)
-        for k in range(self.n_patterns):
-            bits = tuple((int(combos[k]) >> i) & 1 for i in range(n))
-            out_new, tap_val = solve_with_tap(
-                cell.gate_type,
-                bits,
-                tap_index,
-                float(ext_vals[k]),
-                float(ext_drive[k]),
-            )
-            good_out = int(out_vals[k])
-            if out_new == 2:
-                out_x[k] = True
-            elif out_new != good_out:
-                (out_flip1 if out_new else out_flip0)[k] = True
-            if external not in _SUPPLIES:
-                if tap_val == 2:
-                    ext_x[k] = True
-                elif tap_val != int(ext_vals[k]):
-                    (ext_flip1 if tap_val else ext_flip0)[k] = True
-            if out_new == 2 or tap_val == 2 or out_new != good_out:
-                iddq_mask[k] = True
+        out_x = out_new == 2
+        out_flip0 = (out_new == 0) & (out_vals == 1)
+        out_flip1 = (out_new == 1) & (out_vals == 0)
+        # A supply-side tap never injects: the flip helpers drop rails.
+        ext_x = tap_val == 2
+        ext_flip0 = (tap_val == 0) & (ext_vals == 1)
+        ext_flip1 = (tap_val == 1) & (ext_vals == 0)
+        iddq_mask = ext_x | (out_new != out_vals)
 
         strict_injections = self._flip_injections(out, out_flip0, out_flip1)
         strict_injections.extend(self._flip_injections(external, ext_flip0, ext_flip1))
@@ -443,6 +433,40 @@ class SwitchLevelFaultSimulator:
             # bound it by the external drive strength at the worst vector.
             peak = float(np.where(iddq_mask, np.minimum(ext_drive, 4.0), 0.0).max())
         return Detection(strict, potential, self._first_true(iddq_mask), iddq_current=peak)
+
+    def _tap_levels(
+        self,
+        cell: _CellInfo,
+        tap_index: int,
+        ext_vals: np.ndarray,
+        ext_drive: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vector (output, tap node) levels of ``cell`` tied at a node.
+
+        :func:`solve_with_tap` runs once per distinct (input combo, external
+        value, external drive); the levels are gathered back per vector.
+        """
+        combos = self._combo_indices(cell)
+        drive_levels, drive_code = np.unique(ext_drive, return_inverse=True)
+        keys = (combos * 2 + ext_vals) * len(drive_levels) + drive_code
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        n = len(cell.inputs)
+        solved = []
+        for key in unique_keys.tolist():
+            rest, code = divmod(key, len(drive_levels))
+            combo, ext_val = divmod(rest, 2)
+            bits = tuple((combo >> i) & 1 for i in range(n))
+            solved.append(
+                solve_with_tap(
+                    cell.gate_type,
+                    bits,
+                    tap_index,
+                    float(ext_val),
+                    float(drive_levels[code]),
+                )
+            )
+        levels = np.array(solved, dtype=np.int64).reshape(-1, 2)[inverse]
+        return levels[:, 0], levels[:, 1]
 
     # ------------------------------------------------------------------
     # Transistor faults
@@ -460,14 +484,19 @@ class SwitchLevelFaultSimulator:
         n_mods: dict[int, str],
         p_mods: dict[int, str],
     ) -> tuple[np.ndarray, np.ndarray]:
+        """(G_up, G_down) per input code, memoised per cell kind and mods."""
         n = len(cell.inputs)
-        g_up = np.zeros(2**n)
-        g_down = np.zeros(2**n)
-        for code in range(2**n):
-            bits = tuple((code >> i) & 1 for i in range(n))
-            up, down = cell_conductances(cell.gate_type, bits, n_mods, p_mods)
-            g_up[code], g_down[code] = up, down
-        return g_up, g_down
+        key = (cell.gate_type, n, _mods_key(n_mods), _mods_key(p_mods))
+        tables = self._tables.get(key)
+        if tables is None:
+            g_up = np.zeros(2**n)
+            g_down = np.zeros(2**n)
+            for code in range(2**n):
+                bits = tuple((code >> i) & 1 for i in range(n))
+                up, down = cell_conductances(cell.gate_type, bits, n_mods, p_mods)
+                g_up[code], g_down[code] = up, down
+            tables = self._tables[key] = (g_up, g_down)
+        return tables
 
     def _stuck_on(self, device: str) -> Detection:
         located = self._device(device)
@@ -533,33 +562,19 @@ class SwitchLevelFaultSimulator:
         n_mods: dict[int, str],
         p_mods: dict[int, str],
     ) -> Detection:
+        """Memoised per (instance, mods): a gate-open's always-off half is
+        the matching single-device stuck-open."""
+        key = (cell.instance, _mods_key(n_mods), _mods_key(p_mods))
+        memo = self._stuck_open_memo.get(key)
+        if memo is not None:
+            return memo
         g_up, g_down = self._faulty_tables(cell, n_mods, p_mods)
         combos = self._combo_indices(cell)
-        up = g_up[combos]
-        down = g_down[combos]
+        faulty = retained_levels(g_up[combos], g_down[combos])
         out_vals = self.values[cell.output]
-
-        # Sequential charge-retention evaluation of the faulty output.
-        flips0 = np.zeros(self.n_patterns, dtype=bool)
-        flips1 = np.zeros(self.n_patterns, dtype=bool)
-        x_mask = np.zeros(self.n_patterns, dtype=bool)
-        state = 2  # unknown initial charge
-        for k in range(self.n_patterns):
-            if up[k] > 0 and down[k] <= 0:
-                faulty = 1
-            elif down[k] > 0 and up[k] <= 0:
-                faulty = 0
-            elif up[k] <= 0 and down[k] <= 0:
-                faulty = state  # floating: retains charge
-            else:  # residual contention (cannot happen in these families)
-                faulty = 2
-            if faulty == 2:
-                x_mask[k] = True
-            else:
-                state = faulty
-                good = int(out_vals[k])
-                if faulty != good:
-                    (flips1 if faulty else flips0)[k] = True
+        x_mask = faulty == 2
+        flips0 = (faulty == 0) & (out_vals == 1)
+        flips1 = (faulty == 1) & (out_vals == 0)
 
         strict_injections = self._flip_injections(cell.output, flips0, flips1)
         strict = self._first_masked_detection(strict_injections)
@@ -568,7 +583,8 @@ class SwitchLevelFaultSimulator:
             self._x_injections(cell.output, x_mask, out_vals)
         )
         potential = self._first_masked_detection(potential_injections)
-        return Detection(strict, potential, None)
+        det = self._stuck_open_memo[key] = Detection(strict, potential, None)
+        return det
 
     def _gate_open(self, device: str) -> Detection:
         """Floating single gate: unknown but fixed state.
@@ -623,10 +639,10 @@ class SwitchLevelFaultSimulator:
         firsts: list[int | None] = []
         net_vals = self.values[net]
         for assumption in (0, 1):
-            forces = [
+            forces = tuple(
                 StuckAtFault(net, assumption, FaultSite.GATE_INPUT, inst, pin)
                 for inst, pin in forces_template
-            ]
+            )
             mask = net_vals == (1 - assumption)
             if not mask.any():
                 firsts.append(None)
@@ -638,6 +654,34 @@ class SwitchLevelFaultSimulator:
             strict = max(firsts[0], firsts[1])
         potential = _min_opt(firsts[0], firsts[1])
         return Detection(strict, potential, None)
+
+
+def retained_levels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Per-vector level (0, 1 or X = 2) of a node with charge retention.
+
+    A node pulled one way only takes that level.  A floating node (neither
+    network conducts) holds the level of the last vector that pulled it one
+    way, and reads X before any such vector.  A node pulled both ways reads
+    X and leaves the held charge as it was.
+    """
+    high = (up > 0) & (down <= 0)
+    resolved = high | ((down > 0) & (up <= 0))
+    floating = (up <= 0) & (down <= 0)
+    last = np.maximum.accumulate(np.where(resolved, np.arange(len(up)), -1))
+    held = floating & (last >= 0)
+    levels = np.full(len(up), 2, dtype=np.int8)
+    levels[resolved] = high[resolved]
+    levels[held] = high[last[held]]
+    return levels
+
+
+def _mask_bits(mask: np.ndarray) -> int:
+    """A boolean vector mask as a bitset (bit k = vector k)."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _mods_key(mods: dict[int, str]) -> tuple[tuple[int, str], ...]:
+    return tuple(sorted(mods.items()))
 
 
 def _min_opt(a: int | None, b: int | None) -> int | None:

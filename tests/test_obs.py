@@ -403,3 +403,41 @@ def test_extraction_counters_where_the_cost_is(c17_design):
     accepted = sum(counters[f"extraction.pairs_accepted.{layer}"] for layer in conductors)
     assert accepted == len(pairs)
     assert counters["extraction.open_nodes_separated"] > 0
+
+
+def test_switch_sim_counters_per_fault_class(c17_design):
+    from collections import Counter
+
+    from repro.atpg import random_patterns
+    from repro.defects import extract_faults
+    from repro.switchsim import SwitchLevelFaultSimulator
+
+    faults = extract_faults(c17_design).faults
+    patterns = random_patterns(5, 100, seed=3)
+
+    # Off: a registry left over from an earlier run receives nothing.
+    _, stale = obs.enable()
+    obs.disable()
+    SwitchLevelFaultSimulator(c17_design, patterns).run(faults)
+    assert not stale.snapshot()["counters"]
+
+    _, registry = obs.enable()
+    sim = SwitchLevelFaultSimulator(c17_design, patterns)
+    sim.run(faults)
+    counters = registry.snapshot()["counters"]
+    by_class = Counter(type(fault).__name__ for fault in faults)
+    for name, count in by_class.items():
+        assert counters[f"switch_sim.faults.{name}"] == count
+    injections = sum(
+        counters.get(f"switch_sim.injections.{name}", 0) for name in by_class
+    )
+    assert injections == sim._n_injections
+    # Every distinct force is simulated once, however many injections use it.
+    assert counters["switch_sim.detection_words"] == len(sim._detections)
+    assert 0 < counters["switch_sim.detection_words"] < injections
+
+    # A second run on the same simulator reuses every filled force.
+    sim.run(faults)
+    again = registry.snapshot()["counters"]
+    assert again["switch_sim.detection_words"] == len(sim._detections)
+    assert again["switch_sim.faults.BridgeFault"] == 2 * by_class["BridgeFault"]

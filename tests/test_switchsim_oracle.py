@@ -1,0 +1,290 @@
+"""Independent oracles for the switch-level simulator's vectorised paths.
+
+* ``_first_masked_detection`` (detection table plus packed masks) against a
+  brute-force scalar evaluation of every masked vector with the stuck-at
+  forces applied;
+* ``retained_levels`` (forward-filled charge retention) against the
+  sequential state machine it replaced;
+* ``_tap_levels`` (one ``solve_with_tap`` per distinct key) and the
+  internal-bridge detections built on it against the per-vector loop.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.atpg import random_patterns
+from repro.circuit import Circuit, GateType
+from repro.defects import BridgeFault
+from repro.layout import build_layout
+from repro.layout.cells import GND, VDD
+from repro.simulation import LogicSimulator
+from repro.simulation.faults import FaultSite, StuckAtFault
+from repro.switchsim import SwitchLevelFaultSimulator, solve_with_tap
+from repro.switchsim.simulator import Detection, retained_levels
+
+SLOW = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def small_circuits(draw):
+    kinds = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+             GateType.XOR, GateType.NOT]
+    n_inputs = draw(st.integers(min_value=2, max_value=5))
+    n_gates = draw(st.integers(min_value=1, max_value=10))
+    ckt = Circuit(name="oracle")
+    nets = [ckt.add_input(f"i{k}") for k in range(n_inputs)]
+    for g in range(n_gates):
+        gt = draw(st.sampled_from(kinds))
+        fan = 1 if gt is GateType.NOT else draw(st.integers(2, 3))
+        sources = [nets[draw(st.integers(0, len(nets) - 1))] for _ in range(fan)]
+        ckt.add_gate(gt, sources, f"g{g}")
+        nets.append(f"g{g}")
+    ckt.add_output(nets[-1])
+    if n_gates > 2:
+        ckt.add_output(nets[n_inputs + n_gates // 2])
+    ckt.validate()
+    return ckt
+
+
+def simulator(ckt: Circuit, n_vectors: int, seed: int) -> SwitchLevelFaultSimulator:
+    design = build_layout(ckt)
+    patterns = random_patterns(len(design.mapped.primary_inputs), n_vectors, seed)
+    return SwitchLevelFaultSimulator(design, patterns)
+
+
+# ----------------------------------------------------------------------
+# Masked detection against brute force
+# ----------------------------------------------------------------------
+_GATE_FN = {
+    GateType.AND: lambda xs: int(all(xs)),
+    GateType.NAND: lambda xs: 1 - int(all(xs)),
+    GateType.OR: lambda xs: int(any(xs)),
+    GateType.NOR: lambda xs: 1 - int(any(xs)),
+    GateType.XOR: lambda xs: sum(xs) % 2,
+    GateType.XNOR: lambda xs: 1 - sum(xs) % 2,
+    GateType.NOT: lambda xs: 1 - xs[0],
+    GateType.BUF: lambda xs: xs[0],
+}
+
+
+def forced_outputs(circuit, vector, forces=()) -> list[int]:
+    """Primary outputs of one vector, evaluated gate by gate under ``forces``."""
+    net_force = {f.net: f.value for f in forces if f.site is FaultSite.NET}
+    pin_force = {
+        (f.gate, f.pin): f.value for f in forces if f.site is FaultSite.GATE_INPUT
+    }
+    values = {
+        pi: net_force.get(pi, v) for pi, v in zip(circuit.primary_inputs, vector)
+    }
+    pending = list(circuit.gates)
+    while pending:
+        later = []
+        for gate in pending:
+            if all(net in values for net in gate.inputs):
+                ins = [
+                    pin_force.get((gate.name, pin), values[net])
+                    for pin, net in enumerate(gate.inputs)
+                ]
+                value = _GATE_FN[gate.gate_type](ins)
+                values[gate.output] = net_force.get(gate.output, value)
+            else:
+                later.append(gate)
+        pending = later
+    return [values[po] for po in circuit.primary_outputs]
+
+
+def brute_force_first(circuit, patterns, injections) -> int | None:
+    """First (1-based) masked vector where any injection changes an output."""
+    logic = LogicSimulator(circuit)
+    first = None
+    for forces, mask in injections:
+        for k in np.flatnonzero(mask).tolist():
+            good = forced_outputs(circuit, patterns[k])
+            assert good == logic.outputs(patterns[k])
+            if forced_outputs(circuit, patterns[k], forces) != good:
+                first = k + 1 if first is None else min(first, k + 1)
+                break
+    return first
+
+
+@st.composite
+def injections_for(draw, circuit, n_vectors):
+    readers: dict[str, list[tuple[str, int]]] = {}
+    for gate in circuit.gates:
+        for pin, net in enumerate(gate.inputs):
+            readers.setdefault(net, []).append((gate.name, pin))
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        value = draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            forces = (StuckAtFault(draw(st.sampled_from(circuit.nets)), value),)
+        else:
+            # A floating net reaches every pin it feeds: prefer fanout nets.
+            fanout = [net for net in sorted(readers) if len(readers[net]) > 1]
+            net = draw(st.sampled_from(fanout or sorted(readers)))
+            pins = draw(
+                st.lists(
+                    st.sampled_from(readers[net]),
+                    min_size=min(2, len(readers[net])),
+                    unique=True,
+                )
+            )
+            forces = tuple(
+                StuckAtFault(net, value, FaultSite.GATE_INPUT, gate, pin)
+                for gate, pin in pins
+            )
+        if draw(st.integers(0, 4)) == 0:
+            mask = np.zeros(n_vectors, dtype=bool)
+        else:
+            bits = draw(st.lists(st.booleans(), min_size=n_vectors, max_size=n_vectors))
+            mask = np.array(bits, dtype=bool)
+        out.append((forces, mask))
+    return out
+
+
+@SLOW
+@given(
+    ckt=small_circuits(),
+    n_vectors=st.integers(0, 150),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_first_masked_detection_matches_brute_force(ckt, n_vectors, seed, data):
+    sim = simulator(ckt, n_vectors, seed)
+    injections = data.draw(injections_for(sim.mapped, n_vectors))
+    expected = brute_force_first(sim.mapped, sim.patterns, injections)
+    assert sim._first_masked_detection(injections) == expected
+    # A second call reads every force from the filled table.
+    assert sim._first_masked_detection(injections) == expected
+    assert sim._n_injections == 2 * sum(bool(mask.any()) for _, mask in injections)
+
+
+# ----------------------------------------------------------------------
+# Charge retention against the sequential state machine
+# ----------------------------------------------------------------------
+def sequential_levels(up, down) -> list[int]:
+    """The per-vector charge-retention loop the vectorised form replaced."""
+    levels = []
+    state = 2  # unknown initial charge
+    for u, d in zip(up, down):
+        if u > 0 and d <= 0:
+            faulty = 1
+        elif d > 0 and u <= 0:
+            faulty = 0
+        elif u <= 0 and d <= 0:
+            faulty = state  # floating: retains charge
+        else:  # contention
+            faulty = 2
+        if faulty != 2:
+            state = faulty
+        levels.append(faulty)
+    return levels
+
+
+conductances = st.sampled_from([0.0, 0.75, 1.5, 4.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(conductances, conductances), max_size=80))
+@example([])
+@example([(0.0, 0.0)] * 5)
+@example([(1.5, 4.0), (0.0, 0.0), (1.5, 0.0), (1.5, 4.0), (0.0, 0.0)])
+@example([(0.0, 4.0), (0.0, 0.0), (0.0, 0.0), (1.5, 0.0), (0.0, 0.0)])
+def test_retained_levels_match_sequential_loop(pairs):
+    up = np.array([u for u, _ in pairs], dtype=float)
+    down = np.array([d for _, d in pairs], dtype=float)
+    levels = retained_levels(up, down)
+    assert levels.tolist() == sequential_levels(up.tolist(), down.tolist())
+
+
+# ----------------------------------------------------------------------
+# Internal-node bridges against the per-vector solve_with_tap loop
+# ----------------------------------------------------------------------
+def reference_tap_levels(sim, cell, tap_index, ext_vals, ext_drive):
+    combos = sim._combo_indices(cell)
+    n = len(cell.inputs)
+    out_new, tap_val = [], []
+    for k in range(sim.n_patterns):
+        bits = tuple((int(combos[k]) >> i) & 1 for i in range(n))
+        out_k, tap_k = solve_with_tap(
+            cell.gate_type, bits, tap_index, float(ext_vals[k]), float(ext_drive[k])
+        )
+        out_new.append(out_k)
+        tap_val.append(tap_k)
+    return out_new, tap_val
+
+
+def reference_internal_bridge(sim, cell, tap_index, external) -> Detection:
+    """The per-vector internal-bridge evaluation the unique-key path replaced."""
+    ext_vals = sim._rail_or_values(external)
+    ext_drive = sim._rail_or_drive(external)
+    out_vals = sim.values[cell.output]
+    out_new, tap_val = reference_tap_levels(sim, cell, tap_index, ext_vals, ext_drive)
+    masks = {name: np.zeros(sim.n_patterns, dtype=bool) for name in
+             ("out0", "out1", "outx", "ext0", "ext1", "extx", "iddq")}
+    for k in range(sim.n_patterns):
+        good_out = int(out_vals[k])
+        if out_new[k] == 2:
+            masks["outx"][k] = True
+        elif out_new[k] != good_out:
+            masks["out1" if out_new[k] else "out0"][k] = True
+        if external not in (VDD, GND):
+            if tap_val[k] == 2:
+                masks["extx"][k] = True
+            elif tap_val[k] != int(ext_vals[k]):
+                masks["ext1" if tap_val[k] else "ext0"][k] = True
+        if out_new[k] == 2 or tap_val[k] == 2 or out_new[k] != good_out:
+            masks["iddq"][k] = True
+    out = cell.output
+    strict_inj = sim._flip_injections(out, masks["out0"], masks["out1"])
+    strict_inj += sim._flip_injections(external, masks["ext0"], masks["ext1"])
+    potential_inj = list(strict_inj)
+    potential_inj += sim._x_injections(out, masks["outx"], out_vals)
+    potential_inj += sim._x_injections(external, masks["extx"], ext_vals)
+    peak = 0.0
+    if masks["iddq"].any():
+        peak = float(np.where(masks["iddq"], np.minimum(ext_drive, 4.0), 0.0).max())
+    return Detection(
+        sim._first_masked_detection(strict_inj),
+        sim._first_masked_detection(potential_inj),
+        sim._first_true(masks["iddq"]),
+        iddq_current=peak,
+    )
+
+
+@SLOW
+@given(
+    ckt=small_circuits(),
+    n_vectors=st.integers(0, 90),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_internal_bridges_match_per_vector_loop(ckt, n_vectors, seed, data):
+    sim = simulator(ckt, n_vectors, seed)
+    cells = sorted(sim.cells.values(), key=lambda cell: cell.instance)
+    cell = data.draw(st.sampled_from(cells))
+    external = data.draw(st.sampled_from([VDD, GND, *sim.mapped.nets]))
+    ext_vals = sim._rail_or_values(external)
+    ext_drive = sim._rail_or_drive(external)
+    n = len(cell.inputs)
+    for tap_index in range(n):
+        out_new, tap_val = sim._tap_levels(cell, tap_index, ext_vals, ext_drive)
+        assert (out_new.tolist(), tap_val.tolist()) == reference_tap_levels(
+            sim, cell, tap_index, ext_vals, ext_drive
+        )
+    # Through the fault: a bridge from a series-chain node to the external.
+    if n > 1 and cell.gate_type in (GateType.NAND, GateType.NOR):
+        side = "n" if cell.gate_type is GateType.NAND else "p"
+        tap_index = data.draw(st.integers(1, n - 1))
+        internal = f"{cell.instance}#{side}{tap_index}"
+        fault = BridgeFault(weight=1.0, net_a=internal, net_b=external)
+        assert sim._dispatch(fault) == reference_internal_bridge(
+            sim, cell, tap_index, external
+        )
