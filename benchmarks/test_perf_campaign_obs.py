@@ -6,10 +6,10 @@ sweep with full telemetry — event bus enabled, every event mirrored to a
 under **2%** wall-clock overhead against the identical sweep with
 telemetry off.
 
-The measurement mirrors ``test_perf_attribution.py``: interleaved pairs
-with alternating order cancel first-mover bias, and the bound is
-``ceiling + noise`` where ``noise`` is the baseline's own relative spread,
-so a noisy shared runner degrades the guard instead of flaking it.  Every
+The measurement interleaves pairs with alternating order to cancel
+first-mover bias, and the bound is ``ceiling + noise`` where ``noise`` is
+the baseline's own relative spread, so a noisy shared runner degrades the
+guard instead of flaking it.  Every
 run starts from a fresh campaign directory with the pipeline memo cleared,
 so each sweep recomputes all six jobs for real.
 

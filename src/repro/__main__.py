@@ -5,7 +5,6 @@ Usage::
     python -m repro [benchmark] [--svg layout.svg] [--technique voltage]
                     [--seed N] [--max-random-patterns N]
                     [--profile] [--trace run.jsonl] [--trace-format jsonl]
-                    [--attribution] [--attribution-memory]
                     [--progress] [--events events.jsonl]
                     [--checkpoint-dir DIR] [--resume]
     python -m repro analyze [circuit ...] [--quick] [--json FILE]
@@ -20,12 +19,7 @@ per-stage timing tree and a metric table after the run; ``--trace FILE``
 appends a JSON-lines run manifest (config hash, stage durations, metrics,
 fitted parameters) to ``FILE``, or — with ``--trace-format chrome`` —
 writes a Chrome/Perfetto trace instead (one lane per worker process; load
-it in ``chrome://tracing`` or https://ui.perfetto.dev).  ``--attribution``
-turns on the cost-attribution layer (:mod:`repro.obs.attribution`): kernel
-work counters by pipeline stage and cone-size bucket, rendered in the
-``--profile`` report and recorded into the run manifest;
-``--attribution-memory`` additionally traces each stage's ``tracemalloc``
-peak (slower).  ``--progress``
+it in ``chrome://tracing`` or https://ui.perfetto.dev).  ``--progress``
 renders live progress on stderr (patterns applied, faults remaining,
 detection rate, chunk completions, ETA) and ``--events FILE`` streams
 every pipeline event to FILE as JSON lines.  ``--checkpoint-dir DIR``
@@ -70,7 +64,6 @@ import sys
 
 from repro import obs
 from repro.circuit.iscas import BENCHMARKS
-from repro.obs import attribution
 from repro.core import ppm, williams_brown
 from repro.experiments import (
     ExperimentConfig,
@@ -176,24 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "trace file format: 'jsonl' run manifest (default) or 'chrome' "
             "trace-event JSON for chrome://tracing / Perfetto"
-        ),
-    )
-    parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help=(
-            "collect kernel cost attribution (gate-evals by stage and cone "
-            "bucket, pattern bytes, fault-drop drain); rendered by "
-            "--profile and recorded in the --trace manifest"
-        ),
-    )
-    parser.add_argument(
-        "--attribution-memory",
-        action="store_true",
-        help=(
-            "with --attribution: also trace each pipeline stage's "
-            "tracemalloc memory peak (slows allocation; implies "
-            "--attribution)"
         ),
     )
     parser.add_argument(
@@ -512,10 +487,6 @@ def main(argv: list[str] | None = None) -> int:
     if instrumented:
         collector, metrics = obs.enable()
 
-    attributing = args.attribution or args.attribution_memory
-    if attributing:
-        attribution.enable(memory=args.attribution_memory)
-
     # The event bus runs whenever any consumer wants live events: the
     # progress renderer, the JSONL event stream, or the Chrome exporter
     # (which places retry/checkpoint instant markers on the timeline).
@@ -538,8 +509,6 @@ def main(argv: list[str] | None = None) -> int:
                 obs.disable_events()
                 if instrumented:
                     obs.disable()
-                if attributing:
-                    attribution.disable()
                 return 2
         if chrome:
             marker_sink = obs.ListSink(bus)
@@ -569,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
             obs.disable_events()
         if instrumented:
             obs.disable()
-        if attributing:
-            attribution.disable()
 
     try:
         result = run_experiment(
@@ -690,26 +657,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         obs.disable_events()
 
-    attribution_snapshot: dict[str, object] = {}
-    if attributing:
-        attr = attribution.collector()
-        if attr is not None:
-            if instrumented:
-                pipeline_wall = collector.stage_timings().get(
-                    "pipeline.run", 0.0
-                )
-                if pipeline_wall:
-                    reconcile = attr.reconcile(pipeline_wall)
-            attribution_snapshot = attr.snapshot()
-            if instrumented and pipeline_wall:
-                attribution_snapshot["reconcile"] = reconcile
-
     if args.profile:
         print("\n" + obs.render_profile(collector, metrics, engine=result.engine))
-        if attribution_snapshot:
-            from repro.obs.report import render_attribution
-
-            print("\n" + render_attribution(attribution_snapshot))
 
     if chrome:
         n_events = obs.write_chrome_trace(
@@ -730,7 +679,6 @@ def main(argv: list[str] | None = None) -> int:
             engine=result.engine,
             resilience=result.resilience_info(),
             curves=_build_curves(result, fit),
-            attribution=attribution_snapshot,
             results={
                 "R": fit.susceptibility_ratio,
                 "theta_max_fit": fit.theta_max,
@@ -751,8 +699,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if instrumented:
         obs.disable()
-    if attributing:
-        attribution.disable()
     return 0
 
 

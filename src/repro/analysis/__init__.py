@@ -215,6 +215,13 @@ def analyze_circuit(
             )
             result.prover = prover.prove(universe)
             obs.inc("analysis.proved_faults", len(result.prover.proved))
+            if obs.is_enabled():
+                for method, count in result.prover.by_method.items():
+                    obs.inc(f"analysis.proved.{method}", count)
+                for key, count in result.prover.work.items():
+                    obs.inc(f"analysis.prover.{key}", count)
+                for phase, seconds in prover.phase_wall_s.items():
+                    obs.set_gauge(f"analysis.prover.wall_s.{phase}", seconds)
         result._untestable_set = result._untestable_set | frozenset(
             result.prover.proved
         )

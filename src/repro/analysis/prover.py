@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -206,7 +207,9 @@ class RedundancyProver:
     closure of the premises (``fire``), closure with the static learned base
     (``static_learning``), then depth-bounded recursive learning
     (``recursive_<k>`` where ``k`` is the deepest case split the final
-    certificate uses).  Work is metered in :attr:`work`;
+    certificate uses).  Work is metered in :attr:`work` and wall seconds
+    per stage (``fire`` / ``static_learning`` / ``recursive``, summed over
+    :meth:`prove_fault` calls) in :attr:`phase_wall_s`;
     ``fault_budget`` bounds traced closures spent per fault in the
     recursive stage so the prover degrades gracefully on hard instances.
     """
@@ -237,6 +240,11 @@ class RedundancyProver:
             "refutes": 0,
             "splits": 0,
             "intersections": 0,
+        }
+        self.phase_wall_s: dict[str, float] = {
+            "fire": 0.0,
+            "static_learning": 0.0,
+            "recursive": 0.0,
         }
         self._topo_index: dict[str, int] = {
             g.output: i for i, g in enumerate(levelize(self.circuit))
@@ -606,6 +614,8 @@ class RedundancyProver:
         self, fault: StuckAtFault
     ) -> tuple[dict[str, Any], str, str] | None:
         """Prove one fault untestable: (certificate, reason, method) or None."""
+        wall = self.phase_wall_s
+        t0 = time.perf_counter()
         cert: dict[str, Any] = {
             "version": CERTIFICATE_VERSION,
             "circuit": self.circuit.name,
@@ -628,6 +638,7 @@ class RedundancyProver:
             cert.update(
                 reason="unobservable", method="fire", source=source, premises=[]
             )
+            wall["fire"] += time.perf_counter() - t0
             return cert, "unobservable", "fire"
         records, _source = premised
         literals = tuple(
@@ -641,16 +652,21 @@ class RedundancyProver:
         if res.conflict is not None:
             proof = self._chain_node(res)
             method = "fire"
+        t1 = time.perf_counter()
+        wall["fire"] += t1 - t0
         if proof is None:
             res = self._closure(literals, True)
             if res.conflict is not None:
                 proof = self._chain_node(res)
                 method = "static_learning"
+            t0, t1 = t1, time.perf_counter()
+            wall["static_learning"] += t1 - t0
         if proof is None and self.depth > 0:
             self._fault_start = self.work["closures"]
             proof, _values = self._refute(literals, self.depth)
             if proof is not None:
                 method = f"recursive_{max(1, _split_depth(proof))}"
+            wall["recursive"] += time.perf_counter() - t1
         if proof is None:
             return None
 

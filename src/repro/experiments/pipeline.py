@@ -40,7 +40,6 @@ from repro.defects.extraction import extract_faults
 from repro.defects.fault_types import FaultList
 from repro.defects.statistics import DefectStatistics
 from repro.layout.design import LayoutDesign, build_layout
-from repro.obs import attribution
 from repro.obs.events import CheckpointEvent, StageEvent
 from repro.resilience import chaos
 from repro.resilience.checkpoint import CheckpointStore
@@ -311,18 +310,6 @@ def _make_stage_runner(
         encode: Callable | None = None,
         decode: Callable | None = None,
     ) -> object:
-        # Cost attribution times the whole restore-or-compute body: a
-        # checkpoint restore is work this stage cost the run, same as a
-        # recompute.
-        with attribution.stage(name):
-            return stage_body(name, compute, encode, decode)
-
-    def stage_body(
-        name: str,
-        compute: Callable[[], object],
-        encode: Callable | None = None,
-        decode: Callable | None = None,
-    ) -> object:
         emit_events = obs.events_enabled()
         stage_t0 = time.perf_counter()
         if emit_events:
@@ -425,15 +412,11 @@ def _run_pipeline(
     with obs.span(
         "pipeline.run", benchmark=config.benchmark, seed=config.seed
     ):
-        with attribution.stage("load_benchmark"), obs.span(
-            "pipeline.load_benchmark", benchmark=config.benchmark
-        ):
+        with obs.span("pipeline.load_benchmark", benchmark=config.benchmark):
             circuit = load_benchmark(config.benchmark)
 
         # --- stuck-at universe and test sequence (paper section 3) ---
-        with attribution.stage("collapse_faults"), obs.span(
-            "pipeline.collapse_faults"
-        ):
+        with obs.span("pipeline.collapse_faults"):
             collapsed = collapse_faults(circuit)
 
         # Static analysis: provably-untestable faults leave the coverage
@@ -446,7 +429,7 @@ def _run_pipeline(
         static_untestable: list[StuckAtFault] = []
         screened = collapsed
         if config.static_analysis:
-            with attribution.stage("static_analysis"):
+            with obs.span("pipeline.static_analysis"):
                 analysis = analyze_circuit(
                     circuit,
                     faults=collapsed,
@@ -549,9 +532,7 @@ def _run_pipeline(
         engine: dict[str, object] = stuck["engine"]
 
         # --- layout, extraction, yield scaling ---
-        with attribution.stage("build_layout"), obs.span(
-            "pipeline.build_layout"
-        ):
+        with obs.span("pipeline.build_layout"):
             design = build_layout(circuit)
 
         def compute_extraction() -> FaultList:
@@ -577,7 +558,7 @@ def _run_pipeline(
             encode=_encode_switch_result,
             decode=lambda payload: _decode_switch_result(payload, faults.faults),
         )
-        with attribution.stage("build_coverage"):
+        with obs.span("pipeline.build_coverage"):
             coverage = build_coverage(
                 faults, switch_result, technique=config.detection
             )

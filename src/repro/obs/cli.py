@@ -14,8 +14,8 @@ Subcommands operate on the JSON-lines trace files ``--trace`` appends
 ``html [--manifests FILE]... [--out report.html] [--last N]``
     Render the self-contained HTML dashboard (:mod:`repro.obs.html`) over
     one or more manifest histories: run-history trends, coverage and DL(T)
-    curves, n-detection depth, pipeline waterfall, worker lanes, resilience
-    and cost attribution.  One file, inline CSS and SVG, no scripts, no
+    curves, n-detection depth, pipeline waterfall, worker lanes, static
+    analysis and resilience.  One file, inline CSS and SVG, no scripts, no
     external resources — open it anywhere, attach it to CI artifacts.
 ``diff FILE [A B]``
     Field-level comparison of two runs from one history file (indices

@@ -13,9 +13,7 @@ manifest history that ``--trace`` appends.  Panels:
 * **Pipeline waterfall** — the latest run's span tree on a timeline;
 * **Worker lanes** — merged cross-process telemetry, one lane per worker;
 * **Resilience** — retries, salvaged chunks, degraded runs, checkpoint
-  restores across the history;
-* **Where the time goes** — the cost-attribution snapshot (stage wall
-  share, gate-evals by cone bucket, kernel work counters).
+  restores across the history.
 
 Like the rest of :mod:`repro.obs` this module is stdlib-only; in
 particular it must not import :mod:`repro.core` (numpy/scipy) — the fitted
@@ -51,7 +49,6 @@ PANEL_IDS = (
     "panel-lanes",
     "panel-analysis",
     "panel-resilience",
-    "panel-attribution",
 )
 
 # Chart geometry (px).
@@ -826,97 +823,6 @@ def _resilience_panel(manifests: Sequence["RunManifest"]) -> str:
     return _panel("panel-resilience", "Resilience", body, caption)
 
 
-def _attribution_panel(manifests: Sequence["RunManifest"]) -> str:
-    manifest = _latest_with(manifests, lambda m: bool(m.attribution))
-    if manifest is None:
-        return _panel(
-            "panel-attribution",
-            "Where the time goes",
-            _note(
-                "no cost attribution in this history — run with "
-                "--attribution to populate this panel"
-            ),
-        )
-    snap = manifest.attribution
-    parts: list[str] = []
-    stage_wall = snap.get("stage_wall_s", {})
-    if isinstance(stage_wall, dict) and stage_wall:
-        total = sum(stage_wall.values()) or 1.0
-        items = sorted(stage_wall.items(), key=lambda kv: -kv[1])
-        rows = [
-            {
-                "label": name,
-                "start": 0.0,
-                "dur": seconds,
-                "cls": "s1",
-                "tip": (
-                    f"{name}: {_fmt_s(seconds)} "
-                    f"({100.0 * seconds / total:.1f}% of attributed wall)"
-                ),
-            }
-            for name, seconds in items
-        ]
-        parts.append("<h3>Stage wall time</h3>")
-        parts.append(_timeline_rows(rows, items[0][1] if items else 1.0))
-    cones = snap.get("cone_buckets", {})
-    if isinstance(cones, dict) and cones:
-        labels = sorted(cones)
-        parts.append("<h3>Gate evaluations by cone size</h3>")
-        parts.append(
-            _bar_chart(
-                labels,
-                [float(cones[label].get("gate_evals", 0)) for label in labels],
-                y_label="gate evals",
-                tip=lambda label, v: (
-                    f"cone bucket {label}: {_fmt_num(v)} gate evals, "
-                    f"{cones.get(label, {}).get('faults', 0)} fault(s)"
-                ),
-            )
-        )
-    stages = snap.get("stages", {})
-    if isinstance(stages, dict) and stages:
-        rows_html = "".join(
-            f"<tr><td>{escape(component)}.{escape(quantity)}</td>"
-            f"<td>{_fmt_num(float(value))}</td></tr>"
-            for component, counters in sorted(stages.items())
-            for quantity, value in sorted(counters.items())
-        )
-        parts.append(
-            '<h3>Kernel work</h3><table class="data"><thead><tr>'
-            "<th>counter</th><th>total</th></tr></thead>"
-            f"<tbody>{rows_html}</tbody></table>"
-        )
-    memory = snap.get("memory_peak_bytes", {})
-    if isinstance(memory, dict) and memory:
-        rows_html = "".join(
-            f"<tr><td>{escape(name)}</td><td>{peak / 1e6:.2f} MB</td></tr>"
-            for name, peak in sorted(memory.items(), key=lambda kv: -kv[1])
-        )
-        parts.append(
-            '<h3>Memory peaks (tracemalloc)</h3><table class="data">'
-            "<thead><tr><th>stage</th><th>peak</th></tr></thead>"
-            f"<tbody>{rows_html}</tbody></table>"
-        )
-    kind = _engine_kind(manifest)
-    captions = [
-        f"fault-sim engine: {kind}"
-        if kind
-        else "fault-sim engine: not recorded (pre-engine-registry run)"
-    ]
-    reconcile = snap.get("reconcile", {})
-    if isinstance(reconcile, dict) and reconcile:
-        captions.append(
-            f"reconciliation: {float(reconcile.get('attributed_wall_s', 0)):.3f}s "
-            f"attributed of {float(reconcile.get('pipeline_wall_s', 0)):.3f}s "
-            f"pipeline wall "
-            f"({100.0 * float(reconcile.get('coverage', 0)):.1f}% covered)"
-        )
-    caption = "; ".join(captions)
-    return _panel(
-        "panel-attribution", "Where the time goes", "".join(parts), caption
-    )
-
-
 # ---------------------------------------------------------------------------
 # Document assembly
 # ---------------------------------------------------------------------------
@@ -1049,7 +955,6 @@ def build_report(
         + _lanes_panel(manifests)
         + _analysis_panel(manifests)
         + _resilience_panel(manifests)
-        + _attribution_panel(manifests)
         if manifests
         else "".join(
             _panel(panel_id, panel_id.removeprefix("panel-").title(),

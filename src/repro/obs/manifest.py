@@ -117,11 +117,6 @@ class RunManifest:
     #: over vector count, the fitted eq.-11 DL(T) curve, the n-detection
     #: depth histogram.  Empty when not recorded (older manifests).
     curves: dict[str, object] = field(default_factory=dict)
-    #: Cost-attribution snapshot (``repro.obs.attribution``): kernel work
-    #: counters by stage and cone bucket, per-stage wall seconds, optional
-    #: memory peaks, and the wall-time reconciliation.  Empty when the run
-    #: was not attributed.
-    attribution: dict[str, object] = field(default_factory=dict)
     schema: int = MANIFEST_SCHEMA_VERSION
 
     # -- construction -------------------------------------------------------
@@ -136,7 +131,6 @@ class RunManifest:
         engine: dict[str, object] | None = None,
         resilience: dict[str, object] | None = None,
         curves: dict[str, object] | None = None,
-        attribution: dict[str, object] | None = None,
     ) -> "RunManifest":
         """Assemble a manifest from a config and the observability state."""
         config_d = config_to_dict(config)
@@ -151,7 +145,6 @@ class RunManifest:
             resilience=_jsonable(resilience or {}),
             results=_jsonable(results or {}),
             curves=_jsonable(curves or {}),
-            attribution=_jsonable(attribution or {}),
         )
         if collector is not None:
             manifest.stage_timings = {
@@ -186,8 +179,6 @@ class RunManifest:
         # diff tool) see exactly the records they always saw.
         if self.curves:
             records[0]["curves"] = self.curves
-        if self.attribution:
-            records[0]["attribution"] = self.attribution
         records.extend({"type": "span", **span} for span in self.spans)
         if self.metrics:
             records.append({"type": "metrics", **self.metrics})
@@ -218,7 +209,6 @@ class RunManifest:
             stage_timings=head.get("stage_timings", {}),
             results=head.get("results", {}),
             curves=head.get("curves", {}),
-            attribution=head.get("attribution", {}),
             schema=head.get("schema", MANIFEST_SCHEMA_VERSION),
         )
         manifest.spans = [

@@ -1,8 +1,9 @@
 """Human-readable rendering of collected spans and metrics.
 
 ``python -m repro --profile`` prints these after the run: a stage-timing
-tree (wall and CPU milliseconds, self-time for spans with children) and a
-table of every counter, gauge and histogram summary.
+tree (wall and CPU milliseconds, self-time for spans with children), the
+"where the time goes" share table of the pipeline stages, and a table of
+every counter, gauge and histogram summary.
 
 Kept free of imports from :mod:`repro.experiments` (which imports the
 instrumented pipeline, which imports :mod:`repro.obs`) — the tiny table
@@ -18,7 +19,7 @@ __all__ = [
     "render_span_tree",
     "render_metrics",
     "render_profile",
-    "render_attribution",
+    "render_time_shares",
 ]
 
 
@@ -118,68 +119,30 @@ def render_metrics(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def render_attribution(snapshot: dict[str, object]) -> str:
-    """The "where the time goes" block of an attribution snapshot.
+def render_time_shares(collector: TraceCollector) -> str:
+    """The "where the time goes" table: direct children of ``pipeline.run``.
 
-    ``snapshot`` is :meth:`AttributionCollector.snapshot`, optionally with a
-    ``reconcile`` section merged in (``__main__`` adds it from the
-    ``pipeline.run`` span wall).  Stage wall times render as a share-of-total
-    table, kernel work counters and the cone-bucket histogram follow, and
-    the reconciliation line closes the block.
+    Children are aggregated by name over every ``pipeline.run`` span, each
+    with its wall and its share of the ``pipeline.run`` total.  The
+    ``(self)`` row is the remainder, so the shares add up to 100 % by
+    construction.  Empty when no pipeline ran (e.g. a cache hit).
     """
-    lines = ["cost attribution:"]
-    stage_wall = snapshot.get("stage_wall_s", {})
-    if isinstance(stage_wall, dict) and stage_wall:
-        total = sum(stage_wall.values()) or 1.0
-        rows = [
-            [name, f"{1000.0 * seconds:9.1f} ms", f"{100.0 * seconds / total:5.1f} %"]
-            for name, seconds in sorted(
-                stage_wall.items(), key=lambda kv: -kv[1]
-            )
-        ]
-        lines.extend(
-            "  " + line for line in _table(["stage", "wall", "share"], rows)
-        )
-    stages = snapshot.get("stages", {})
-    if isinstance(stages, dict) and stages:
-        lines.append("  kernel work:")
-        for component, counters in sorted(stages.items()):
-            for quantity, value in sorted(counters.items()):
-                lines.append(f"    {component}.{quantity}: {value:,}")
-    cones = snapshot.get("cone_buckets", {})
-    if isinstance(cones, dict) and cones:
-        total_evals = sum(
-            c.get("gate_evals", 0) for c in cones.values()
-        ) or 1
-        lines.append("  gate-evals by cone size:")
-        rows = [
-            [
-                bucket,
-                str(counters.get("faults", 0)),
-                f"{counters.get('gate_evals', 0):,}",
-                f"{100.0 * counters.get('gate_evals', 0) / total_evals:5.1f} %",
-            ]
-            for bucket, counters in sorted(cones.items())
-        ]
-        lines.extend(
-            "    " + line
-            for line in _table(["cone bucket", "faults", "gate evals", "share"], rows)
-        )
-    memory = snapshot.get("memory_peak_bytes", {})
-    if isinstance(memory, dict) and memory:
-        lines.append("  memory peaks (tracemalloc):")
-        for name, peak in sorted(memory.items(), key=lambda kv: -kv[1]):
-            lines.append(f"    {name}: {peak / 1e6:.2f} MB")
-    reconcile = snapshot.get("reconcile", {})
-    if isinstance(reconcile, dict) and reconcile:
-        lines.append(
-            "  reconciliation: "
-            f"{reconcile.get('attributed_wall_s', 0.0):.3f} s attributed of "
-            f"{reconcile.get('pipeline_wall_s', 0.0):.3f} s pipeline wall "
-            f"({100.0 * float(reconcile.get('coverage', 0.0)):.1f} % covered)"
-        )
-    if len(lines) == 1:
-        lines.append("  (no attribution recorded)")
+    runs = collector.find("pipeline.run")
+    total = sum(run.wall_time for run in runs)
+    if not total:
+        return ""
+    walls: dict[str, float] = {}
+    for run in runs:
+        for child in run.children:
+            walls[child.name] = walls.get(child.name, 0.0) + child.wall_time
+    shares = sorted(walls.items(), key=lambda kv: -kv[1])
+    shares.append(("(self)", total - sum(walls.values())))
+    rows = [
+        [name, _fmt_ms(seconds), f"{100.0 * seconds / total:6.2f} %"]
+        for name, seconds in shares
+    ]
+    lines = [f"where the time goes (pipeline.run {_fmt_ms(total).strip()}):"]
+    lines.extend("  " + line for line in _table(["stage", "wall", "share"], rows))
     return "\n".join(lines)
 
 
@@ -198,7 +161,7 @@ def render_profile(
     registry: MetricsRegistry,
     engine: dict[str, object] | None = None,
 ) -> str:
-    """The full ``--profile`` report: span tree, engine block, metric table.
+    """The full ``--profile`` report: span tree, time shares, engine, metrics.
 
     ``engine`` is the fault-simulation engine descriptor
     (:meth:`~repro.simulation.parallel.ParallelFaultSimulator.engine_info`);
@@ -207,6 +170,9 @@ def render_profile(
     metrics when the run had anything to report.
     """
     parts = [render_span_tree(collector)]
+    shares = render_time_shares(collector)
+    if shares:
+        parts.append(shares)
     if engine:
         parts.append(_render_engine(engine))
     parts.append(render_metrics(registry))

@@ -51,9 +51,9 @@ ENGINE_KINDS = ("python", "numpy")
 #: Serial/parallel work crossover (``n_faults * n_patterns``) per engine
 #: kind: below this the process-pool start-up, engine recompilation and
 #: pattern pickling cost more than the fan-out saves.  Calibrated from the
-#: attribution gate-eval counters on c880_like (see ``docs/PERFORMANCE.md``
-#: and ``BENCH_fault_sim.json``); the numpy kernel's serial throughput is
-#: ~7x the python engine's, so its pool overhead amortises ~7x later.
+#: serial engine wall times on c880 (see ``docs/PERFORMANCE.md`` and
+#: ``BENCH_fault_sim.json``); the numpy kernel's serial throughput is
+#: several times the python engine's, so its pool overhead amortises later.
 _DEFAULT_CROSSOVERS = {"python": 8_000_000, "numpy": 48_000_000}
 
 _DEFAULT_WIDTHS = {"python": DEFAULT_WORD_WIDTH}

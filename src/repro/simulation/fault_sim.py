@@ -34,7 +34,6 @@ from typing import Mapping, Sequence
 
 from repro import obs
 from repro.circuit.library import DEFAULT_WORD_WIDTH
-from repro.obs import attribution
 from repro.circuit.netlist import Circuit
 from repro.simulation.faults import FaultSite, StuckAtFault, full_fault_universe
 from repro.simulation.logic_sim import (
@@ -601,39 +600,12 @@ class FaultSimulator:
                 key=lambda pair: pair[1].size,
             )
             detect = self._detect
-            # Cost attribution (None when disabled).  Running sums keep the
-            # per-group accounting O(1): the active gate-eval mass per cone
-            # bucket is maintained incrementally as faults drop, never
-            # recomputed by walking the fault list.
-            attr = attribution.collector()
-            if attr is not None:
-                n_buckets = attribution.N_CONE_BUCKETS
-                bucket_active = [0] * n_buckets
-                bucket_evals = [0] * n_buckets
-                bucket_faults = [0] * n_buckets
-                active_evals = 0
-                for _, program in work:
-                    bucket = attribution.cone_bucket_index(program.size)
-                    bucket_active[bucket] += program.size
-                    bucket_faults[bucket] += 1
-                    active_evals += program.size
-                good_size = len(self.logic.order)
-                gate_evals = good_gate_evals = 0
-                pattern_blocks = pattern_bytes = 0
-                block_drops: dict[int, int] = {}
             for group_index, words in enumerate(groups):
                 if not work:
                     break
                 base = group_index * width
                 n_here = min(width, n_patterns - base)
                 group_mask = (1 << n_here) - 1
-                if attr is not None:
-                    gate_evals += active_evals
-                    good_gate_evals += good_size
-                    pattern_blocks += 1
-                    pattern_bytes += len(words) * width // 8
-                    for bucket in range(n_buckets):
-                        bucket_evals[bucket] += bucket_active[bucket]
                 good = self.logic.simulate_packed_list(words)
                 survivors: list[tuple[StuckAtFault, _Program]] = []
                 for pair in work:
@@ -651,15 +623,6 @@ class FaultSimulator:
                         )
                         if not drop_detected:
                             survivors.append(pair)
-                        elif attr is not None:
-                            bucket = attribution.cone_bucket_index(
-                                program.size
-                            )
-                            bucket_active[bucket] -= program.size
-                            active_evals -= program.size
-                            block_drops[group_index] = (
-                                block_drops.get(group_index, 0) + 1
-                            )
                     else:
                         survivors.append(pair)
                 work = survivors
@@ -677,24 +640,6 @@ class FaultSimulator:
                             },
                         )
                     )
-            if attr is not None:
-                attr.add("stage.fault_sim.gate_evals", gate_evals)
-                attr.add("stage.fault_sim.good_gate_evals", good_gate_evals)
-                attr.add(
-                    "stage.fault_sim.words_simulated",
-                    gate_evals + good_gate_evals,
-                )
-                attr.add("stage.fault_sim.pattern_blocks", pattern_blocks)
-                attr.add("stage.fault_sim.pattern_bytes", pattern_bytes)
-                for bucket in range(n_buckets):
-                    if bucket_faults[bucket]:
-                        label = attribution.cone_bucket_label(bucket)
-                        attr.add(f"cone.{label}.faults", bucket_faults[bucket])
-                        attr.add(
-                            f"cone.{label}.gate_evals", bucket_evals[bucket]
-                        )
-                for block, drops in block_drops.items():
-                    attr.add(f"block.{block:04d}.faults_dropped", drops)
         return first_detection, detection_counts
 
     # ------------------------------------------------------------------

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro import obs
 from repro.circuit.netlist import Circuit
-from repro.obs import attribution
 from repro.simulation.fault_sim import ConeIndex, FaultSimResult
 from repro.simulation.faults import FaultSite, StuckAtFault, full_fault_universe
 from repro.simulation.logic_sim import (
@@ -153,8 +152,6 @@ class _BatchProgram:
         "init_forces",
         "post_forces",
         "pin_overrides",
-        "union_size",
-        "cone_sizes",
     )
 
     def __init__(self) -> None:
@@ -169,8 +166,6 @@ class _BatchProgram:
         self.init_forces: list[tuple[int, int, bool]] = []  # slot, lane, stuck
         self.post_forces: dict[int, list[tuple[int, int, bool]]] = {}
         self.pin_overrides: dict[int, list[tuple[int, int, bool]]] = {}
-        self.union_size = 0
-        self.cone_sizes: list[int] = []
 
 
 class NumpyFaultSimulator:
@@ -333,8 +328,6 @@ class NumpyFaultSimulator:
                 # diff is identically 0.
 
         prog.n_slots = n_slots
-        prog.union_size = len(union_gates)
-        prog.cone_sizes = [len(c.gate_idx) for c in fault_cones]
         self._batch_memo[faults] = prog
         return prog
 
@@ -559,26 +552,6 @@ class NumpyFaultSimulator:
             batch_alive = [prog.n_lanes for prog in programs]
             remaining = len(ordered)
 
-            attr = attribution.collector()
-            if attr is not None:
-                n_buckets = attribution.N_CONE_BUCKETS
-                bucket_evals = [0] * n_buckets
-                bucket_faults = [0] * n_buckets
-                lane_buckets = [
-                    [
-                        attribution.cone_bucket_index(size)
-                        for size in prog.cone_sizes
-                    ]
-                    for prog in programs
-                ]
-                for buckets in lane_buckets:
-                    for bucket in buckets:
-                        bucket_faults[bucket] += 1
-                good_size = len(self.logic.ops)
-                gate_evals = good_gate_evals = 0
-                pattern_blocks = pattern_bytes = 0
-                block_drops: dict[int, int] = {}
-
             # Scratch buffers shared across blocks and batches.
             max_slots = max((prog.n_slots for prog in programs), default=0)
             local_buf = np.empty(
@@ -603,10 +576,6 @@ class NumpyFaultSimulator:
                 base = block_index * width
                 n_here = min(width, n_patterns - base)
                 good = self._good_block(packed[word_lo:word_hi])
-                if attr is not None:
-                    good_gate_evals += good_size
-                    pattern_blocks += 1
-                    pattern_bytes += self._n_inputs * width // 8
                 masks_tail = tail_bits != 0 and word_hi == n_words_total
                 for batch_index, prog in enumerate(programs):
                     if drop_detected and batch_alive[batch_index] == 0:
@@ -616,11 +585,6 @@ class NumpyFaultSimulator:
                     diff = diff_buf[:n_lanes, :n_words]
                     tmp = tmp_buf[:n_lanes, :n_words]
                     self._run_batch(prog, good, local, diff, tmp)
-                    if attr is not None:
-                        gate_evals += prog.union_size * n_lanes
-                        union = prog.union_size
-                        for bucket in lane_buckets[batch_index]:
-                            bucket_evals[bucket] += union
                     if masks_tail:
                         diff[:, -1] &= tail_mask
                     lane_alive = alive[batch_index]
@@ -648,10 +612,6 @@ class NumpyFaultSimulator:
                             lane_alive[lane] = False
                             batch_alive[batch_index] -= 1
                             remaining -= 1
-                            if attr is not None:
-                                block_drops[block_index] = (
-                                    block_drops.get(block_index, 0) + 1
-                                )
                 if emit_progress and faults:
                     faults_remaining = (
                         remaining if drop_detected else len(faults)
@@ -669,22 +629,4 @@ class NumpyFaultSimulator:
                             },
                         )
                     )
-            if attr is not None:
-                attr.add("stage.fault_sim.gate_evals", gate_evals)
-                attr.add("stage.fault_sim.good_gate_evals", good_gate_evals)
-                attr.add(
-                    "stage.fault_sim.words_simulated",
-                    gate_evals + good_gate_evals,
-                )
-                attr.add("stage.fault_sim.pattern_blocks", pattern_blocks)
-                attr.add("stage.fault_sim.pattern_bytes", pattern_bytes)
-                for bucket in range(n_buckets):
-                    if bucket_faults[bucket]:
-                        label = attribution.cone_bucket_label(bucket)
-                        attr.add(f"cone.{label}.faults", bucket_faults[bucket])
-                        attr.add(
-                            f"cone.{label}.gate_evals", bucket_evals[bucket]
-                        )
-                for block, drops in block_drops.items():
-                    attr.add(f"block.{block:04d}.faults_dropped", drops)
         return first_detection, detection_counts

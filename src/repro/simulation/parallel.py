@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
 from repro.circuit.netlist import Circuit
-from repro.obs import attribution
 from repro.obs.events import ProgressEvent, RetryEvent
 from repro.obs.trace import Span
 from repro.resilience import chaos
@@ -98,7 +97,6 @@ def _init_worker(
     patterns: list[list[int]],
     plan: chaos.ChaosPlan | None = None,
     collect_telemetry: bool = False,
-    collect_attribution: bool = False,
     engine_kind: str = "python",
 ) -> None:
     """Pool initializer: compile the engine and pack the patterns once.
@@ -108,17 +106,12 @@ def _init_worker(
 
     When the parent is collecting (``--profile``/``--trace``), the worker
     installs its own collector + registry so each chunk can ship its span
-    trees and counter deltas back in the result envelope.  When the parent
-    is attributing cost (``--attribution``), the worker runs its own
-    attribution collector the same way (never memory-tracing: stage peaks
-    belong to the parent's pipeline stages, not to workers).
+    trees and counter deltas back in the result envelope.
     """
     global _WORKER_SIM, _WORKER_GROUPS, _WORKER_N_PATTERNS
     chaos.install(plan)
     if collect_telemetry:
         obs.enable()
-    if collect_attribution:
-        attribution.enable()
     _WORKER_SIM = create_engine(engine_kind, circuit, width=width)
     _WORKER_GROUPS = _WORKER_SIM.pack(patterns)
     _WORKER_N_PATTERNS = len(patterns)
@@ -142,35 +135,28 @@ def _simulate_chunk(
     chaos.maybe_inject("parallel.chunk", key=chunk_id, attempt=attempt)
     registry = obs.registry()
     collector = obs.collector()
-    attr = attribution.collector()
     counters_before = registry.counter_values() if registry is not None else {}
-    attr_before = attr.counter_values() if attr is not None else {}
     roots_before = len(collector.roots) if collector is not None else 0
     result = _WORKER_SIM.run_packed(
         _WORKER_GROUPS, _WORKER_N_PATTERNS, faults, drop_detected
     )
     telemetry: ChunkTelemetry = None
-    if registry is not None or attr is not None:
-        telemetry = {"worker_pid": os.getpid(), "counters": {}, "spans": []}
-    if registry is not None and telemetry is not None:
+    if registry is not None:
         deltas = {
             name: value - counters_before.get(name, 0)
             for name, value in registry.counter_values().items()
         }
-        telemetry["counters"] = {n: d for n, d in deltas.items() if d > 0}
-        telemetry["spans"] = [
-            span.to_record()
-            for span in (
-                collector.roots[roots_before:] if collector is not None else []
-            )
-        ]
-    if attr is not None and telemetry is not None:
-        attr_deltas = {
-            key: value - attr_before.get(key, 0)
-            for key, value in attr.counter_values().items()
-        }
-        telemetry["attribution"] = {
-            "counters": {k: d for k, d in attr_deltas.items() if d > 0}
+        telemetry = {
+            "worker_pid": os.getpid(),
+            "counters": {n: d for n, d in deltas.items() if d > 0},
+            "spans": [
+                span.to_record()
+                for span in (
+                    collector.roots[roots_before:]
+                    if collector is not None
+                    else []
+                )
+            ],
         }
     return result.first_detection, result.detection_counts, telemetry
 
@@ -454,13 +440,6 @@ class ParallelFaultSimulator:
                 )
                 span.attributes["chunk_id"] = chunk_id
                 collector.attach(span)
-        attr = attribution.collector()
-        if attr is not None and "attribution" in telemetry:
-            # Work counters are chunk-additive by construction: each chunk's
-            # delta measures gate evaluations that actually ran, so summing
-            # across accepted chunks is the run's true executed work
-            # (including the deliberate per-chunk good-machine redundancy).
-            attr.merge_envelope(telemetry["attribution"])
 
     def _record_degradation(
         self, salvaged: int, pool_chunks_done: int, n_chunks: int
@@ -532,7 +511,6 @@ class ParallelFaultSimulator:
                     pattern_rows,
                     plan,
                     obs.is_enabled(),
-                    attribution.is_enabled(),
                     self.engine_kind,
                 ),
             )

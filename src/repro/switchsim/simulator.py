@@ -35,6 +35,7 @@ of ``table[F] & M`` over its injections.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -228,14 +229,17 @@ class SwitchLevelFaultSimulator:
         result = SwitchSimResult(faults=list(faults), n_patterns=self.n_patterns)
         faults_by_class: Counter[str] = Counter()
         injections_by_class: Counter[str] = Counter()
+        wall_by_class: Counter[str] = Counter()
         n_forces = len(self._detections)
         with obs.span(
             "switch_sim.run", n_faults=len(result.faults), n_patterns=self.n_patterns
         ):
             for fault in result.faults:
                 n_injections = self._n_injections
+                t0 = time.perf_counter()
                 det = self._dispatch(fault)
                 name = type(fault).__name__
+                wall_by_class[name] += time.perf_counter() - t0
                 faults_by_class[name] += 1
                 injections_by_class[name] += self._n_injections - n_injections
                 if det.strict is not None:
@@ -258,6 +262,8 @@ class SwitchLevelFaultSimulator:
                 obs.inc(f"switch_sim.faults.{name}", count)
             for name, count in injections_by_class.items():
                 obs.inc(f"switch_sim.injections.{name}", count)
+            for name, seconds in wall_by_class.items():
+                obs.set_gauge(f"switch_sim.wall_s.{name}", seconds)
             obs.inc("switch_sim.detection_words", len(self._detections) - n_forces)
         return result
 

@@ -13,10 +13,7 @@ equivalence claim.
   coverage curves) across benchmarks, word widths and both drop modes,
   serial and parallel;
 * resilience — chunk salvage and the serial fallback stay bit-exact with
-  the numpy engine active under injected chaos;
-* attribution — the numpy kernel feeds the same counters work-additively
-  (bucket totals reconcile with the stage total) and enabling attribution
-  never changes results.
+  the numpy engine active under injected chaos.
 """
 
 import random
@@ -27,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.circuit.iscas import load_benchmark
-from repro.obs import attribution
 from repro.resilience import ChaosPlan, ChaosRule, chaos
 from repro.simulation import (
     ENGINE_KINDS,
@@ -48,11 +44,9 @@ from repro.simulation.numpy_sim import DEFAULT_NUMPY_WIDTH
 def _clean_state():
     chaos.uninstall()
     obs.disable()
-    attribution.disable()
     yield
     chaos.uninstall()
     obs.disable()
-    attribution.disable()
 
 
 def _patterns(circuit, n, seed=7):
@@ -284,28 +278,3 @@ def test_total_pool_failure_salvages_everything_through_numpy_serial():
     assert info["degraded"] is True
     assert info["chunks_serial"] == 2
     assert info["chunks_salvaged"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Attribution through the numpy kernel
-# ---------------------------------------------------------------------------
-def test_numpy_attribution_counters_reconcile_and_stay_neutral():
-    ckt = load_benchmark("c432_like")
-    faults = collapse_faults(ckt)
-    patterns = _patterns(ckt, 96, seed=13)
-    sim = NumpyFaultSimulator(ckt, width=64, lane_batch=16)
-    bare = sim.run(patterns, faults=faults)
-    attribution.enable()
-    attributed = sim.run(patterns, faults=faults)
-    snap = attribution.collector().snapshot()
-    attribution.disable()
-    # Neutrality: the counters never change the simulation.
-    _assert_identical(attributed, bare)
-    stage = snap["stages"]["fault_sim"]
-    assert stage["gate_evals"] > 0
-    assert stage["good_gate_evals"] > 0
-    assert stage["pattern_blocks"] == -(-96 // 64)
-    # Work-additivity: cone-bucket totals are the same work re-binned.
-    cones = snap["cone_buckets"]
-    assert sum(b["gate_evals"] for b in cones.values()) == stage["gate_evals"]
-    assert sum(b["faults"] for b in cones.values()) == len(faults)

@@ -366,8 +366,9 @@ def test_pipeline_increments_cache_counters():
 
 
 def test_profile_report_renders(c17_circuit):
-    from repro.simulation import FaultSimulator, collapse_faults
     from repro.atpg.patterns import random_patterns
+    from repro.experiments import ExperimentConfig, run_experiment
+    from repro.simulation import FaultSimulator, collapse_faults
 
     collector, registry = obs.enable()
     sim = FaultSimulator(c17_circuit)
@@ -378,6 +379,29 @@ def test_profile_report_renders(c17_circuit):
     assert "fault_sim.run" in report
     assert "fault_sim.patterns_applied" in report
     assert "counter" in report
+    # No pipeline ran yet: no "where the time goes" table.
+    assert "where the time goes" not in report
+
+    run_experiment(
+        ExperimentConfig(benchmark="c17", seed=4343, max_random_patterns=64)
+    )
+    report = obs.render_profile(collector, registry)
+    (block,) = [
+        part
+        for part in report.split("\n\n")
+        if part.startswith("where the time goes")
+    ]
+    # Title, column headers and the rule line, then one row per stage.
+    rows = [line.split() for line in block.splitlines()[3:]]
+    names = [row[0] for row in rows]
+    (run,) = collector.find("pipeline.run")
+    children = {child.name for child in run.children}
+    assert "pipeline.static_analysis" in children
+    assert "pipeline.build_coverage" in children
+    assert sorted(names) == sorted(children | {"(self)"})
+    assert names[-1] == "(self)"
+    shares = [float(row[-2]) for row in rows]
+    assert sum(shares) == pytest.approx(100.0, abs=0.1)
 
 
 def test_extraction_counters_where_the_cost_is(c17_design):
@@ -420,14 +444,22 @@ def test_switch_sim_counters_per_fault_class(c17_design):
     obs.disable()
     SwitchLevelFaultSimulator(c17_design, patterns).run(faults)
     assert not stale.snapshot()["counters"]
+    assert not stale.snapshot()["gauges"]
 
-    _, registry = obs.enable()
+    collector, registry = obs.enable()
     sim = SwitchLevelFaultSimulator(c17_design, patterns)
     sim.run(faults)
     counters = registry.snapshot()["counters"]
     by_class = Counter(type(fault).__name__ for fault in faults)
     for name, count in by_class.items():
         assert counters[f"switch_sim.faults.{name}"] == count
+    # Wall per fault class, taken around each fault's dispatch.
+    gauges = registry.snapshot()["gauges"]
+    walls = [gauges.pop(f"switch_sim.wall_s.{name}") for name in by_class]
+    assert all(seconds > 0 for seconds in walls)
+    assert not [name for name in gauges if name.startswith("switch_sim.wall_s.")]
+    (run,) = collector.find("switch_sim.run")
+    assert sum(walls) <= run.wall_time
     injections = sum(
         counters.get(f"switch_sim.injections.{name}", 0) for name in by_class
     )
@@ -441,3 +473,36 @@ def test_switch_sim_counters_per_fault_class(c17_design):
     again = registry.snapshot()["counters"]
     assert again["switch_sim.detection_words"] == len(sim._detections)
     assert again["switch_sim.faults.BridgeFault"] == 2 * by_class["BridgeFault"]
+
+
+def test_prover_counters_by_method_work_and_phase():
+    from repro.analysis import analyze_circuit
+    from repro.circuit.iscas import BENCHMARKS
+
+    alu4_circuit = BENCHMARKS["alu4"]()
+
+    # Off: a registry left over from an earlier run receives nothing.
+    _, stale = obs.enable()
+    obs.disable()
+    analyze_circuit(alu4_circuit, prove=True, prover_depth=1)
+    assert not stale.snapshot()["counters"]
+
+    collector, registry = obs.enable()
+    analysis = analyze_circuit(alu4_circuit, prove=True, prover_depth=1)
+    snapshot = registry.snapshot()
+    counters, gauges = snapshot["counters"], snapshot["gauges"]
+    prover = analysis.prover
+    proved = {
+        name.removeprefix("analysis.proved."): value
+        for name, value in counters.items()
+        if name.startswith("analysis.proved.")
+    }
+    assert proved == prover.by_method
+    assert sum(proved.values()) == counters["analysis.proved_faults"] > 0
+    for key, value in prover.work.items():
+        assert counters[f"analysis.prover.{key}"] == value
+    phases = ("fire", "static_learning", "recursive")
+    walls = [gauges[f"analysis.prover.wall_s.{phase}"] for phase in phases]
+    assert all(seconds > 0 for seconds in walls)
+    (span,) = collector.find("analysis.prover")
+    assert sum(walls) <= span.wall_time

@@ -95,21 +95,6 @@ def _manifest(seed=1, **overrides):
                 "coverage_ge": [0.9, 0.7, 0.4],
             },
         },
-        attribution={
-            "stages": {"fault_sim": {"gate_evals": 1234}},
-            "cone_buckets": {
-                "le_0004": {"faults": 30, "gate_evals": 900},
-                "le_0008": {"faults": 4, "gate_evals": 334},
-            },
-            "drops_per_block": {"0000": 20},
-            "stage_wall_s": {"atpg": 0.2, "stuck_sim": 0.1},
-            "reconcile": {
-                "pipeline_wall_s": 0.5,
-                "attributed_wall_s": 0.45,
-                "unattributed_wall_s": 0.05,
-                "coverage": 0.9,
-            },
-        },
     )
     base.update(overrides)
     return RunManifest(**base)
@@ -134,18 +119,17 @@ def test_full_report_has_every_panel_and_no_external_refs():
     _assert_self_contained(html)
     assert html.count("<svg") >= 5
     assert "<!DOCTYPE html>" in html
-    # Data made it into the marks: the worker lane and the cone buckets.
+    # Data made it into the marks: the worker lane and the waterfall.
     assert "pid 4242" in html
-    assert "le_0004" in html
+    assert "pipeline.atpg" in html
 
 
 def test_report_on_old_schema_manifest_degrades_gracefully():
-    # A manifest written before curves/attribution existed (and without
-    # spans) renders notes, not exceptions.
+    # A manifest written before curves existed (and without spans or
+    # resilience records) renders notes, not exceptions.
     old = _manifest(
         3,
         curves={},
-        attribution={},
         spans=[],
         resilience={},
         stage_timings={},
@@ -155,7 +139,7 @@ def test_report_on_old_schema_manifest_degrades_gracefully():
         assert f'id="{panel_id}"' in html
     _assert_self_contained(html)
     assert "no per-run curves" in html
-    assert "--attribution" in html
+    assert "no resilience records" in html
     assert "no spans" in html
 
 
@@ -169,11 +153,8 @@ def test_report_labels_runs_by_engine_kind():
     ]
     html = build_report(mixed)
     _assert_self_contained(html)
-    # Trend panel summarises the engine mix of the history; the
-    # attribution panel names the kind of the run it renders.
-    assert "engines: numpy" in html
-    assert "python" in html
-    assert "fault-sim engine: numpy" in html
+    # Trend panel summarises the engine mix of the history.
+    assert "engines: numpy ×1, python ×1" in html
 
 
 def test_report_on_pre_engine_kind_manifests_degrades_gracefully():
@@ -185,7 +166,8 @@ def test_report_on_pre_engine_kind_manifests_degrades_gracefully():
         assert f'id="{panel_id}"' in html
     _assert_self_contained(html)
     assert "engines:" not in html
-    assert "pre-engine-registry" in html
+    assert "pre-engine-schema" not in html
+    assert "pipeline.atpg" in html
 
 
 def test_report_with_no_manifests_renders_placeholders():
@@ -299,7 +281,7 @@ def test_obs_html_end_to_end_real_run(tmp_path, capsys):
     """The real pipeline -> manifest -> dashboard path."""
     trace = tmp_path / "runs.jsonl"
     assert (
-        main(["c17", "--seed", "77", "--attribution", "--trace", str(trace)])
+        main(["c17", "--seed", "77", "--trace", str(trace)])
         == 0
     )
     capsys.readouterr()
@@ -312,11 +294,11 @@ def test_obs_html_end_to_end_real_run(tmp_path, capsys):
     _assert_self_contained(html)
     for panel_id in PANEL_IDS:
         assert f'id="{panel_id}"' in html
-    # The real run recorded curves and attribution, so the data panels
-    # carry marks rather than placeholder notes.
+    # The real run recorded curves and spans, so the data panels carry
+    # marks rather than placeholder notes.
     assert "no per-run curves" not in html
-    assert "Stage wall time" in html
-    assert "reconciliation" in html
+    assert "no spans in this history" not in html
+    assert "pipeline.static_analysis" in html
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +337,8 @@ def test_synthetic_manifest_roundtrips(tmp_path):
     path = _write_history(tmp_path, [_manifest(1)])
     (back,) = read_manifests(str(path))
     assert back.curves["n_detection"]["depth_cap"] == 16
-    assert back.attribution["reconcile"]["coverage"] == pytest.approx(0.9)
+    assert back.spans[0]["children"][0]["name"] == "pipeline.atpg"
+    assert back.resilience["stages_restored"] == ["atpg"]
 
 
 # ---------------------------------------------------------------------------

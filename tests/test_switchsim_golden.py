@@ -28,6 +28,7 @@ GOLDEN = {
     "c17": "e2636d4a2471e05be43766f232788eb09dac3be21f52d3be27b45fa58428344e",
     "alu4": "1a84d1f249a8b85338e5705113166b184eebdd2023316163f266621f70a5ea82",
     "c432": "30ce5dd80984ba5211ddf1937fd1d20cddccd8134060609f9df0ecde9878ea32",
+    "c880": "8a078ac435accf1713e4a225fddfe74ff4acc753f14394391f1e35186f69428f",
 }
 
 
