@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Version of the ``analyze --json`` / ``--certificates`` payload shape.
 #: Bumped when keys are renamed or removed; additions keep the version.
-_ANALYZE_SCHEMA_VERSION = 2
+#: Version 3 dropped the prover's ``depth``.
+_ANALYZE_SCHEMA_VERSION = 3
 
 
 def build_analyze_parser() -> argparse.ArgumentParser:
@@ -226,17 +227,10 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         "--prove",
         action="store_true",
         help=(
-            "run the proof-carrying redundancy prover on top of the screen "
-            "(static + recursive learning; every verdict carries a "
+            "run the proof-carrying redundancy prover in place of the screen "
+            "(implications + static learning; every verdict carries a "
             "certificate re-verified by the independent checker)"
         ),
-    )
-    parser.add_argument(
-        "--depth",
-        type=int,
-        default=2,
-        metavar="N",
-        help="recursive-learning depth bound for --prove (default: 2)",
     )
     parser.add_argument(
         "--certificates",
@@ -274,9 +268,6 @@ def analyze_main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.depth < 0:
-        print("error: --depth must be non-negative", file=sys.stderr)
-        return 2
     if args.certificates and not args.prove:
         print("error: --certificates requires --prove", file=sys.stderr)
         return 2
@@ -286,12 +277,7 @@ def analyze_main(argv: list[str] | None = None) -> int:
     any_errors = False
     for name in names:
         circuit = load_benchmark(name)
-        result = analyze_circuit(
-            circuit,
-            quick=args.quick,
-            prove=args.prove,
-            prover_depth=args.depth,
-        )
+        result = analyze_circuit(circuit, quick=args.quick, prove=args.prove)
         reports.append(result.to_dict())
         if result.prover is not None:
             certificates[name] = list(result.prover.certificates)
@@ -323,8 +309,8 @@ def analyze_main(argv: list[str] | None = None) -> int:
             )
             print(
                 f"  prover: {len(prover.proved)} of {prover.n_screened} "
-                f"faults proved untestable (depth {prover.depth}"
-                f"{', ' + methods if methods else ''}); "
+                "faults proved untestable"
+                f"{' (' + methods + ')' if methods else ''}; "
                 f"{len(prover.certificates)} certificates checked, "
                 f"{prover.certs_failed} failed"
             )
@@ -380,7 +366,6 @@ def _prover_summary(result) -> dict[str, object] | None:
     return {
         "n_proved": len(prover.proved),
         "n_screened": prover.n_screened,
-        "depth": prover.depth,
         "by_method": dict(prover.by_method),
         "n_learned": prover.n_learned,
         "certs_failed": prover.certs_failed,

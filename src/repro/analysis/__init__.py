@@ -8,8 +8,8 @@ alone:
 * :mod:`repro.analysis.scoap` — SCOAP CC0/CC1/CO testability measures.
 * :mod:`repro.analysis.implication` — direct-implication closure and
   fault-independent identification of provably-untestable stuck-at faults.
-* :mod:`repro.analysis.prover` — proof-carrying redundancy prover (static
-  learning, recursive learning, unique sensitization) whose verdicts carry
+* :mod:`repro.analysis.prover` — proof-carrying redundancy prover (direct
+  implications, static learning, unique sensitization) whose verdicts carry
   JSON certificates, each re-verified by the independent checker in
   :mod:`repro.analysis.check`.
 * :mod:`repro.analysis.collapse` — dominance fault collapsing layered on the
@@ -18,9 +18,9 @@ alone:
 :func:`analyze_circuit` bundles the passes into one :class:`AnalysisResult`
 and is what the experiment pipeline and the ``python -m repro analyze`` CLI
 call.  Each pass runs inside an observability span (``analysis.lint``,
-``analysis.scoap``, ``analysis.implications``) with counters for findings and
-untestable faults, so analysis cost shows up in ``--profile`` output next to
-simulation and ATPG.
+``analysis.scoap``, then ``analysis.implications`` or ``analysis.prover``)
+with counters for findings and untestable faults, so analysis cost shows up
+in ``--profile`` output next to simulation and ATPG.
 """
 
 from __future__ import annotations
@@ -98,7 +98,9 @@ class AnalysisResult:
         topological order exists to compute them over).
     untestable:
         Implication-screening report, or None in quick mode / on broken
-        circuits.
+        circuits.  With the prover on, this is the prover's ``fire`` phase.
+    prover:
+        The redundancy prover's result, or None unless ``prove=True``.
     """
 
     circuit: str
@@ -162,8 +164,7 @@ def analyze_circuit(
     faults: list[StuckAtFault] | None = None,
     quick: bool = False,
     prove: bool = False,
-    prover_depth: int = 2,
-    prover_fault_budget: int | None = None,
+    prover_depth: int | None = None,
 ) -> AnalysisResult:
     """Run the static-analysis passes over ``circuit``.
 
@@ -173,14 +174,16 @@ def analyze_circuit(
     screen — the most expensive pass — which is what CI's smoke run uses.
     ``faults`` limits the screened universe (default: the full universe).
 
-    ``prove=True`` additionally runs the proof-carrying redundancy prover
-    (sharing the screen's implication engine): static learning plus recursive
-    learning to ``prover_depth``, with every verdict certified and re-checked
-    by :mod:`repro.analysis.check`.  The proved set — a superset of the
-    screen by construction — feeds :meth:`AnalysisResult.screen`, and the
-    learned implications in ``result.prover.learned`` are ready to hand to
-    PODEM.  ``prover_fault_budget`` caps traced closures spent per fault in
-    the recursive stage (None for the module default).
+    ``prove=True`` runs the proof-carrying redundancy prover instead of the
+    bare screen: direct implications (the screen, reported as
+    ``result.untestable``), then static learning, with every verdict
+    certified and re-checked by :mod:`repro.analysis.check`.  The proved set
+    feeds :meth:`AnalysisResult.screen`, and the learned implications in
+    ``result.prover.learned`` are ready to hand to PODEM.
+
+    ``prover_depth`` is ignored.  It bounded the recursive learning the
+    prover no longer has, and stays accepted so older callers such as
+    ``perfbench/pick_seeds.py`` keep working.
     """
     with obs.span("analysis.lint", circuit=circuit.name):
         lint = lint_circuit(circuit)
@@ -196,33 +199,34 @@ def analyze_circuit(
     if quick:
         return result
 
-    with obs.span("analysis.implications", circuit=circuit.name):
-        engine = ImplicationEngine(circuit, constants=lint.constants)
-        universe = faults if faults is not None else full_fault_universe(circuit)
-        result.untestable = find_untestable_faults(circuit, universe, engine)
-        obs.inc("analysis.untestable_faults", len(result.untestable.untestable))
-    result._untestable_set = frozenset(result.untestable.untestable)
+    engine = ImplicationEngine(circuit, constants=lint.constants)
+    universe = faults if faults is not None else full_fault_universe(circuit)
+    if not prove:
+        with obs.span("analysis.implications", circuit=circuit.name):
+            result.untestable = find_untestable_faults(circuit, universe, engine)
+            obs.inc("analysis.untestable_faults", len(result.untestable.untestable))
+        result._untestable_set = frozenset(result.untestable.untestable)
+        return result
 
-    if prove:
-        with obs.span(
-            "analysis.prover", circuit=circuit.name, depth=prover_depth
-        ):
-            prover_kwargs: dict[str, int] = {}
-            if prover_fault_budget is not None:
-                prover_kwargs["fault_budget"] = prover_fault_budget
-            prover = RedundancyProver(
-                circuit, depth=prover_depth, engine=engine, **prover_kwargs
-            )
-            result.prover = prover.prove(universe)
-            obs.inc("analysis.proved_faults", len(result.prover.proved))
-            if obs.is_enabled():
-                for method, count in result.prover.by_method.items():
-                    obs.inc(f"analysis.proved.{method}", count)
-                for key, count in result.prover.work.items():
-                    obs.inc(f"analysis.prover.{key}", count)
-                for phase, seconds in prover.phase_wall_s.items():
-                    obs.set_gauge(f"analysis.prover.wall_s.{phase}", seconds)
-        result._untestable_set = result._untestable_set | frozenset(
-            result.prover.proved
+    with obs.span("analysis.prover", circuit=circuit.name):
+        prover = RedundancyProver(circuit, engine=engine)
+        proved = prover.prove(universe)
+        result.prover = proved
+        fired = [f for f in proved.proved if proved.methods[f] == "fire"]
+        result.untestable = UntestabilityReport(
+            n_screened=len(universe),
+            untestable=fired,
+            reasons={f: proved.reasons[f] for f in fired},
+            work=dict(engine.stats),
         )
+        obs.inc("analysis.untestable_faults", len(fired))
+        obs.inc("analysis.proved_faults", len(proved.proved))
+        if obs.is_enabled():
+            for method, count in proved.by_method.items():
+                obs.inc(f"analysis.proved.{method}", count)
+            for key, count in proved.work.items():
+                obs.inc(f"analysis.prover.{key}", count)
+            for phase, seconds in prover.phase_wall_s.items():
+                obs.set_gauge(f"analysis.prover.wall_s.{phase}", seconds)
+    result._untestable_set = frozenset(proved.proved)
     return result

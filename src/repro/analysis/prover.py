@@ -1,31 +1,32 @@
-"""Proof-carrying redundancy prover: static + recursive learning, certificates.
+"""Proof-carrying redundancy prover: implications + static learning, certificates.
 
 Layered on :mod:`repro.analysis.implication`, this module *proves* stuck-at
-faults untestable before any simulation, strictly subsuming the FIRE-style
-screen, and emits a machine-checkable certificate for every verdict:
+faults untestable before any simulation and emits a machine-checkable
+certificate for every verdict.  Each fault's premises are refuted in two
+phases of increasing power:
 
+* **Fire**: direct implication closure of the premises, the FIRE-style
+  screen of :func:`repro.analysis.implication.find_untestable_faults`.  The
+  pipeline takes its untestability screen from this phase.
 * **Static learning** (SOCRATES-style): for every net literal ``a=v`` whose
   implication closure contains ``b=w``, the contrapositive ``b=1-w -> a=1-v``
   holds.  When the contrapositive is *not* already derivable by direct
-  implication it is recorded as an indirect learned implication.  Learning
-  runs once per netlist and is cached by :func:`netlist_hash`.
-* **Recursive learning** (Kunz & Pradhan) to a configurable depth bound:
-  when the premise closure of a fault is conflict-free, the prover splits on
-  an input of an unjustified gate; if both branches refute, the premises are
-  unsatisfiable.  Branches that do not refute still teach — the intersection
-  of their closures is a sound consequence set absorbed into the context
-  (classic consequence intersection), and a later conflict is re-derived as
-  a pure nested split tree so the certificate needs no intersection rule.
-* **Unique sensitization** rides on the implication engine's dominator
-  machinery: the side inputs of every dominator of the fault's output cone
-  must take non-controlling values, and those literals join the premises.
-* **Certificates**: every verdict serialises the premise set (activation
-  literal, faulted-gate side pins, dominator side inputs) and the refutation
-  (implication chains and case splits) as JSON.  The independent checker in
-  :mod:`repro.analysis.check` — which knows only gate semantics and netlist
-  structure — re-verifies every step; a fault counts as *proved* only when
-  its certificate passes that check, so a prover bug can never silently
-  delete a testable fault from the coverage denominator.
+  implication it is recorded as an indirect learned implication, and the
+  closure is re-run with that learned base.  Learning runs once per netlist
+  and is cached by :func:`netlist_hash`.
+
+**Unique sensitization** rides on the implication engine's dominator
+machinery: the side inputs of every dominator of the fault's output cone
+must take non-controlling values, and those literals join the premises.
+
+**Certificates**: every verdict serialises the premise set (activation
+literal, faulted-gate side pins, dominator side inputs) and the refutation
+(implication chains, with case splits over primary inputs inside constant
+lemmas) as JSON.  The independent checker in :mod:`repro.analysis.check`,
+which knows only gate semantics and netlist structure, re-verifies every
+step.  A fault counts as *proved* only when its certificate passes that
+check, so a prover bug can never silently delete a testable fault from the
+coverage denominator.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ LearnedMap = dict[Lit, tuple[Lit, ...]]
 
 #: Cap on input-cone PIs enumerated when certifying a constant by splitting.
 _CONST_SPLIT_CAP = 12
-
-#: Default per-fault traced-closure budget for the recursive stage.  32 is
-#: calibrated on the built-in benchmarks: raising it to 160 quintuples the
-#: c432 wall time without proving a single extra fault.
-_DEFAULT_FAULT_BUDGET = 32
-
-#: Default cap on split candidates examined per refutation node.
-_DEFAULT_MAX_CANDIDATES = 6
-
 
 def netlist_hash(circuit: Circuit) -> str:
     """Canonical sha256 of the netlist structure (gates, PIs, POs)."""
@@ -152,14 +144,13 @@ class ProverResult:
 
     ``proved`` lists faults in input order; each carries a ``reason``
     (``activation`` / ``unobservable`` / ``observation-conflict``), a
-    ``method`` (``fire`` / ``static_learning`` / ``recursive_<k>``) and a
-    checker-validated certificate in ``certificates`` (same order as
+    ``method`` (``fire`` / ``static_learning``) and a checker-validated
+    certificate in ``certificates`` (same order as
     ``proved``).  ``learned`` is the static learned-implication base, ready
     to hand to PODEM.
     """
 
     n_screened: int = 0
-    depth: int = 0
     netlist_sha256: str = ""
     proved: list[StuckAtFault] = field(default_factory=list)
     reasons: dict[StuckAtFault, str] = field(default_factory=dict)
@@ -182,7 +173,6 @@ class ProverResult:
         return {
             "n_screened": self.n_screened,
             "n_proved": len(self.proved),
-            "depth": self.depth,
             "netlist_sha256": self.netlist_sha256,
             "by_method": dict(self.by_method),
             "by_reason": _count(self.reasons.values()),
@@ -203,25 +193,18 @@ def _count(items: Any) -> dict[str, int]:
 class RedundancyProver:
     """Stateful prover bound to one circuit.
 
-    Stages per fault, in increasing power and cost: direct implication
-    closure of the premises (``fire``), closure with the static learned base
-    (``static_learning``), then depth-bounded recursive learning
-    (``recursive_<k>`` where ``k`` is the deepest case split the final
-    certificate uses).  Work is metered in :attr:`work` and wall seconds
-    per stage (``fire`` / ``static_learning`` / ``recursive``, summed over
-    :meth:`prove_fault` calls) in :attr:`phase_wall_s`;
-    ``fault_budget`` bounds traced closures spent per fault in the
-    recursive stage so the prover degrades gracefully on hard instances.
+    Phases per fault, in increasing power and cost: direct implication
+    closure of the premises (``fire``), then closure with the static learned
+    base (``static_learning``).  Work is metered in :attr:`work` and wall
+    seconds per phase (summed over :meth:`prove_fault` calls) in
+    :attr:`phase_wall_s`.
     """
 
     def __init__(
         self,
         circuit: Circuit,
-        depth: int = 2,
         engine: ImplicationEngine | None = None,
         constants: dict[str, int] | None = None,
-        fault_budget: int = _DEFAULT_FAULT_BUDGET,
-        max_candidates: int = _DEFAULT_MAX_CANDIDATES,
     ) -> None:
         self.engine = (
             engine
@@ -229,22 +212,12 @@ class RedundancyProver:
             else ImplicationEngine(circuit, constants=constants)
         )
         self.circuit = self.engine.circuit
-        self.depth = depth
-        self.fault_budget = fault_budget
-        self.max_candidates = max_candidates
         self.nhash = netlist_hash(self.circuit)
         self.learned = static_learning(self.circuit, self.engine)
-        self.work: dict[str, int] = {
-            "closures": 0,
-            "steps": 0,
-            "refutes": 0,
-            "splits": 0,
-            "intersections": 0,
-        }
+        self.work: dict[str, int] = {"closures": 0, "steps": 0}
         self.phase_wall_s: dict[str, float] = {
             "fire": 0.0,
             "static_learning": 0.0,
-            "recursive": 0.0,
         }
         self._topo_index: dict[str, int] = {
             g.output: i for i, g in enumerate(levelize(self.circuit))
@@ -255,7 +228,6 @@ class RedundancyProver:
         self._constant_lemmas: dict[Lit, dict[str, Any] | None] = {}
         self._learned_lemmas: dict[tuple[Lit, Lit], dict[str, Any] | None] = {}
         self._cone_pi_cache: dict[str, tuple[str, ...]] = {}
-        self._fault_start = 0
 
     # ------------------------------------------------------------------
     # Traced closure
@@ -461,108 +433,6 @@ class RedundancyProver:
         return proof
 
     # ------------------------------------------------------------------
-    # Recursive learning
-    # ------------------------------------------------------------------
-    def _candidates(self, values: dict[str, int]) -> list[str]:
-        """Unknown inputs of unjustified gates — the split universe."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for gate in self.engine.order:
-            o = values.get(gate.output)
-            if o is None:
-                continue
-            ins = [values.get(n) for n in gate.inputs]
-            if None not in ins:
-                continue
-            if ImplicationEngine._forward(gate.gate_type, ins) == o:
-                continue  # already justified by its inputs
-            for n, v in zip(gate.inputs, ins):
-                if v is None and n not in seen:
-                    seen.add(n)
-                    out.append(n)
-                    if len(out) >= self.max_candidates:
-                        return out
-        return out
-
-    def _budget_left(self) -> bool:
-        return self.work["closures"] - self._fault_start < self.fault_budget
-
-    def _refute(
-        self, literals: tuple[Lit, ...], depth: int
-    ) -> tuple[dict[str, Any] | None, dict[str, int] | None]:
-        """Try to refute ``literals``; return (certificate, closure-values).
-
-        On success the certificate is a pure chain/split proof node; on
-        failure the conflict-free closure values are returned for
-        consequence intersection by the caller.
-        """
-        self.work["refutes"] += 1
-        res = self._closure(literals, True)
-        if res.conflict is not None:
-            node = self._chain_node(res)
-            return (node, None) if node is not None else (None, None)
-        if depth <= 0 or not self._budget_left():
-            return None, res.values
-        context = list(literals)
-        plan: list[str] = []
-        cur = res
-        for x in self._candidates(res.values):
-            if not self._budget_left():
-                break
-            self.work["splits"] += 1
-            p0, v0 = self._refute((*context, (x, 0)), depth - 1)
-            p1, v1 = self._refute((*context, (x, 1)), depth - 1)
-            if p0 is not None and p1 is not None:
-                if plan:
-                    return self._nest(literals, (*plan, x)), None
-                return {"split": x, "cases": [p0, p1]}, None
-            branch_values = [
-                v for p, v in ((p0, v0), (p1, v1)) if p is None
-            ]
-            if not branch_values or any(v is None for v in branch_values):
-                continue
-            if len(branch_values) == 1:
-                common = dict(branch_values[0] or {})
-            else:
-                first, second = branch_values[0] or {}, branch_values[1] or {}
-                common = {n: v for n, v in first.items() if second.get(n) == v}
-            new = [
-                (n, v) for n, v in common.items() if cur.values.get(n) != v
-            ]
-            if not new:
-                continue
-            self.work["intersections"] += 1
-            context.extend(new)
-            plan.append(x)
-            cur = self._closure(tuple(context), True)
-            if cur.conflict is not None:
-                return self._nest(literals, tuple(plan)), None
-        return None, cur.values if cur.conflict is None else None
-
-    def _nest(
-        self, base: tuple[Lit, ...], plan: tuple[str, ...]
-    ) -> dict[str, Any] | None:
-        """Re-derive an intersection-assisted conflict as a pure split tree.
-
-        Monotonicity of the closure operator guarantees each leaf of the
-        nested tree conflicts whenever the intersection-augmented context
-        did; the re-derivation keeps certificates free of intersection
-        steps, so the checker needs only chains and exhaustive splits.
-        """
-        res = self._closure(base, True)
-        if res.conflict is not None:
-            return self._chain_node(res)
-        if not plan:
-            return None
-        cases: list[dict[str, Any]] = []
-        for b in (0, 1):
-            node = self._nest((*base, (plan[0], b)), plan[1:])
-            if node is None:
-                return None
-            cases.append(node)
-        return {"split": plan[0], "cases": cases}
-
-    # ------------------------------------------------------------------
     # Per-fault proof
     # ------------------------------------------------------------------
     def _premise_records(
@@ -647,27 +517,16 @@ class RedundancyProver:
         activation = literals[0]
 
         proof: dict[str, Any] | None = None
-        method = ""
-        res = self._closure(literals, False)
-        if res.conflict is not None:
-            proof = self._chain_node(res)
-            method = "fire"
-        t1 = time.perf_counter()
-        wall["fire"] += t1 - t0
-        if proof is None:
-            res = self._closure(literals, True)
+        for method, use_learned in (("fire", False), ("static_learning", True)):
+            res = self._closure(literals, use_learned)
             if res.conflict is not None:
                 proof = self._chain_node(res)
-                method = "static_learning"
-            t0, t1 = t1, time.perf_counter()
-            wall["static_learning"] += t1 - t0
-        if proof is None and self.depth > 0:
-            self._fault_start = self.work["closures"]
-            proof, _values = self._refute(literals, self.depth)
+            t1 = time.perf_counter()
+            wall[method] += t1 - t0
+            t0 = t1
             if proof is not None:
-                method = f"recursive_{max(1, _split_depth(proof))}"
-            wall["recursive"] += time.perf_counter() - t1
-        if proof is None:
+                break
+        else:
             return None
 
         reason = "observation-conflict"
@@ -688,7 +547,6 @@ class RedundancyProver:
             faults = full_fault_universe(self.circuit)
         result = ProverResult(
             n_screened=len(faults),
-            depth=self.depth,
             netlist_sha256=self.nhash,
             learned=self.learned,
         )
@@ -712,20 +570,11 @@ class RedundancyProver:
         return result
 
 
-def _split_depth(node: dict[str, Any]) -> int:
-    """Deepest case-split nesting in a proof node (lemmas excluded)."""
-    if "split" in node:
-        return 1 + max(_split_depth(case) for case in node["cases"])
-    return 0
-
-
 def prove_untestable(
     circuit: Circuit,
     faults: list[StuckAtFault] | None = None,
-    depth: int = 2,
     engine: ImplicationEngine | None = None,
     constants: dict[str, int] | None = None,
-    fault_budget: int = _DEFAULT_FAULT_BUDGET,
 ) -> ProverResult:
     """Prove faults untestable with certificates; the module-level façade.
 
@@ -734,11 +583,5 @@ def prove_untestable(
     unverifiable verdicts are dropped (and counted in ``certs_failed``),
     keeping the proved set sound by construction.
     """
-    prover = RedundancyProver(
-        circuit,
-        depth=depth,
-        engine=engine,
-        constants=constants,
-        fault_budget=fault_budget,
-    )
+    prover = RedundancyProver(circuit, engine=engine, constants=constants)
     return prover.prove(faults)

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.experiments import ExperimentConfig
-from repro.obs.manifest import config_hash, config_to_dict
+from repro.obs.manifest import RETIRED_FIELDS, config_hash, config_to_dict
 
 __all__ = [
     "CampaignSpecError",
@@ -59,6 +59,11 @@ SWEEPABLE_FIELDS: frozenset[str] = frozenset(
     f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "statistics"
 )
 
+#: Deleted ``ExperimentConfig`` fields and their historical values.  Every
+#: stored config dict still carries them (see ``RETIRED_FIELDS``); a spec may
+#: give one only at that value.
+_RETIRED = RETIRED_FIELDS["ExperimentConfig"]
+
 #: Keys of a ``jobs`` list entry that configure the *job*, not the
 #: experiment; stripped before the config delta is applied.
 _JOB_KEYS = frozenset({"priority", "max_attempts"})
@@ -70,9 +75,18 @@ def config_from_dict(fields: dict[str, object]) -> ExperimentConfig:
     The inverse of :func:`repro.obs.manifest.config_to_dict` for campaign
     configurations (``statistics`` restricted to None).  Unknown keys and
     invalid values raise :class:`CampaignSpecError` with the offending name —
-    a spec typo fails at submission, never mid-campaign.
+    a spec typo fails at submission, never mid-campaign.  Retired fields are
+    accepted at their historical value and dropped.
     """
-    unknown = sorted(set(fields) - SWEEPABLE_FIELDS - {"statistics"})
+    for name, value in _RETIRED.items():
+        if name in fields and fields[name] != value:
+            raise CampaignSpecError(
+                f"{name} is a retired field; only its historical value "
+                f"{value!r} is accepted, got {fields[name]!r}"
+            )
+    unknown = sorted(
+        set(fields) - SWEEPABLE_FIELDS - set(_RETIRED) - {"statistics"}
+    )
     if unknown:
         raise CampaignSpecError(
             f"unknown ExperimentConfig field(s): {', '.join(unknown)} "
@@ -83,7 +97,9 @@ def config_from_dict(fields: dict[str, object]) -> ExperimentConfig:
             "campaign jobs cannot carry custom defect statistics; "
             "omit the 'statistics' field"
         )
-    kwargs = {k: v for k, v in fields.items() if k != "statistics"}
+    kwargs = {
+        k: v for k, v in fields.items() if k != "statistics" and k not in _RETIRED
+    }
     try:
         return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:

@@ -41,6 +41,7 @@ from repro.defects.fault_types import FaultList
 from repro.defects.statistics import DefectStatistics
 from repro.layout.design import LayoutDesign, build_layout
 from repro.obs.events import CheckpointEvent, StageEvent
+from repro.obs.manifest import RETIRED_FIELDS, config_hash
 from repro.resilience import chaos
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.errors import CheckpointCorruptError
@@ -96,8 +97,6 @@ class ExperimentConfig:
     #: learned implications are handed to the PODEM search.  False falls
     #: back to the bare screen (ablation switch).
     prove_redundancy: bool = True
-    #: Recursive-learning depth bound for the redundancy prover.
-    prover_depth: int = 2
     #: Total pool attempts per fault chunk before the serial salvage phase
     #: (None = the default retry policy's budget).  Affects only resilience
     #: behaviour, never results; hashed like every other knob so manifests
@@ -148,10 +147,6 @@ class ExperimentConfig:
                 "engine 'numpy' needs word_width to be a positive multiple "
                 f"of 64 (whole uint64 words), got {self.word_width}"
             )
-        if self.prover_depth < 0:
-            raise ValueError(
-                f"prover_depth must be non-negative, got {self.prover_depth}"
-            )
         if self.fault_sim_retries is not None and self.fault_sim_retries < 1:
             raise ValueError(
                 f"fault_sim_retries must be >= 1, got {self.fault_sim_retries}"
@@ -162,33 +157,16 @@ class ExperimentConfig:
             )
 
     def __hash__(self) -> int:  # DefectStatistics carries dicts
-        stats_key = (
-            None
-            if self.statistics is None
-            else tuple(sorted((m.value, d) for m, d in self.statistics.densities.items()))
-            + (self.statistics.size.x0, self.statistics.size.x_max)
-        )
-        return hash(
-            (
-                self.benchmark,
-                self.target_yield,
-                self.random_coverage_target,
-                self.max_random_patterns,
-                self.backtrack_limit,
-                self.seed,
-                stats_key,
-                self.detection,
-                self.deterministic_topoff,
-                self.word_width,
-                self.fault_sim_workers,
-                self.engine,
-                self.static_analysis,
-                self.prove_redundancy,
-                self.prover_depth,
-                self.fault_sim_retries,
-                self.chunk_timeout,
-            )
-        )
+        return hash(config_hash(self))
+
+    @property
+    def prover_depth(self) -> object:
+        """Retired field, read as its historical value.
+
+        The prover no longer has recursive learning; this stays readable so
+        older scripts such as ``perfbench/pick_seeds.py`` keep working.
+        """
+        return RETIRED_FIELDS["ExperimentConfig"]["prover_depth"]
 
 
 @dataclass
@@ -434,7 +412,6 @@ def _run_pipeline(
                     circuit,
                     faults=collapsed,
                     prove=config.prove_redundancy,
-                    prover_depth=config.prover_depth,
                 )
                 static_untestable = analysis.untestable_faults()
                 screened = analysis.screen(collapsed)

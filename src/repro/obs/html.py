@@ -764,7 +764,6 @@ def _analysis_panel(manifests: Sequence["RunManifest"]) -> str:
         (
             (prover.get("n_proved", 0), "faults proved untestable", "ink"),
             (prover.get("n_screened", "?"), "faults screened", "ink"),
-            (prover.get("depth", "?"), "recursion depth", "ink"),
             (prover.get("n_learned", 0), "learned implications", "ink"),
             (
                 certs_failed,

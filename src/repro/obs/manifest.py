@@ -19,7 +19,9 @@ import hashlib
 import json
 import subprocess
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -28,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
+    "RETIRED_FIELDS",
     "RunManifest",
     "config_to_dict",
     "config_hash",
@@ -36,6 +39,18 @@ __all__ = [
 ]
 
 MANIFEST_SCHEMA_VERSION = 1
+
+#: Fields deleted from a configuration dataclass, keyed by the dataclass's
+#: name, with the value every configuration carried before the deletion.
+#: :func:`config_to_dict` keeps emitting them, so config hashes (campaign
+#: job ids, result-store keys, checkpoint directories) do not move when a
+#: field goes.  Append entries; never edit or remove one.
+RETIRED_FIELDS: Mapping[str, Mapping[str, object]] = MappingProxyType(
+    {
+        # Recursive learning left the redundancy prover; its depth was 2.
+        "ExperimentConfig": MappingProxyType({"prover_depth": 2}),
+    }
+)
 
 
 def _jsonable(value: object) -> object:
@@ -55,12 +70,18 @@ def _jsonable(value: object) -> object:
 
 
 def config_to_dict(config: object) -> dict[str, object]:
-    """Flatten a (dataclass) configuration into JSON-able key/values."""
+    """Flatten a (dataclass) configuration into JSON-able key/values.
+
+    A dataclass also emits its :data:`RETIRED_FIELDS` at their historical
+    values.
+    """
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        return {
+        out = {
             f.name: _jsonable(getattr(config, f.name))
             for f in dataclasses.fields(config)
         }
+        out.update(RETIRED_FIELDS.get(type(config).__name__, {}))
+        return out
     if isinstance(config, dict):
         return {str(k): _jsonable(v) for k, v in config.items()}
     raise TypeError(f"cannot serialise config of type {type(config).__name__}")

@@ -7,9 +7,9 @@ Three load-bearing contracts:
   builtins and on hypothesis-generated random circuits, under both the
   python and numpy simulation engines, and cross-checked against PODEM at a
   20k backtrack budget on the c432/c880-class benchmarks.
-* **Strict superset** — the prover subsumes the PR 3 implication screen on
-  every builtin, and on c432 proves strictly more (the recursive/learned
-  machinery earns its keep).
+* **Strict superset** — the prover subsumes the implication screen on
+  every builtin, and on c432 proves strictly more (static learning earns
+  its keep).
 * **Certificates** — every proved fault carries a certificate the
   *independent* checker validates, and the checker rejects tampered
   certificates (premises, steps, conflicts, and split cases alike).
@@ -41,7 +41,7 @@ from repro.circuit.iscas import BENCHMARKS
 from repro.circuit.levelize import levelize
 from repro.circuit.library import evaluate_gate
 from repro.simulation.fault_sim import FaultSimulator
-from repro.simulation.faults import full_fault_universe
+from repro.simulation.faults import collapse_faults, full_fault_universe
 from repro.simulation.numpy_sim import NumpyFaultSimulator
 
 
@@ -58,47 +58,35 @@ def exhaustively_undetected(circuit: Circuit, engine: str = "python") -> set:
     return set(universe) - set(result.detected)
 
 
-def split_cert_circuit() -> Circuit:
-    """A fixed 9-gate circuit whose g6/sa1 needs a recursive (split) proof.
+def const_split_circuit() -> Circuit:
+    """``g0 = XOR(a, a)`` is constant 0; ``g0/sa0`` is proved through it.
 
-    Found by seed search over the same random-circuit family the hypothesis
-    strategy below draws from; kept verbatim so the split-certificate code
-    paths (prover emission and checker recursion) have a deterministic test.
+    Direct implication cannot refute ``g0 = 1`` (an XOR with both inputs
+    unknown forces nothing), so the constant lemma splits on ``a``: the
+    one prover path that still emits split proof nodes.
     """
-    ckt = Circuit(name="split_example")
-    for k in range(5):
-        ckt.add_input(f"i{k}")
-    ckt.add_gate(GateType.AND, ["i4", "i3", "i3"], "g0")
-    ckt.add_gate(GateType.XOR, ["i2", "i4", "i1"], "g1")
-    ckt.add_gate(GateType.OR, ["i1", "g1", "i0"], "g2")
-    ckt.add_gate(GateType.XOR, ["i4", "i1"], "g3")
-    ckt.add_gate(GateType.NAND, ["g2", "g3", "i1"], "g4")
-    ckt.add_gate(GateType.XNOR, ["g0", "g4", "i3"], "g5")
-    ckt.add_gate(GateType.BUF, ["g2"], "g6")
-    ckt.add_gate(GateType.XOR, ["g3", "i0"], "g7")
-    ckt.add_gate(GateType.NAND, ["g6", "g7", "g5"], "g8")
-    ckt.add_output("g8")
+    ckt = Circuit(name="const_split")
+    for net in ("a", "b"):
+        ckt.add_input(net)
+    ckt.add_gate(GateType.XOR, ["a", "a"], "g0")
+    ckt.add_gate(GateType.OR, ["g0", "b"], "g1")
+    ckt.add_output("g1")
     ckt.validate()
     return ckt
 
 
 @pytest.fixture(scope="module")
 def c432_proof():
-    """One depth-0 prover run over the full c432 universe, shared."""
+    """One prover run over the full c432 universe, shared."""
     circuit = BENCHMARKS["c432_like"]()
-    return circuit, prove_untestable(circuit, depth=0)
+    return circuit, prove_untestable(circuit)
 
 
 @pytest.fixture(scope="module")
 def c880_proof():
-    """One depth-0 prover run over the full c880 universe, shared.
-
-    Depth 0 proves the same 8 faults as depth 2 here (all close in the
-    fire stage) without paying the recursive budget on the ~1.7k faults
-    that stay unproved either way.
-    """
+    """One prover run over the full c880 universe, shared."""
     circuit = BENCHMARKS["c880_like"]()
-    return circuit, prove_untestable(circuit, depth=0)
+    return circuit, prove_untestable(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +97,7 @@ def c880_proof():
 )
 def test_prover_sound_on_builtins_exhaustive(name):
     circuit = BENCHMARKS[name]()
-    result = prove_untestable(circuit, depth=2)
+    result = prove_untestable(circuit)
     undetected = exhaustively_undetected(circuit)
     assert set(result.proved) <= undetected, name
     assert result.certs_failed == 0
@@ -122,7 +110,7 @@ def test_prover_complete_on_alu4_under_both_engines(engine):
     # prover finds exactly the exhaustive ground truth, and both simulation
     # engines agree on what that ground truth is.
     circuit = BENCHMARKS["alu4"]()
-    result = prove_untestable(circuit, depth=2)
+    result = prove_untestable(circuit)
     assert set(result.proved) == exhaustively_undetected(circuit, engine)
     assert len(result.proved) == 4
 
@@ -158,7 +146,7 @@ def random_circuits(draw):
 @settings(max_examples=40, deadline=None)
 @given(ckt=random_circuits())
 def test_prover_sound_on_random_circuits(ckt):
-    result = prove_untestable(ckt, depth=2)
+    result = prove_untestable(ckt)
     undetected = exhaustively_undetected(ckt)
     assert set(result.proved) <= undetected
     assert result.certs_failed == 0
@@ -175,7 +163,7 @@ def test_prover_sound_on_random_circuits(ckt):
 def test_prover_subsumes_screen(name):
     circuit = BENCHMARKS[name]()
     screen = find_untestable_faults(circuit)
-    result = prove_untestable(circuit, depth=2)
+    result = prove_untestable(circuit)
     assert set(screen.untestable) <= set(result.proved), name
 
 
@@ -228,21 +216,72 @@ def test_podem_never_tests_a_proved_fault_c432(c432_proof):
 
 
 # ---------------------------------------------------------------------------
-# Split (recursive-learning) certificates
+# Split certificates
 # ---------------------------------------------------------------------------
-def test_split_certificate_emitted_and_checked():
-    ckt = split_cert_circuit()
-    result = prove_untestable(ckt, depth=2)
-    split_certs = [
+def _const_split_cert():
+    """The checked certificate of ``g0/sa0`` and its constant lemma's split."""
+    ckt = const_split_circuit()
+    result = prove_untestable(ckt)
+    (cert,) = [
         c for c in result.certificates
-        if c.get("proof") is not None and "split" in c["proof"]
+        if c["fault"]["net"] == "g0" and c["fault"]["site"] == "net"
+        and c["fault"]["value"] == 0
     ]
-    assert split_certs, "expected a recursive (split) certificate"
-    cert = split_certs[0]
-    assert cert["method"].startswith("recursive_")
-    assert cert["fault"]["net"] == "g6" and cert["fault"]["value"] == 1
-    # ...and the proved fault really is undetectable.
+    (step,) = [s for s in cert["proof"]["chain"] if s["by"] == "constant"]
+    return ckt, result, copy.deepcopy(cert), step
+
+
+def test_split_certificate_emitted_and_checked():
+    ckt, result, cert, step = _const_split_cert()
+    assert step["assign"] == ["g0", 0]
+    assert step["proof"]["split"] == "a"
+    assert cert["method"] == "fire"
+    assert check_certificate(ckt, cert).ok
+    # ...and every proved fault really is undetectable.
     assert set(result.proved) <= exhaustively_undetected(ckt)
+
+
+def test_checker_rejects_tampered_split_case():
+    ckt, _result, cert, _step = _const_split_cert()
+
+    def lemma(c):
+        (step,) = [s for s in c["proof"]["chain"] if s["by"] == "constant"]
+        return step["proof"]
+
+    # Corrupt one case of the split: replace it with an empty chain that
+    # claims a conflict it never derived.
+    tampered = copy.deepcopy(cert)
+    case = lemma(tampered)["cases"][0]
+    lemma(tampered)["cases"][0] = {"chain": [], "conflict": case["conflict"]}
+    assert not check_certificate(ckt, tampered).ok
+    # Dropping a case entirely must fail too (both branches are required).
+    truncated = copy.deepcopy(cert)
+    lemma(truncated)["cases"] = lemma(truncated)["cases"][:1]
+    assert not check_certificate(ckt, truncated).ok
+
+
+def test_checker_verifies_hand_built_top_level_split(c432_proof):
+    # Splitting a checked chain proof on a net the chain never assigns
+    # keeps it valid in both cases; breaking either case must not pass.
+    circuit, result = c432_proof
+    cert = _first_cert_with(
+        result,
+        lambda c: c.get("proof") is not None and c["proof"].get("chain"),
+    )
+    chain = cert["proof"]
+    assigned = {s["assign"][0] for s in chain["chain"]}
+    assigned.add(chain["conflict"]["assign"][0])
+    assigned.update(p["net"] for p in cert["premises"])
+    net = next(n for n in circuit.primary_inputs if n not in assigned)
+    split = copy.deepcopy(cert)
+    split["proof"] = {"split": net, "cases": [chain, copy.deepcopy(chain)]}
+    assert check_certificate(circuit, split).ok
+    broken = copy.deepcopy(split)
+    broken["proof"]["cases"][1] = {"chain": [], "conflict": chain["conflict"]}
+    assert not check_certificate(circuit, broken).ok
+    truncated = copy.deepcopy(split)
+    truncated["proof"]["cases"] = [chain]
+    assert not check_certificate(circuit, truncated).ok
 
 
 # ---------------------------------------------------------------------------
@@ -306,30 +345,6 @@ def test_checker_rejects_wrong_dominator_source(c432_proof):
     assert not check_certificate(circuit, cert).ok
 
 
-def test_checker_rejects_tampered_split_case():
-    ckt = split_cert_circuit()
-    result = prove_untestable(ckt, depth=2)
-    cert = _first_cert_with(
-        result,
-        lambda c: c.get("proof") is not None and "split" in c["proof"],
-    )
-    good = check_certificate(ckt, cert)
-    assert good.ok, good
-    # Corrupt one case of the split: replace it with an empty chain that
-    # claims a conflict it never derived.
-    tampered = copy.deepcopy(cert)
-    tampered["proof"]["cases"][0] = {
-        "chain": [],
-        "conflict": tampered["proof"]["cases"][0].get("conflict")
-        or {"assign": ["g0", 0], "by": "premise"},
-    }
-    assert not check_certificate(ckt, tampered).ok
-    # Dropping a case entirely must fail too (both branches are required).
-    truncated = copy.deepcopy(cert)
-    truncated["proof"]["cases"] = truncated["proof"]["cases"][:1]
-    assert not check_certificate(ckt, truncated).ok
-
-
 def test_checker_rejects_unknown_version(c432_proof):
     circuit, result = c432_proof
     cert = copy.deepcopy(result.certificates[0])
@@ -376,7 +391,7 @@ def test_prover_result_to_dict_shape(c432_proof):
     payload = result.to_dict()
     assert payload["n_proved"] == len(result.proved) == 49
     assert payload["n_screened"] == 820
-    assert payload["depth"] == 0
+    assert "depth" not in payload
     assert payload["netlist_sha256"] == netlist_hash(circuit)
     assert payload["by_method"] == {"fire": 48, "static_learning": 1}
     assert payload["certs_failed"] == 0
@@ -404,15 +419,38 @@ def test_checker_is_independent_of_prover_state(c432_proof):
 # ---------------------------------------------------------------------------
 def test_analyze_circuit_prove_populates_prover():
     circuit = BENCHMARKS["alu4"]()
-    analysis = analyze_circuit(circuit, prove=True, prover_depth=1)
+    analysis = analyze_circuit(circuit, prove=True)
     assert analysis.prover is not None
-    assert analysis.prover.depth == 1
     assert len(analysis.prover.proved) == 4
     # Proved faults flow into the untestable set used by the pipeline.
     untestable = analysis.untestable_faults()
     assert set(analysis.prover.proved) <= set(untestable)
     payload = analysis.to_dict()
     assert payload["prover"]["n_proved"] == 4
+
+
+#: The distinct registered circuits (``c432_like``/``c880_like`` alias two).
+REGISTERED = sorted(
+    {"c17", "c432", "c880", "rca8", "rca16", "par16", "mux8", "dec4", "alu4", "mul4"}
+)
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_prover_fire_phase_reproduces_the_screen(name):
+    # With prove=True the bare screen no longer runs: the prover's fire
+    # phase stands in for it, so it must flag exactly the screen's faults
+    # for the same reasons, and the pipeline's untestable list must stay
+    # the screen followed by the prover's extras.
+    circuit = BENCHMARKS[name]()
+    faults = collapse_faults(circuit)
+    screen = find_untestable_faults(circuit, faults)
+    analysis = analyze_circuit(circuit, faults=faults, prove=True)
+    assert analysis.untestable is not None and analysis.prover is not None
+    assert analysis.untestable.untestable == screen.untestable
+    assert analysis.untestable.reasons == screen.reasons
+    assert analysis.untestable.n_screened == screen.n_screened
+    extras = [f for f in analysis.prover.proved if f not in screen]
+    assert analysis.untestable_faults() == screen.untestable + extras
 
 
 def test_analyze_circuit_without_prove_has_no_prover():

@@ -342,10 +342,10 @@ def test_cli_engine_rejects_unknown_name(capsys):
 
 
 def test_cli_analyze_prove_prints_prover_summary(capsys):
-    code = main(["analyze", "alu4", "--prove", "--depth", "1"])
+    code = main(["analyze", "alu4", "--prove"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "prover: 4 of 440 faults proved untestable (depth 1" in out
+    assert "prover: 4 of 440 faults proved untestable (fire=4)" in out
     assert "4 certificates checked, 0 failed" in out
 
 
@@ -357,13 +357,12 @@ def test_cli_analyze_certificates_file(capsys, tmp_path):
 
     certs_file = tmp_path / "certs.json"
     code = main(
-        ["analyze", "alu4", "--prove", "--depth", "1",
-         "--certificates", str(certs_file)]
+        ["analyze", "alu4", "--prove", "--certificates", str(certs_file)]
     )
     assert code == 0
     assert "4 certificates written to" in capsys.readouterr().out
     payload = json.loads(certs_file.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     certs = payload["certificates"]["alu4"]
     assert len(certs) == 4
     # The written certificates stand on their own: an independent checker
@@ -381,7 +380,7 @@ def test_cli_analyze_json_schema_version_and_engine_preflight(tmp_path):
     code = main(["analyze", "c17", "--quick", "--json", str(report)])
     assert code == 0
     payload = json.loads(report.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     preflight = payload["engine_preflight"]
     assert preflight["names"] == sorted(ENGINE_NAMES)
     assert set(preflight["numpy"]) == {"ok", "reason"}
@@ -399,14 +398,16 @@ def test_cli_analyze_json_includes_prover_block(tmp_path):
     prover = entry["prover"]
     assert prover["n_proved"] == 4
     assert prover["certs_failed"] == 0
-    assert prover["depth"] == 2
+    assert "depth" not in prover
     assert prover["netlist_sha256"]
+    # The prover's fire phase stands in for the screen in the report.
+    assert entry["untestable"]["n_untestable"] == prover["by_method"]["fire"]
 
 
-def test_cli_analyze_rejects_negative_depth(capsys):
-    code = main(["analyze", "c17", "--prove", "--depth", "-1"])
-    assert code == 2
-    assert "--depth must be non-negative" in capsys.readouterr().err
+def test_cli_analyze_rejects_the_retired_depth_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "c17", "--prove", "--depth", "2"])
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_cli_analyze_certificates_requires_prove(capsys, tmp_path):

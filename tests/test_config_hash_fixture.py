@@ -4,17 +4,24 @@
 checkpoint directory.  Deleting an ``ExperimentConfig`` field or changing a
 default would silently re-key all of them, so the hashes of the default
 config of every registered benchmark, and of a few campaign-grid deltas,
-are pinned here as literals.
+are pinned here as literals.  A deleted field keeps hashing through
+``repro.obs.manifest.RETIRED_FIELDS``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.spec import (
+    CampaignSpec,
+    CampaignSpecError,
+    JobSpec,
+    config_from_dict,
+)
 from repro.circuit.iscas import BENCHMARKS
+from repro.defects.statistics import DefectStatistics
 from repro.experiments.pipeline import ExperimentConfig
-from repro.obs.manifest import config_hash
+from repro.obs.manifest import config_hash, config_to_dict
 
 DEFAULT_HASHES = {
     "alu4": "613e0e476de3c926",
@@ -67,3 +74,32 @@ def test_campaign_job_ids_are_the_pinned_hashes():
     (job,) = spec.expand()
     assert job.job_id == "5efca566755f76e8"
     assert JobSpec.for_config(ExperimentConfig()).job_id == DEFAULT_HASHES["c432"]
+
+
+def test_retired_fields_keep_hashing_at_their_historical_value():
+    config = ExperimentConfig()
+    assert config_to_dict(config)["prover_depth"] == 2
+    assert config.prover_depth == 2
+    with pytest.raises(TypeError):
+        ExperimentConfig(prover_depth=2)  # type: ignore[call-arg]
+
+
+def test_stored_config_dicts_with_retired_fields_still_load():
+    stored = config_to_dict(ExperimentConfig(benchmark="c17", seed=2))
+    assert config_from_dict(stored) == ExperimentConfig(benchmark="c17", seed=2)
+    spec = CampaignSpec.from_dict(
+        {"name": "old", "base": stored, "grid": {"detection": ["iddq"]}}
+    )
+    (job,) = spec.expand()
+    assert job.job_id == "5efca566755f76e8"
+    with pytest.raises(CampaignSpecError, match="prover_depth"):
+        config_from_dict({**stored, "prover_depth": 3})
+
+
+def test_config_hash_is_consistent_with_equality():
+    stats = DefectStatistics()
+    a = ExperimentConfig(benchmark="c17", statistics=stats)
+    b = ExperimentConfig(benchmark="c17", statistics=DefectStatistics())
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) != hash(ExperimentConfig(benchmark="c17"))
+    assert len({ExperimentConfig(), ExperimentConfig(), ExperimentConfig(seed=2)}) == 2

@@ -484,11 +484,11 @@ def test_prover_counters_by_method_work_and_phase():
     # Off: a registry left over from an earlier run receives nothing.
     _, stale = obs.enable()
     obs.disable()
-    analyze_circuit(alu4_circuit, prove=True, prover_depth=1)
+    analyze_circuit(alu4_circuit, prove=True)
     assert not stale.snapshot()["counters"]
 
     collector, registry = obs.enable()
-    analysis = analyze_circuit(alu4_circuit, prove=True, prover_depth=1)
+    analysis = analyze_circuit(alu4_circuit, prove=True)
     snapshot = registry.snapshot()
     counters, gauges = snapshot["counters"], snapshot["gauges"]
     prover = analysis.prover
@@ -501,7 +501,7 @@ def test_prover_counters_by_method_work_and_phase():
     assert sum(proved.values()) == counters["analysis.proved_faults"] > 0
     for key, value in prover.work.items():
         assert counters[f"analysis.prover.{key}"] == value
-    phases = ("fire", "static_learning", "recursive")
+    phases = ("fire", "static_learning")
     walls = [gauges[f"analysis.prover.wall_s.{phase}"] for phase in phases]
     assert all(seconds > 0 for seconds in walls)
     (span,) = collector.find("analysis.prover")

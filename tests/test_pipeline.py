@@ -114,7 +114,6 @@ def test_prover_attached_by_default(small_experiment):
     analysis = small_experiment.analysis
     assert analysis is not None
     assert analysis.prover is not None
-    assert analysis.prover.depth == 2
     assert analysis.prover.proved == []
     assert analysis.prover.certs_failed == 0
 
@@ -138,14 +137,7 @@ def test_prove_redundancy_can_be_disabled(small_experiment):
 def test_prover_config_hashes_distinctly():
     base = ExperimentConfig(benchmark="c17")
     no_prove = ExperimentConfig(benchmark="c17", prove_redundancy=False)
-    deeper = ExperimentConfig(benchmark="c17", prover_depth=3)
     assert hash(base) != hash(no_prove) and base != no_prove
-    assert hash(base) != hash(deeper) and base != deeper
-
-
-def test_prover_depth_must_be_non_negative():
-    with pytest.raises(ValueError, match="prover_depth"):
-        ExperimentConfig(benchmark="c17", prover_depth=-1)
 
 
 def test_podem_stats_recorded_on_topoff_run():
