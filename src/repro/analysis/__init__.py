@@ -199,17 +199,17 @@ def analyze_circuit(
     if quick:
         return result
 
-    engine = ImplicationEngine(circuit, constants=lint.constants)
     universe = faults if faults is not None else full_fault_universe(circuit)
     if not prove:
         with obs.span("analysis.implications", circuit=circuit.name):
+            engine = ImplicationEngine(circuit, constants=lint.constants)
             result.untestable = find_untestable_faults(circuit, universe, engine)
             obs.inc("analysis.untestable_faults", len(result.untestable.untestable))
         result._untestable_set = frozenset(result.untestable.untestable)
         return result
 
     with obs.span("analysis.prover", circuit=circuit.name):
-        prover = RedundancyProver(circuit, engine=engine)
+        prover = RedundancyProver(circuit, constants=lint.constants)
         proved = prover.prove(universe)
         result.prover = proved
         fired = [f for f in proved.proved if proved.methods[f] == "fire"]
@@ -217,7 +217,7 @@ def analyze_circuit(
             n_screened=len(universe),
             untestable=fired,
             reasons={f: proved.reasons[f] for f in fired},
-            work=dict(engine.stats),
+            work=dict(prover.engine.stats),
         )
         obs.inc("analysis.untestable_faults", len(fired))
         obs.inc("analysis.proved_faults", len(proved.proved))

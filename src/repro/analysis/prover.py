@@ -63,6 +63,7 @@ LearnedMap = dict[Lit, tuple[Lit, ...]]
 #: Cap on input-cone PIs enumerated when certifying a constant by splitting.
 _CONST_SPLIT_CAP = 12
 
+
 def netlist_hash(circuit: Circuit) -> str:
     """Canonical sha256 of the netlist structure (gates, PIs, POs)."""
     payload = {
@@ -145,9 +146,8 @@ class ProverResult:
     ``proved`` lists faults in input order; each carries a ``reason``
     (``activation`` / ``unobservable`` / ``observation-conflict``), a
     ``method`` (``fire`` / ``static_learning``) and a checker-validated
-    certificate in ``certificates`` (same order as
-    ``proved``).  ``learned`` is the static learned-implication base, ready
-    to hand to PODEM.
+    certificate in ``certificates`` (same order as ``proved``).  ``learned``
+    is the static learned-implication base, ready to hand to PODEM.
     """
 
     n_screened: int = 0
@@ -215,10 +215,7 @@ class RedundancyProver:
         self.nhash = netlist_hash(self.circuit)
         self.learned = static_learning(self.circuit, self.engine)
         self.work: dict[str, int] = {"closures": 0, "steps": 0}
-        self.phase_wall_s: dict[str, float] = {
-            "fire": 0.0,
-            "static_learning": 0.0,
-        }
+        self.phase_wall_s: dict[str, float] = {"fire": 0.0, "static_learning": 0.0}
         self._topo_index: dict[str, int] = {
             g.output: i for i, g in enumerate(levelize(self.circuit))
         }
