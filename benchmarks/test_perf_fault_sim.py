@@ -9,11 +9,7 @@ collapsed stuck-at universe and asserts:
 * the python wide-word compiled engine is **bit-exact** against the seed
   and at least **3x faster** on the c880-class benchmark;
 * the numpy uint64 bitslice engine is **bit-exact** against both and at
-  least **3x faster again** than the python wide-word engine;
-* the multi-core engine produces results identical to the serial engine,
-  and — run at its *default* work crossover — correctly declines the pool
-  for this workload (the pool only pays off past the calibrated
-  fault x pattern crossover; see ``repro.simulation.engines``).
+  least **3x faster again** than the python wide-word engine.
 
 Results (full trajectory, per-engine seconds and patterns/sec) are written
 to ``BENCH_fault_sim.json`` at the repo root and gated in CI by
@@ -24,7 +20,7 @@ Modes
 Full mode (default) runs c880.  Quick mode — ``FAULT_SIM_BENCH_QUICK=1`` —
 runs c432 with fewer patterns and skips the speedup floors (CI smoke:
 shared runners make wall-clock ratios flaky); it still checks bit-exactness
-and serial/parallel equality and still writes the JSON artifact.
+and still writes the JSON artifact.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from repro.circuit.netlist import Circuit, Gate
 from repro.simulation import (
     FaultSimulator,
     NumpyFaultSimulator,
-    ParallelFaultSimulator,
     StuckAtFault,
     collapse_faults,
 )
@@ -245,30 +240,6 @@ def test_engine_race_seed_vs_python_vs_numpy():
         numpy_sim.run(patterns, faults=faults).first_detection == seed_first
     )
 
-    # The multi-core engine at its *default* crossover: this workload
-    # (n_faults x n_patterns) sits below the calibrated breakeven, so the
-    # pool must decline and serial timing must win — the regression the
-    # crossover recalibration fixed.
-    parallel = ParallelFaultSimulator(circuit, max_workers=2, engine="auto")
-    parallel_result, parallel_seconds = _timed(
-        lambda: parallel.run(patterns, faults=faults, drop_detected=False)
-    )
-    work = len(faults) * n_patterns
-    expected_path = "serial" if work < parallel.crossover else "parallel"
-    assert parallel.last_engine == expected_path
-    assert parallel_result.first_detection == seed_first
-    assert parallel_result.detection_counts == seed_counts
-
-    # Forced fan-out stays bit-exact (untimed: with the pool overhead below
-    # the crossover this measures process start-up, not simulation).
-    forced = ParallelFaultSimulator(
-        circuit, max_workers=2, crossover=0, engine="auto"
-    )
-    forced_result = forced.run(patterns, faults=faults, drop_detected=False)
-    assert forced.last_engine == "parallel"
-    assert forced_result.first_detection == seed_first
-    assert forced_result.detection_counts == seed_counts
-
     def _pps(seconds):
         return round(n_patterns / seconds, 1) if seconds > 0 else None
 
@@ -278,9 +249,6 @@ def test_engine_race_seed_vs_python_vs_numpy():
     )
     numpy_vs_wide = (
         wide_seconds / numpy_seconds if numpy_seconds > 0 else float("inf")
-    )
-    parallel_speedup = (
-        seed_seconds / parallel_seconds if parallel_seconds > 0 else float("inf")
     )
     record = {
         "benchmark": benchmark,
@@ -306,12 +274,6 @@ def test_engine_race_seed_vs_python_vs_numpy():
             "speedup_vs_wide": round(numpy_vs_wide, 2),
             "patterns_per_second": _pps(numpy_seconds),
         },
-        "parallel_engine": {
-            **parallel.engine_info(),
-            "chosen_path": parallel.last_engine,
-            "seconds": round(parallel_seconds, 4),
-            "speedup_vs_seed": round(parallel_speedup, 2),
-        },
     }
     BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -324,24 +286,3 @@ def test_engine_race_seed_vs_python_vs_numpy():
             f"numpy bitslice speedup {numpy_vs_wide:.2f}x < 3x vs python "
             f"wide-word (wide {wide_seconds:.3f}s, numpy {numpy_seconds:.3f}s)"
         )
-
-
-def test_parallel_matches_serial_quick():
-    """CI smoke: the pool path is bit-exact vs serial for both engines."""
-    circuit = load_benchmark("c432")
-    faults = collapse_faults(circuit)
-    patterns = random_patterns(len(circuit.primary_inputs), 192, seed=7)
-
-    serial = FaultSimulator(circuit).run(patterns, faults=faults)
-    for engine in ("python", "numpy"):
-        pooled_sim = ParallelFaultSimulator(
-            circuit, width=256, max_workers=2, crossover=0, engine=engine
-        )
-        pooled = pooled_sim.run(patterns, faults=faults)
-
-        assert pooled_sim.last_engine == "parallel"
-        assert pooled_sim.engine_info()["kind"] == engine
-        assert pooled.first_detection == serial.first_detection
-        assert pooled.detection_counts == serial.detection_counts
-        assert pooled.n_patterns == serial.n_patterns
-        assert pooled.coverage == serial.coverage

@@ -18,11 +18,11 @@ optionally renders the generated layout to SVG.  ``--profile`` prints a
 per-stage timing tree and a metric table after the run; ``--trace FILE``
 appends a JSON-lines run manifest (config hash, stage durations, metrics,
 fitted parameters) to ``FILE``, or — with ``--trace-format chrome`` —
-writes a Chrome/Perfetto trace instead (one lane per worker process; load
-it in ``chrome://tracing`` or https://ui.perfetto.dev).  ``--progress``
-renders live progress on stderr (patterns applied, faults remaining,
-detection rate, chunk completions, ETA) and ``--events FILE`` streams
-every pipeline event to FILE as JSON lines.  ``--checkpoint-dir DIR``
+writes a Chrome/Perfetto trace instead (load it in ``chrome://tracing`` or
+https://ui.perfetto.dev).  ``--progress`` renders live progress on stderr
+(patterns applied, faults remaining, detection rate, ETA) and ``--events
+FILE`` streams every pipeline event to FILE as JSON lines.
+``--checkpoint-dir DIR``
 persists every completed pipeline stage under ``DIR`` (keyed by
 configuration hash) and ``--resume`` restores the stages a previous,
 interrupted run already completed; a corrupt checkpoint exits non-zero
@@ -72,7 +72,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.resilience import CheckpointError
-from repro.simulation import engines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,37 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine",
-        default="auto",
-        choices=list(engines.ENGINE_NAMES),
-        help=(
-            "fault-simulation engine: 'python' wide-word reference, "
-            "'numpy' uint64 bitslice kernel, or 'auto' to pick numpy "
-            "when the platform preflight passes (default: auto; the "
-            "choice and its reason are recorded in the run manifest)"
-        ),
-    )
-    parser.add_argument(
-        "--fault-sim-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "total pool attempts per fault chunk before serial salvage "
-            "(default: the retry policy's budget of 2)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "per-chunk deadline in seconds for the parallel fault-sim "
-            "stage (default: no deadline)"
-        ),
-    )
-    parser.add_argument(
         "--svg", metavar="FILE", help="also render the layout to this SVG file"
     )
     parser.add_argument(
@@ -174,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="render live progress (ETA, detection rate, chunks) on stderr",
+        help="render live progress (ETA, detection rate) on stderr",
     )
     parser.add_argument(
         "--events",
@@ -203,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Version of the ``analyze --json`` / ``--certificates`` payload shape.
 #: Bumped when keys are renamed or removed; additions keep the version.
-#: Version 3 dropped the prover's ``depth``.
-_ANALYZE_SCHEMA_VERSION = 3
+#: Version 3 dropped the prover's ``depth``; version 4 dropped
+#: ``engine_preflight``.
+_ANALYZE_SCHEMA_VERSION = 4
 
 
 def build_analyze_parser() -> argparse.ArgumentParser:
@@ -331,15 +300,8 @@ def analyze_main(argv: list[str] | None = None) -> int:
         print(f"{n_certs} certificates written to {args.certificates}")
 
     if args.json:
-        from repro.simulation import engines
-
-        preflight_ok, preflight_reason = engines.numpy_preflight()
         payload = {
             "schema_version": _ANALYZE_SCHEMA_VERSION,
-            "engine_preflight": {
-                "numpy": {"ok": preflight_ok, "reason": preflight_reason},
-                "names": sorted(engines.ENGINE_NAMES),
-            },
             "circuits": reports,
         }
         with open(args.json, "w", encoding="utf-8") as sink:
@@ -447,18 +409,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.engine == "numpy":
-        # Fail the explicit request up front with one line instead of a
-        # traceback mid-pipeline; ``auto`` degrades to python silently (the
-        # manifest records the reason).
-        ok, reason = engines.numpy_preflight()
-        if not ok:
-            print(
-                f"error: --engine numpy unavailable: {reason}",
-                file=sys.stderr,
-            )
-            return 2
-
     if args.trace:
         # Fail fast on an unwritable sink rather than after a full run.
         try:
@@ -505,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
             detection=args.technique,
             seed=args.seed,
             max_random_patterns=args.max_random_patterns,
-            engine=args.engine,
-            fault_sim_retries=args.fault_sim_retries,
-            chunk_timeout=args.chunk_timeout,
         )
     except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

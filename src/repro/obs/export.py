@@ -1,27 +1,21 @@
 """Chrome/Perfetto trace-event export of collected spans and events.
 
-Converts a :class:`~repro.obs.trace.TraceCollector`'s span forest — parent
-spans plus any worker-process spans merged in by the parallel engine — into
-the Chrome trace-event JSON format (the ``{"traceEvents": [...]}`` object
-form), loadable in ``chrome://tracing`` and https://ui.perfetto.dev.
+Converts a :class:`~repro.obs.trace.TraceCollector`'s span forest into the
+Chrome trace-event JSON format (the ``{"traceEvents": [...]}`` object form),
+loadable in ``chrome://tracing`` and https://ui.perfetto.dev.
 
 Layout:
 
-* one **process lane per OS process** — the parent pipeline is one lane,
-  every pool worker another.  Worker spans are recognised by the
-  ``worker_pid`` attribute the telemetry merge tags them with (see
-  ``repro.simulation.parallel``); a span inherits its nearest tagged
-  ancestor's lane, so untagged children of a worker span stay in the worker
-  lane.  Within a process, one thread lane per collector thread is not
-  tracked — spans nest by time, which the viewers render correctly.
+* one **process lane**: the pipeline runs in one process.  Spans nest by
+  time, which the viewers render correctly;
 * spans become complete events (``"ph": "X"``) with microsecond timestamps;
 * retry/checkpoint events from the event bus become instant events
   (``"ph": "i"``), globally scoped so they draw as full-height markers.
 
-All spans and events share one timebase: ``time.perf_counter()`` is
-CLOCK_MONOTONIC-backed on the platforms we run on, so timestamps taken in
-worker processes line up with the parent's on the same machine.  Timestamps
-are rebased to the earliest span so traces start at t=0.
+Spans and events share one timebase (``time.perf_counter()``); timestamps
+are rebased to the earliest span so traces start at t=0.  Campaign traces
+(:func:`campaign_chrome_trace`) are built from the journal instead, one
+process group per job.
 """
 
 from __future__ import annotations
@@ -40,9 +34,6 @@ __all__ = [
     "write_campaign_trace",
 ]
 
-#: Span attribute naming the OS process a span was recorded in.
-WORKER_PID_ATTR = "worker_pid"
-
 
 def _jsonable_args(attributes: dict[str, object]) -> dict[str, object]:
     return {
@@ -57,9 +48,6 @@ def _collect_complete_events(
     base: float,
     out: list[dict],
 ) -> None:
-    pid_attr = span.attributes.get(WORKER_PID_ATTR)
-    if isinstance(pid_attr, int):
-        lane_pid = pid_attr
     if span.end_wall is not None:
         out.append(
             {
@@ -107,28 +95,24 @@ def chrome_trace(
     for root in roots:
         _collect_complete_events(root, pid, base, trace_events)
 
-    lanes = sorted({e["pid"] for e in trace_events} | {pid})
-    for lane in lanes:
-        label = "pipeline (main)" if lane == pid else f"fault-sim worker {lane}"
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": lane,
-                "tid": lane,
-                "args": {"name": label},
-            }
-        )
-        # Sort order: main lane first, workers after, in pid order.
-        trace_events.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": lane,
-                "tid": lane,
-                "args": {"sort_index": 0 if lane == pid else lane},
-            }
-        )
+    trace_events.append(
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": pid,
+            "args": {"name": "pipeline (main)"},
+        }
+    )
+    trace_events.append(
+        {
+            "name": "process_sort_index",
+            "ph": "M",
+            "pid": pid,
+            "tid": pid,
+            "args": {"sort_index": 0},
+        }
+    )
 
     for event in events or ():
         if isinstance(event, RetryEvent):

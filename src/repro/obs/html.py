@@ -11,9 +11,8 @@ manifest history that ``--trace`` appends.  Panels:
 * **n-detection depth** — how many faults the sequence detected *d* times
   (Pomeranz/Reddy n-detection telemetry from ``detection_counts``);
 * **Pipeline waterfall** — the latest run's span tree on a timeline;
-* **Worker lanes** — merged cross-process telemetry, one lane per worker;
-* **Resilience** — retries, salvaged chunks, degraded runs, checkpoint
-  restores across the history.
+* **Redundancy prover** — the latest run's proofs and PODEM statistics;
+* **Resilience** — checkpoint restores and recomputes across the history.
 
 Like the rest of :mod:`repro.obs` this module is stdlib-only; in
 particular it must not import :mod:`repro.core` (numpy/scipy) — the fitted
@@ -46,7 +45,6 @@ PANEL_IDS = (
     "panel-coverage",
     "panel-ndetection",
     "panel-waterfall",
-    "panel-lanes",
     "panel-analysis",
     "panel-resilience",
 )
@@ -673,67 +671,6 @@ def _waterfall_panel(manifests: Sequence["RunManifest"]) -> str:
     return _panel("panel-waterfall", "Pipeline waterfall", body, caption)
 
 
-def _lanes_panel(manifests: Sequence["RunManifest"]) -> str:
-    manifest = _latest_with(
-        manifests,
-        lambda m: any(
-            record.get("attributes", {}).get("worker_pid") is not None
-            for root in m.spans
-            for record, _ in _walk_spans(root)
-        ),
-    )
-    if manifest is None:
-        return _panel(
-            "panel-lanes",
-            "Worker lanes",
-            _note(
-                "no worker telemetry in this history (serial runs, or the "
-                "parallel engine never started a pool)"
-            ),
-        )
-    chunk_spans: list[dict] = []
-    for root in manifest.spans:
-        for record, _ in _walk_spans(root):
-            attrs = record.get("attributes", {})
-            if attrs.get("worker_pid") is not None:
-                chunk_spans.append(record)
-    t0 = min(_num(s.get("t0")) or 0.0 for s in chunk_spans)
-    t1 = max(_num(s.get("t1")) or 0.0 for s in chunk_spans)
-    by_pid: dict[int, list[dict]] = {}
-    for record in chunk_spans:
-        by_pid.setdefault(int(record["attributes"]["worker_pid"]), []).append(
-            record
-        )
-    rows: list[dict] = []
-    for lane, (pid, records) in enumerate(sorted(by_pid.items())):
-        for record in records:
-            s0 = _num(record.get("t0")) or 0.0
-            s1_ = _num(record.get("t1")) or 0.0
-            chunk = record.get("attributes", {}).get("chunk_id", "?")
-            rows.append(
-                {
-                    "label": f"pid {pid}" if record is records[0] else "",
-                    "start": s0 - t0,
-                    "dur": s1_ - s0,
-                    "cls": "s1" if lane % 2 == 0 else "s2",
-                    "tip": (
-                        f"worker {pid} chunk {chunk}: {_fmt_s(s1_ - s0)}"
-                    ),
-                }
-            )
-    # One visual row per span, grouped by pid (label only on the first).
-    busy = sum(r["dur"] for r in rows)
-    total = max(1e-9, t1 - t0)
-    utilisation = busy / (total * max(1, len(by_pid)))
-    body = _timeline_rows(rows, total)
-    caption = (
-        f"{len(by_pid)} worker process(es), {len(chunk_spans)} chunk "
-        f"span(s); lane utilisation {100.0 * utilisation:.0f}% of the "
-        "parallel window (alternating colors distinguish adjacent lanes)"
-    )
-    return _panel("panel-lanes", "Worker lanes", body, caption)
-
-
 def _analysis_panel(manifests: Sequence["RunManifest"]) -> str:
     """Redundancy-prover summary of the latest run that recorded one.
 
@@ -786,16 +723,13 @@ def _analysis_panel(manifests: Sequence["RunManifest"]) -> str:
 
 
 def _resilience_panel(manifests: Sequence["RunManifest"]) -> str:
-    retries = salvaged = degraded = restored = recomputed = 0
+    restored = recomputed = 0
     reported = 0
     for manifest in manifests:
         r = manifest.resilience
         if not isinstance(r, dict) or not r:
             continue
         reported += 1
-        retries += int(_num(r.get("chunk_retries")) or 0)
-        salvaged += int(_num(r.get("chunks_salvaged")) or 0)
-        degraded += 1 if r.get("engine_degraded") else 0
         restored += len(r.get("stages_restored") or [])
         recomputed += len(r.get("stages_recomputed") or [])
     if not reported:
@@ -804,20 +738,15 @@ def _resilience_panel(manifests: Sequence["RunManifest"]) -> str:
             "Resilience",
             _note("no resilience records in this history"),
         )
-    degraded_cls = "crit" if degraded else "good"
     body = _tiles(
         (
-            (degraded, "degraded run(s)", degraded_cls),
-            (retries, "chunk retries", "ink"),
-            (salvaged, "chunks salvaged", "ink"),
             (restored, "stages restored", "ink"),
             (recomputed, "stages recomputed", "ink"),
         )
     )
     caption = (
         f"aggregated over {reported} run(s) with resilience records; a "
-        "degraded run completed but lost pool chunks to retries or the "
-        "serial salvage path"
+        "restored stage was read back from a checkpoint, not recomputed"
     )
     return _panel("panel-resilience", "Resilience", body, caption)
 
@@ -951,7 +880,6 @@ def build_report(
         + _coverage_panel(manifests)
         + _ndetection_panel(manifests)
         + _waterfall_panel(manifests)
-        + _lanes_panel(manifests)
         + _analysis_panel(manifests)
         + _resilience_panel(manifests)
         if manifests

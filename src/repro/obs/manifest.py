@@ -47,8 +47,20 @@ MANIFEST_SCHEMA_VERSION = 1
 #: field goes.  Append entries; never edit or remove one.
 RETIRED_FIELDS: Mapping[str, Mapping[str, object]] = MappingProxyType(
     {
-        # Recursive learning left the redundancy prover; its depth was 2.
-        "ExperimentConfig": MappingProxyType({"prover_depth": 2}),
+        "ExperimentConfig": MappingProxyType(
+            {
+                # Recursive learning left the redundancy prover; its depth
+                # was 2.
+                "prover_depth": 2,
+                # The stuck-at stage lost its engine registry and process
+                # pool; it always runs the numpy kernel at its default width.
+                "engine": "auto",
+                "word_width": None,
+                "fault_sim_workers": None,
+                "fault_sim_retries": None,
+                "chunk_timeout": None,
+            }
+        ),
     }
 )
 
@@ -120,12 +132,13 @@ class RunManifest:
     seed: int | None = None
     git: str | None = None
     cache: str | None = None  # "hit" | "miss" | None (not recorded)
-    #: Fault-simulation engine descriptor: name ("serial"/"parallel"),
-    #: word width, worker count.  Empty when not recorded.
+    #: Stuck-at fault-simulation engine descriptor: kind and word width.
+    #: Empty when not recorded.  Older manifests also carry the retired
+    #: pool's keys (``engine``, ``workers``, ``degraded``, ...).
     engine: dict[str, object] = field(default_factory=dict)
     #: Resilience record of the run: stages restored vs recomputed from
-    #: checkpoints, engine degradation and salvage counts.  Empty when the
-    #: run had nothing to report (no checkpointing, no degradation).
+    #: checkpoints.  Older manifests also carry the retired pool's
+    #: degradation and chunk counts.
     resilience: dict[str, object] = field(default_factory=dict)
     #: span name -> cumulative wall seconds.
     stage_timings: dict[str, float] = field(default_factory=dict)

@@ -189,26 +189,6 @@ class MetricsRegistry:
         with self._lock:
             return dict(self._counters)
 
-    def counter_values(self) -> dict[str, int]:
-        """name -> current value for every counter (a point-in-time copy).
-
-        The worker-telemetry protocol diffs two of these snapshots to get the
-        counter *deltas* one fault chunk contributed (see
-        ``repro.simulation.parallel``).
-        """
-        with self._lock:
-            return {name: c.value for name, c in self._counters.items()}
-
-    def merge_counter_deltas(
-        self, deltas: dict[str, int], skip: frozenset[str] = frozenset()
-    ) -> None:
-        """Add per-name counter deltas (e.g. from a worker process) into this
-        registry, ignoring names in ``skip`` and non-positive deltas."""
-        for name, delta in deltas.items():
-            if name in skip or delta <= 0:
-                continue
-            self.counter(name).inc(delta)
-
     @property
     def gauges(self) -> dict[str, Gauge]:
         with self._lock:

@@ -147,7 +147,7 @@ def render_time_shares(collector: TraceCollector) -> str:
 
 
 def _render_engine(engine: dict[str, object]) -> str:
-    """One-block engine descriptor (``engine_info()`` of the last run)."""
+    """One-block engine descriptor (``ExperimentResult.engine``)."""
     lines = ["engine:"]
     for key, value in engine.items():
         if value is None:
@@ -163,11 +163,9 @@ def render_profile(
 ) -> str:
     """The full ``--profile`` report: span tree, time shares, engine, metrics.
 
-    ``engine`` is the fault-simulation engine descriptor
-    (:meth:`~repro.simulation.parallel.ParallelFaultSimulator.engine_info`);
-    when given it renders between the tree and the metrics, and a one-line
-    resilience summary (retries / salvaged / serial chunks) follows the
-    metrics when the run had anything to report.
+    ``engine`` is the stuck-at fault-simulation engine descriptor
+    (``ExperimentResult.engine``); when given it renders between the tree
+    and the metrics.
     """
     parts = [render_span_tree(collector)]
     shares = render_time_shares(collector)
@@ -176,14 +174,4 @@ def render_profile(
     if engine:
         parts.append(_render_engine(engine))
     parts.append(render_metrics(registry))
-    retries = registry.counters.get("resilience.chunk_retries")
-    salvaged = registry.counters.get("resilience.chunks_salvaged")
-    degraded = registry.counters.get("resilience.degraded_runs")
-    if any(c is not None and c.value for c in (retries, salvaged, degraded)):
-        parts.append(
-            "resilience: "
-            f"{retries.value if retries else 0} chunk retries, "
-            f"{salvaged.value if salvaged else 0} chunks salvaged, "
-            f"{degraded.value if degraded else 0} degraded run(s)"
-        )
     return "\n\n".join(parts)

@@ -67,11 +67,8 @@ class Span:
     def to_record(self) -> dict:
         """JSON-able representation (children recursively included).
 
-        ``t0``/``t1`` are the raw ``time.perf_counter()`` endpoints.  On one
-        machine they share a timebase across processes (CLOCK_MONOTONIC), so
-        worker-process span records can be rebuilt next to parent spans and
-        laid out on a common timeline (the Chrome-trace exporter relies on
-        this; see :mod:`repro.obs.export`).
+        ``t0``/``t1`` are the raw ``time.perf_counter()`` endpoints, which
+        the dashboard's pipeline waterfall lays out on a timeline.
         """
         return {
             "name": self.name,
@@ -82,32 +79,6 @@ class Span:
             "t1": self.end_wall,
             "children": [c.to_record() for c in self.children],
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Span":
-        """Rebuild a span (tree) from a :meth:`to_record` dictionary.
-
-        Records from older manifests may lack the ``t0``/``t1`` endpoints;
-        those spans are placed at origin with the recorded durations so
-        ``wall_time``/``cpu_time`` still answer correctly.
-        """
-        start_wall = record.get("t0")
-        end_wall = record.get("t1")
-        if start_wall is None or end_wall is None:
-            start_wall = 0.0
-            end_wall = float(record.get("wall_s", 0.0))
-        span = cls(
-            name=str(record.get("name", "?")),
-            attributes=dict(record.get("attributes", {})),
-            start_wall=float(start_wall),
-            start_cpu=0.0,
-            end_wall=float(end_wall),
-            end_cpu=float(record.get("cpu_s", 0.0)),
-        )
-        span.children = [
-            cls.from_record(child) for child in record.get("children", [])
-        ]
-        return span
 
 
 class _NullSpan:
@@ -202,21 +173,6 @@ class TraceCollector:
             if stack:
                 stack.pop()
         if not stack:
-            with self._lock:
-                self.roots.append(span)
-
-    def attach(self, span: Span) -> None:
-        """Graft an already-finished span under the calling thread's live span.
-
-        Used to merge spans recorded elsewhere — a worker process's chunk
-        spans, rebuilt with :meth:`Span.from_record` — into this collector's
-        tree.  With no span active on the calling thread the graft becomes a
-        new root.
-        """
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(span)
-        else:
             with self._lock:
                 self.roots.append(span)
 

@@ -16,9 +16,9 @@ worker crashes, hangs and interrupted processes without restarting from zero
   named points, so every recovery path is *exercised* by tests and CI, not
   just claimed.
 
-The supervised fan-out consuming the taxonomy lives in
-:class:`repro.simulation.parallel.ParallelFaultSimulator`; the checkpointed
-pipeline in :func:`repro.experiments.pipeline.run_experiment`.  Policy and
+The campaign supervisor (:mod:`repro.campaign.supervisor`) consumes the
+taxonomy and the retry policy per job; the checkpointed pipeline is
+:func:`repro.experiments.pipeline.run_experiment`.  Policy and
 format details: ``docs/RESILIENCE.md``.
 """
 
@@ -38,8 +38,7 @@ from repro.resilience.errors import (
     ChaosInjectedFatalError,
     CheckpointCorruptError,
     CheckpointError,
-    ChunkFailure,
-    ChunkTimeoutError,
+    Failure,
     FailureKind,
     FatalFailure,
     ResilienceError,
@@ -64,8 +63,7 @@ __all__ = [
     "ChaosInjectedFatalError",
     "CheckpointCorruptError",
     "CheckpointError",
-    "ChunkFailure",
-    "ChunkTimeoutError",
+    "Failure",
     "FailureKind",
     "FatalFailure",
     "ResilienceError",

@@ -4,12 +4,11 @@ Every recovery decision in :mod:`repro.resilience` starts from one question:
 *is this failure worth retrying?*  The taxonomy answers it with two classes —
 
 * **transient** — the failure is environmental (a worker process died, a
-  chunk timed out, the OS refused a resource) and the same work may well
-  succeed on a clean retry;
+  job's lease expired, the OS refused a resource) and the same work may
+  well succeed on a clean retry;
 * **fatal** — the failure is deterministic (a bug raised inside the
-  simulation code): retrying reproduces it, so the supervisor skips pool
-  retries and re-runs the chunk serially in the parent, where the real
-  exception propagates with full context instead of being swallowed.
+  experiment code): retrying reproduces it, so the campaign supervisor
+  quarantines the job instead of spending its retry budget.
 
 :func:`classify_failure` maps an arbitrary exception onto the taxonomy.
 Chaos-injected failures (:mod:`repro.resilience.chaos`) subclass the typed
@@ -25,14 +24,13 @@ __all__ = [
     "ResilienceError",
     "TransientFailure",
     "FatalFailure",
-    "ChunkTimeoutError",
     "WorkerCrashError",
     "CheckpointError",
     "CheckpointCorruptError",
     "ChaosInjectedError",
     "ChaosInjectedFatalError",
     "FailureKind",
-    "ChunkFailure",
+    "Failure",
     "classify_failure",
 ]
 
@@ -47,10 +45,6 @@ class TransientFailure(ResilienceError):
 
 class FatalFailure(ResilienceError):
     """A deterministic failure: retrying reproduces it."""
-
-
-class ChunkTimeoutError(TransientFailure):
-    """A fault chunk did not complete within its deadline."""
 
 
 class WorkerCrashError(TransientFailure):
@@ -93,10 +87,9 @@ _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
 
 
 @dataclass(frozen=True)
-class ChunkFailure:
-    """One classified chunk failure, ready for the retry ledger."""
+class Failure:
+    """One classified failure, ready for the retry ledger."""
 
-    chunk_id: int
     kind: FailureKind
     reason: str
     exception_type: str
@@ -106,7 +99,7 @@ class ChunkFailure:
         return self.kind is FailureKind.TRANSIENT
 
 
-def classify_failure(exc: BaseException, chunk_id: int = -1) -> ChunkFailure:
+def classify_failure(exc: BaseException) -> Failure:
     """Classify ``exc`` as transient or fatal for retry decisions.
 
     ``concurrent.futures`` breakage (``BrokenExecutor`` and the
@@ -125,8 +118,7 @@ def classify_failure(exc: BaseException, chunk_id: int = -1) -> ChunkFailure:
         kind = FailureKind.TRANSIENT
     else:
         kind = FailureKind.FATAL
-    return ChunkFailure(
-        chunk_id=chunk_id,
+    return Failure(
         kind=kind,
         reason=f"{type(exc).__name__}: {exc}",
         exception_type=type(exc).__name__,

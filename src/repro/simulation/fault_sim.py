@@ -23,8 +23,10 @@ Engine architecture (see ``docs/PERFORMANCE.md``):
   with fault dropping the cheap (easily detected, small-cone) faults retire
   first and the expensive cones are only walked while genuinely undetected.
 
-The multi-core fan-out lives in
-:class:`repro.simulation.parallel.ParallelFaultSimulator`.
+The pipeline's stuck-at stage runs the numpy bitslice kernel
+(:class:`repro.simulation.numpy_sim.NumpyFaultSimulator`); this engine is
+its test oracle and the kernel behind switch-level simulation, ATPG,
+transition and diagnosis, which need multi-site forces and narrow widths.
 """
 
 from __future__ import annotations
@@ -243,9 +245,6 @@ class FaultSimulator:
         bit-exact across widths; wider words trade memory per value for
         fewer interpreted passes.
     """
-
-    #: Engine-registry kind (see :mod:`repro.simulation.engines`).
-    kind = "python"
 
     def __init__(self, circuit: Circuit, width: int = DEFAULT_WORD_WIDTH):
         self.circuit = circuit
@@ -511,17 +510,6 @@ class FaultSimulator:
         return {names[po]: diffs.get(po, 0) for po in program.po_ids}
 
     # ------------------------------------------------------------------
-    def pack(self, patterns: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Pack ``patterns`` into this engine's native packed-group form.
-
-        Part of the engine protocol (see :mod:`repro.simulation.engines`):
-        the parallel fan-out packs once per worker and replays fault chunks
-        against the packed form via :meth:`run_packed`.
-        """
-        return pack_patterns(
-            patterns, len(self.circuit.primary_inputs), self.width
-        )
-
     def run(
         self,
         patterns: Sequence[Sequence[int]],
@@ -534,29 +522,16 @@ class FaultSimulator:
         active list after its first detection; first-detection indices are
         recorded either way.
         """
-        groups = self.pack(patterns)
-        return self.run_packed(groups, len(patterns), faults, drop_detected)
-
-    def run_packed(
-        self,
-        groups: Sequence[Sequence[int]],
-        n_patterns: int,
-        faults: list[StuckAtFault] | None = None,
-        drop_detected: bool = True,
-    ) -> FaultSimResult:
-        """Fault-simulate pre-packed pattern groups (packed at this width).
-
-        The multi-core fan-out packs once and re-runs chunks of the fault
-        list against the same groups; see
-        :class:`repro.simulation.parallel.ParallelFaultSimulator`.
-        """
         if faults is None:
             faults = full_fault_universe(self.circuit)
+        groups = pack_patterns(
+            patterns, len(self.circuit.primary_inputs), self.width
+        )
         first_detection, detection_counts = self._simulate_groups(
-            groups, n_patterns, faults, drop_detected
+            groups, len(patterns), faults, drop_detected
         )
         obs.set_gauge("fault_sim.word_width", self.width)
-        obs.inc("fault_sim.patterns_applied", n_patterns)
+        obs.inc("fault_sim.patterns_applied", len(patterns))
         obs.inc("fault_sim.faults_simulated", len(faults))
         if drop_detected:
             obs.inc("fault_sim.faults_dropped", len(first_detection))
@@ -564,7 +539,7 @@ class FaultSimulator:
         return FaultSimResult(
             faults=list(faults),
             first_detection=first_detection,
-            n_patterns=n_patterns,
+            n_patterns=len(patterns),
             detection_counts=detection_counts,
         )
 
@@ -575,14 +550,7 @@ class FaultSimulator:
         faults: list[StuckAtFault],
         drop_detected: bool,
     ) -> tuple[dict[StuckAtFault, int], dict[StuckAtFault, int]]:
-        """The simulation core: span + group loop, **no counter updates**.
-
-        :meth:`run_packed` layers the ``fault_sim.*`` counters on top.  The
-        parallel engine's serial-salvage path calls this directly and
-        accounts for its chunks itself — counters are owned either by one
-        serial run or by the supervising parent, never both, so merged
-        parallel profiles match serial runs without double counting.
-        """
+        """The simulation core: span + group loop; :meth:`run` counts."""
         first_detection: dict[StuckAtFault, int] = {}
         detection_counts: dict[StuckAtFault, int] = {}
         width = self.width

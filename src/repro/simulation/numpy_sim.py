@@ -1,9 +1,8 @@
 """Numpy ``uint64`` bitslice fault-simulation engine.
 
-This is the performance engine behind the ``engine="numpy"`` knob (see
-:mod:`repro.simulation.engines`); the pure-python wide-word
-:class:`~repro.simulation.fault_sim.FaultSimulator` remains the reference
-implementation and both engines are bit-exact against each other
+This is the engine of the pipeline's stuck-at stage; the pure-python
+wide-word :class:`~repro.simulation.fault_sim.FaultSimulator` remains the
+reference implementation and both engines are bit-exact against each other
 (``tests/test_engines.py``).
 
 Layout
@@ -113,13 +112,13 @@ def pack_bitslice(
         )
     bits = (mat != 0).astype(np.uint8)
     n_words = -(-n_patterns // 64)
-    # Pack per input column, little bit order, then view each input's padded
-    # byte row as uint64 words (byte 0 == bits 0..7 — verified by the engine
-    # preflight on platforms where the byte order could differ).
+    # Pack per input column, little bit order, then read each input's padded
+    # byte row as explicitly little-endian words (byte 0 == bits 0..7) and
+    # convert to native uint64: the layout holds on any host byte order.
     packed_bytes = np.packbits(bits, axis=0, bitorder="little")
     padded = np.zeros((n_inputs, n_words * 8), dtype=np.uint8)
     padded[:, : packed_bytes.shape[0]] = packed_bytes.T
-    words = padded.view(np.uint64)  # (n_inputs, n_words)
+    words = padded.view("<u8").astype(np.uint64, copy=False)  # (n_inputs, n_words)
     return np.ascontiguousarray(words.T)
 
 
@@ -188,7 +187,7 @@ class NumpyFaultSimulator:
         per-gate dispatch further but widen the cone unions.
     """
 
-    #: Engine-registry kind (see :mod:`repro.simulation.engines`).
+    #: Engine tag on this simulator's ``fault_sim.run`` spans.
     kind = "numpy"
 
     def __init__(
@@ -212,13 +211,6 @@ class NumpyFaultSimulator:
         self._n_inputs = len(circuit.primary_inputs)
         self.words_per_block = width // 64
         self._batch_memo: dict[tuple[StuckAtFault, ...], _BatchProgram] = {}
-
-    # ------------------------------------------------------------------
-    # Packing
-    # ------------------------------------------------------------------
-    def pack(self, patterns: Sequence[Sequence[int]]) -> np.ndarray:
-        """Pack ``patterns`` into this engine's bitslice array form."""
-        return pack_bitslice(patterns, self._n_inputs)
 
     # ------------------------------------------------------------------
     # Compilation
@@ -474,24 +466,14 @@ class NumpyFaultSimulator:
         drop_detected: bool = True,
     ) -> FaultSimResult:
         """Fault-simulate ``patterns`` against ``faults`` (default: universe)."""
-        packed = self.pack(patterns)
-        return self.run_packed(packed, len(patterns), faults, drop_detected)
-
-    def run_packed(
-        self,
-        packed: np.ndarray,
-        n_patterns: int,
-        faults: list[StuckAtFault] | None = None,
-        drop_detected: bool = True,
-    ) -> FaultSimResult:
-        """Fault-simulate a pre-packed bitslice array (from :meth:`pack`)."""
         if faults is None:
             faults = full_fault_universe(self.circuit)
+        packed = pack_bitslice(patterns, self._n_inputs)
         first_detection, detection_counts = self._simulate_groups(
-            packed, n_patterns, faults, drop_detected
+            packed, len(patterns), faults, drop_detected
         )
         obs.set_gauge("fault_sim.word_width", self.width)
-        obs.inc("fault_sim.patterns_applied", n_patterns)
+        obs.inc("fault_sim.patterns_applied", len(patterns))
         obs.inc("fault_sim.faults_simulated", len(faults))
         if drop_detected:
             obs.inc("fault_sim.faults_dropped", len(first_detection))
@@ -499,7 +481,7 @@ class NumpyFaultSimulator:
         return FaultSimResult(
             faults=list(faults),
             first_detection=first_detection,
-            n_patterns=n_patterns,
+            n_patterns=len(patterns),
             detection_counts=detection_counts,
         )
 
@@ -510,24 +492,12 @@ class NumpyFaultSimulator:
         faults: list[StuckAtFault],
         drop_detected: bool,
     ) -> tuple[dict[StuckAtFault, int], dict[StuckAtFault, int]]:
-        """The simulation core: span + block loop, **no counter updates**.
-
-        Mirrors the python engine's contract exactly (see
-        :meth:`FaultSimulator._simulate_groups`): :meth:`run_packed` layers
-        the ``fault_sim.*`` counters on top and the parallel fan-out's
-        salvage path calls this directly.
-        """
+        """The simulation core: span + block loop; :meth:`run` counts."""
         first_detection: dict[StuckAtFault, int] = {}
         detection_counts: dict[StuckAtFault, int] = {}
         width = self.width
         words_per_block = self.words_per_block
         n_words_total = packed.shape[0]
-        expected_words = -(-n_patterns // 64)
-        if n_words_total != expected_words:
-            raise ValueError(
-                f"packed array has {n_words_total} words, expected "
-                f"{expected_words} for {n_patterns} patterns"
-            )
         emit_progress = obs.events_enabled()
         with obs.span(
             "fault_sim.run",

@@ -76,12 +76,27 @@ def test_campaign_job_ids_are_the_pinned_hashes():
     assert JobSpec.for_config(ExperimentConfig()).job_id == DEFAULT_HASHES["c432"]
 
 
+#: Every retired ExperimentConfig field, its historical value and a value
+#: no stored config may carry.
+RETIRED = {
+    "prover_depth": (2, 3),
+    "engine": ("auto", "python"),
+    "word_width": (None, 256),
+    "fault_sim_workers": (None, 2),
+    "fault_sim_retries": (None, 3),
+    "chunk_timeout": (None, 30.0),
+}
+
+
 def test_retired_fields_keep_hashing_at_their_historical_value():
     config = ExperimentConfig()
-    assert config_to_dict(config)["prover_depth"] == 2
+    as_dict = config_to_dict(config)
+    for name, (historical, _) in RETIRED.items():
+        assert as_dict[name] == historical
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{name: historical})
     assert config.prover_depth == 2
-    with pytest.raises(TypeError):
-        ExperimentConfig(prover_depth=2)  # type: ignore[call-arg]
+    assert config.word_width is None
 
 
 def test_stored_config_dicts_with_retired_fields_still_load():
@@ -92,8 +107,12 @@ def test_stored_config_dicts_with_retired_fields_still_load():
     )
     (job,) = spec.expand()
     assert job.job_id == "5efca566755f76e8"
-    with pytest.raises(CampaignSpecError, match="prover_depth"):
-        config_from_dict({**stored, "prover_depth": 3})
+    for name, (historical, other) in RETIRED.items():
+        assert config_from_dict({**stored, name: historical}) == config_from_dict(
+            stored
+        )
+        with pytest.raises(CampaignSpecError, match=name):
+            config_from_dict({**stored, name: other})
 
 
 def test_config_hash_is_consistent_with_equality():

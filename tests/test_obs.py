@@ -214,17 +214,6 @@ def test_histogram_percentile_empty_raises():
     with pytest.raises(ValueError, match=r"\[0, 100\]"):
         hist.percentile(150)
 
-def test_counter_values_and_merge_deltas():
-    registry = MetricsRegistry()
-    registry.counter("a").inc(3)
-    registry.counter("b").inc(1)
-    assert registry.counter_values() == {"a": 3, "b": 1}
-    registry.merge_counter_deltas(
-        {"a": 2, "b": 0, "c": 5, "skipme": 7}, skip=frozenset({"skipme"})
-    )
-    assert registry.counter_values() == {"a": 5, "b": 1, "c": 5}
-
-
 def test_registry_snapshot_is_jsonable():
     import json
 

@@ -230,6 +230,12 @@ def test_obs_diff_old_schema_manifest_missing_optional_fields(
     assert code == 0
     assert "seed" in out
     assert "final_T" in out
+    # The listing labels the pool-era engine dict by its serial/parallel
+    # mode and ignores its worker count.
+    assert main(["obs", "list", str(path)]) == 0
+    listing = capsys.readouterr().out
+    assert "serial" in listing
+    assert "x1" not in listing
 
 
 def test_obs_html_renders_old_schema_history(tmp_path, capsys):

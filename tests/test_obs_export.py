@@ -1,4 +1,4 @@
-"""Chrome/Perfetto trace export: lanes, rebasing, metadata, instant events."""
+"""Chrome/Perfetto trace export: one lane, rebasing, metadata, instant events."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.obs.events import CheckpointEvent, RetryEvent, StageEvent
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.trace import Span, TraceCollector
+from repro.obs.trace import TraceCollector
 
 
 @pytest.fixture(autouse=True)
@@ -22,22 +22,9 @@ def _clean_obs_state():
 def _collector_with_work():
     collector, _ = obs.enable()
     with collector.start("pipeline.run", {"benchmark": "c17"}):
-        with collector.start("fault_sim.parallel", {}):
+        with collector.start("fault_sim.run", {}):
             pass
     return collector
-
-
-def _attach_worker_span(collector, pid, chunk_id):
-    worker = Span(
-        name="fault_sim.run",
-        attributes={"worker_pid": pid, "chunk_id": chunk_id},
-        start_wall=collector.roots[0].start_wall + 0.001,
-    )
-    worker.end_wall = worker.start_wall + 0.5
-    worker.end_cpu = 0.4
-    parallel = collector.roots[0].children[0]
-    parallel.children.append(worker)
-    return worker
 
 
 def test_spans_become_complete_events_rebased_to_zero():
@@ -46,56 +33,11 @@ def test_spans_become_complete_events_rebased_to_zero():
     complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert {e["name"] for e in complete} == {
         "pipeline.run",
-        "fault_sim.parallel",
+        "fault_sim.run",
     }
     assert min(e["ts"] for e in complete) == 0.0
     assert all(e["dur"] >= 0 for e in complete)
     assert trace["displayTimeUnit"] == "ms"
-
-
-def test_worker_spans_get_their_own_lane():
-    collector = _collector_with_work()
-    _attach_worker_span(collector, pid=11111, chunk_id=0)
-    _attach_worker_span(collector, pid=22222, chunk_id=1)
-    trace = chrome_trace(collector, main_pid=99)
-    by_name = {}
-    for event in trace["traceEvents"]:
-        if event["ph"] == "X":
-            by_name.setdefault(event["name"], []).append(event["pid"])
-    assert by_name["pipeline.run"] == [99]
-    assert sorted(by_name["fault_sim.run"]) == [11111, 22222]
-    # Process metadata names every lane, main sorted first.
-    meta = {
-        e["pid"]: e["args"]["name"]
-        for e in trace["traceEvents"]
-        if e["name"] == "process_name"
-    }
-    assert meta[99] == "pipeline (main)"
-    assert meta[11111] == "fault-sim worker 11111"
-    sort_index = {
-        e["pid"]: e["args"]["sort_index"]
-        for e in trace["traceEvents"]
-        if e["name"] == "process_sort_index"
-    }
-    assert sort_index[99] == 0
-    assert sort_index[11111] == 11111
-
-
-def test_untagged_children_inherit_worker_lane():
-    collector = _collector_with_work()
-    worker = _attach_worker_span(collector, pid=11111, chunk_id=0)
-    child = Span(
-        name="fault_sim.group",
-        attributes={},
-        start_wall=worker.start_wall,
-    )
-    child.end_wall, child.end_cpu = worker.end_wall, 0.1
-    worker.children.append(child)
-    trace = chrome_trace(collector, main_pid=99)
-    lanes = {
-        e["name"]: e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"
-    }
-    assert lanes["fault_sim.group"] == 11111
 
 
 def test_retry_and_checkpoint_events_become_instant_markers():
@@ -103,7 +45,7 @@ def test_retry_and_checkpoint_events_become_instant_markers():
     base = collector.roots[0].start_wall
     events = [
         RetryEvent(
-            point="parallel.chunk",
+            point="campaign.job",
             key=1,
             attempt=1,
             reason="boom",
@@ -116,7 +58,7 @@ def test_retry_and_checkpoint_events_become_instant_markers():
     instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
     assert len(instants) == 2
     retry, checkpoint = instants
-    assert retry["name"] == "retry parallel.chunk key=1"
+    assert retry["name"] == "retry campaign.job key=1"
     assert retry["s"] == "g"
     assert retry["ts"] == pytest.approx(250_000, abs=1000)
     assert retry["args"]["reason"] == "boom"
@@ -140,8 +82,7 @@ def test_write_chrome_trace_is_valid_json(tmp_path):
 
 
 def test_serial_run_exports_single_lane_trace():
-    # A zero-worker (serial) run has no worker_pid-tagged spans at all:
-    # every complete event lands on the main lane and exactly one process
+    # Every complete event lands on the main lane and exactly one process
     # is named in the metadata.
     collector = _collector_with_work()
     trace = chrome_trace(collector, main_pid=42)
@@ -179,5 +120,5 @@ def test_serial_pipeline_chrome_trace_end_to_end(tmp_path):
     trace = json.loads(out.read_text())
     complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert any(e["name"] == "pipeline.run" for e in complete)
-    # c17 runs serial (below the parallel crossover): one lane only.
+    # The pipeline runs in one process: one lane only.
     assert len({e["pid"] for e in complete}) == 1

@@ -36,14 +36,8 @@ def _manifest(seed=1, **overrides):
         seed=seed,
         git="abc1234",
         cache="miss",
-        engine={"engine": "serial", "workers": 1},
-        resilience={
-            "chunk_retries": 1,
-            "chunks_salvaged": 0,
-            "engine_degraded": False,
-            "stages_restored": ["atpg"],
-            "stages_recomputed": [],
-        },
+        engine={"kind": "numpy", "word_width": 1024},
+        resilience={"stages_restored": ["atpg"], "stages_recomputed": []},
         stage_timings={"pipeline.run": 0.5, "pipeline.atpg": 0.2},
         spans=[
             {
@@ -65,7 +59,7 @@ def _manifest(seed=1, **overrides):
                     },
                     {
                         "name": "fault_sim.run",
-                        "attributes": {"worker_pid": 4242, "chunk_id": 0},
+                        "attributes": {"engine": "numpy"},
                         "wall_s": 0.1,
                         "cpu_s": 0.1,
                         "t0": 10.2,
@@ -119,9 +113,38 @@ def test_full_report_has_every_panel_and_no_external_refs():
     _assert_self_contained(html)
     assert html.count("<svg") >= 5
     assert "<!DOCTYPE html>" in html
-    # Data made it into the marks: the worker lane and the waterfall.
-    assert "pid 4242" in html
+    # Data made it into the marks: the waterfall and the resilience tiles.
+    assert "fault_sim.run" in html
     assert "pipeline.atpg" in html
+    assert "stages restored" in html
+    assert "chunk retries" not in html
+
+
+def test_report_renders_manifests_from_the_process_pool_era():
+    # Manifests recorded while the stuck-at stage had a process pool carry
+    # its engine keys, chunk counters and worker-tagged spans; the
+    # dashboard still renders them, ignoring what it no longer shows.
+    spans = _manifest(8).spans
+    spans[0]["children"][1]["attributes"] = {"worker_pid": 4242, "chunk_id": 0}
+    pool_era = _manifest(
+        8,
+        engine={"engine": "parallel", "kind": "numpy", "workers": 2},
+        resilience={
+            "chunk_retries": 1,
+            "chunks_salvaged": 1,
+            "engine_degraded": True,
+            "degraded_reason": "ChaosInjectedError: boom",
+            "stages_restored": ["atpg"],
+            "stages_recomputed": [],
+        },
+        spans=spans,
+    )
+    html = build_report([pool_era])
+    for panel_id in PANEL_IDS:
+        assert f'id="{panel_id}"' in html
+    _assert_self_contained(html)
+    assert "stages restored" in html
+    assert "fault_sim.run" in html
 
 
 def test_report_on_old_schema_manifest_degrades_gracefully():
@@ -160,7 +183,10 @@ def test_report_labels_runs_by_engine_kind():
 def test_report_on_pre_engine_kind_manifests_degrades_gracefully():
     # Histories recorded before the engine registry carry no "kind": the
     # panels render unlabelled rather than guessing (or crashing).
-    old = [_manifest(6), _manifest(7, engine={})]
+    old = [
+        _manifest(6, engine={"engine": "serial", "workers": 1}),
+        _manifest(7, engine={}),
+    ]
     html = build_report(old)
     for panel_id in PANEL_IDS:
         assert f'id="{panel_id}"' in html

@@ -101,7 +101,7 @@ def test_resume_counters_and_resilience_info(tmp_path):
     info = resumed.resilience_info()
     assert info["stages_restored"] == STAGES
     assert info["stages_recomputed"] == []
-    assert info["engine_degraded"] is False
+    assert set(info) == {"stages_restored", "stages_recomputed"}
 
 
 def test_manifest_records_resilience(tmp_path):
@@ -115,7 +115,7 @@ def test_manifest_records_resilience(tmp_path):
     manifest.write(str(path))
     (parsed,) = read_manifests(str(path))
     assert parsed.resilience["stages_recomputed"] == STAGES
-    assert parsed.resilience["engine_degraded"] is False
+    assert "engine_degraded" not in parsed.resilience
 
 
 @pytest.mark.parametrize(
@@ -126,8 +126,6 @@ def test_manifest_records_resilience(tmp_path):
         ({"random_coverage_target": -0.1}, "random_coverage_target"),
         ({"max_random_patterns": -1}, "max_random_patterns"),
         ({"backtrack_limit": -5}, "backtrack_limit"),
-        ({"word_width": 0}, "word_width"),
-        ({"fault_sim_workers": 0}, "fault_sim_workers"),
     ],
 )
 def test_config_validation_rejects_bad_knobs(kwargs, match):
@@ -142,6 +140,4 @@ def test_config_validation_accepts_boundaries():
         random_coverage_target=1.0,
         max_random_patterns=0,
         backtrack_limit=0,
-        word_width=1,
-        fault_sim_workers=1,
     )

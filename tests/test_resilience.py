@@ -29,10 +29,9 @@ def test_classify_transient_types():
         EOFError("pipe closed"),
         ChaosInjectedError("injected"),
     ):
-        failure = classify_failure(exc, chunk_id=3)
+        failure = classify_failure(exc)
         assert failure.kind is FailureKind.TRANSIENT
         assert failure.transient
-        assert failure.chunk_id == 3
         assert type(exc).__name__ == failure.exception_type
         assert failure.exception_type in failure.reason
 
@@ -78,18 +77,18 @@ def test_retry_policy_validation():
 # ---------------------------------------------------------------------------
 def test_chaos_noop_without_plan():
     chaos.uninstall()
-    chaos.maybe_inject("parallel.chunk", key=0)  # must not raise
+    chaos.maybe_inject("campaign.job", key=0)  # must not raise
     assert chaos.planned_kind("checkpoint.save", key="atpg") is None
     assert chaos.current_plan() is None
 
 
 def test_chaos_rule_matches_keys_and_attempts():
     rule = ChaosRule(
-        point="parallel.chunk", kind="exception", keys={1, 2}, attempts={0}
+        point="campaign.job", kind="exception", keys={1, 2}, attempts={0}
     )
-    assert rule.matches(0, "parallel.chunk", 1, 0)
-    assert not rule.matches(0, "parallel.chunk", 3, 0)
-    assert not rule.matches(0, "parallel.chunk", 1, 1)
+    assert rule.matches(0, "campaign.job", 1, 0)
+    assert not rule.matches(0, "campaign.job", 3, 0)
+    assert not rule.matches(0, "campaign.job", 1, 1)
     assert not rule.matches(0, "other.point", 1, 0)
 
 
@@ -144,11 +143,11 @@ def test_chaos_cooperative_kinds_do_not_fire_actively():
 def test_chaos_plan_is_picklable_for_worker_shipping():
     plan = ChaosPlan(
         rules=(
-            ChaosRule(point="parallel.chunk", kind="crash", keys={0}, attempts={0}),
-            ChaosRule(point="parallel.chunk", kind="sleep", sleep_s=0.5, rate=0.3),
+            ChaosRule(point="campaign.job", kind="crash", keys={0}, attempts={0}),
+            ChaosRule(point="campaign.job", kind="sleep", sleep_s=0.5, rate=0.3),
         ),
         seed=42,
     )
     clone = pickle.loads(pickle.dumps(plan))
     assert clone == plan
-    assert clone.rule_for("parallel.chunk", 0, 0).kind == "crash"
+    assert clone.rule_for("campaign.job", 0, 0).kind == "crash"
