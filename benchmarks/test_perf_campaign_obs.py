@@ -1,10 +1,10 @@
-"""Guard: the campaign event bridge is cheap when on, free when off.
+"""Guard: campaign telemetry is cheap when on, free when off.
 
-The campaign observatory's contract (issue acceptance criteria): running a
-sweep with full telemetry — event bus enabled, every event mirrored to a
-``--events`` JSONL sink, the fleet renderer folding the stream — must cost
-under **2%** wall-clock overhead against the identical sweep with
-telemetry off.
+The campaign observatory's contract: running a sweep with full telemetry —
+event bus enabled, every campaign event mirrored to a ``--events`` JSONL
+sink and to the ``--progress`` totals printer, a fresh metrics registry per
+job for the ``counters`` events — must cost under **2%** wall-clock
+overhead against the identical sweep with telemetry off.
 
 The measurement interleaves pairs with alternating order to cancel
 first-mover bias, and the bound is ``ceiling + noise`` where ``noise`` is
@@ -30,7 +30,8 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.campaign import CampaignSpec, CampaignSupervisor, FleetRenderer
+from repro.campaign import CampaignSpec, CampaignSupervisor
+from repro.campaign.cli import _progress_printer
 from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import _run_cached
 from repro.obs.events import JsonlEventSink
@@ -61,16 +62,14 @@ def _timed_sweep(root: Path, telemetry: bool) -> float:
     directory = root / ("on" if telemetry else "off")
     shutil.rmtree(directory, ignore_errors=True)
     _run_cached.cache_clear()  # every job recomputes: real work, not memo
-    sink = renderer = None
-    if telemetry:
-        bus = obs.enable_events()
+    bus = obs.enable_events() if telemetry else None
+    sink = None
+    if bus is not None:
         sink = JsonlEventSink(str(root / "events.jsonl"), bus)
-        renderer = FleetRenderer(
-            total_jobs=len(SEEDS), stream=io.StringIO(), min_interval=0.0
-        )
-        bus.subscribe(renderer)
     try:
         supervisor = CampaignSupervisor(directory, max_workers=0)
+        if bus is not None:
+            bus.subscribe(_progress_printer(supervisor.state, io.StringIO()))
         supervisor.submit(_spec())
         t0 = time.perf_counter()
         report = supervisor.run()
@@ -79,13 +78,11 @@ def _timed_sweep(root: Path, telemetry: bool) -> float:
     finally:
         if sink is not None:
             sink.close()
-        if renderer is not None:
-            renderer.close()
         obs.disable_events()
     return seconds
 
 
-def test_event_bridge_overhead_under_ceiling():
+def test_campaign_telemetry_overhead_under_ceiling():
     obs.disable_events()
     obs.disable()
     with tempfile.TemporaryDirectory(prefix="campaign-obs-bench-") as tmp:
@@ -129,7 +126,7 @@ def test_event_bridge_overhead_under_ceiling():
     if not QUICK:
         allowed = WALL_CEILING + noise
         assert overhead < allowed, (
-            f"event-bridge overhead {100 * overhead:.2f}% exceeds "
+            f"campaign telemetry overhead {100 * overhead:.2f}% exceeds "
             f"{100 * WALL_CEILING:.0f}% ceiling + {100 * noise:.2f}% "
             f"measured machine noise (baseline {baseline:.4f}s, "
             f"telemetry {telemetry_s:.4f}s over {len(SEEDS)} jobs)"

@@ -13,8 +13,9 @@ and finishes the sweep, and the script asserts:
 * jobs completed before the kill were not recomputed (no second lease);
 * a fresh campaign sharing the result store serves **all** jobs from cache
   with zero simulation — its journal holds cached completions only;
-* the merged ``--events`` stream of the killed-then-resumed campaign
-  carries per-job counters **bit-identical** to the reference stream;
+* the campaign-event stream (``--events``) of the killed-then-resumed
+  campaign carries per-job counters **bit-identical** to the reference
+  stream;
 * ``campaign trace`` rebuilds a Chrome trace from the journal alone:
   one process group per job plus the reclaimed-lease marker;
 * ``campaign report`` renders a self-contained HTML report (gantt, sweep
@@ -164,7 +165,7 @@ def kill_mid_flight(spec_path: Path) -> int:
 def resume_and_verify(reference: dict[str, dict], done_before: int) -> None:
     camp = HOME / "camp"
     # The resumed supervisor appends to the same --events stream: the file
-    # ends up holding the *merged* telemetry of both lives of the campaign.
+    # ends up holding the campaign events of both lives of the campaign.
     run_campaign(
         "resume", "--dir", str(camp), "--workers", "0",
         "--events", str(HOME / "camp_events.jsonl"),
@@ -218,7 +219,7 @@ def verify_cache_serving(reference: dict[str, dict]) -> None:
 
 
 def _counters_by_job(events_path: Path) -> dict[str, dict]:
-    """Per-job counters snapshots from a merged --events JSONL stream."""
+    """Per-job counters snapshots from a --events campaign-event stream."""
     counters: dict[str, dict] = {}
     with open(events_path, encoding="utf-8") as handle:
         for line in handle:

@@ -44,9 +44,9 @@ committed baseline.
 :mod:`repro.campaign.cli`): a JSON spec expands into content-addressed
 jobs, a write-ahead journal makes ``kill -9`` recoverable via ``campaign
 resume``, and completed configurations are served from the result cache
-with zero recomputation.  ``campaign run --progress`` renders a live
-per-job fleet table, ``status --follow`` watches a campaign read-only from
-another terminal, ``trace`` exports a Chrome/Perfetto trace built from the
+with zero recomputation.  ``campaign run --progress`` prints the status
+totals after each job transition, ``status --follow`` watches a campaign
+read-only from another terminal, ``trace`` exports a Chrome/Perfetto trace built from the
 journal alone (one lane group per job), and ``report`` renders a
 self-contained HTML sweep report with gantt, sweep-axis, cache-economics
 and regression panels.

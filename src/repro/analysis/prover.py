@@ -81,7 +81,7 @@ _STATIC_LEARNING_CACHE: dict[str, LearnedMap] = {}
 
 
 def static_learning(
-    circuit: Circuit, engine: ImplicationEngine | None = None
+    circuit: Circuit, constants: dict[str, int] | None = None
 ) -> LearnedMap:
     """Indirect implications learned by contrapositive analysis, cached.
 
@@ -90,13 +90,15 @@ def static_learning(
     is a tautology.  Only *indirect* contrapositives — those the direct
     closure of ``(b, 1-w)`` does not already derive — are recorded, which
     keeps the learned base small and every entry informative.
+
+    Learning runs on a private engine, so a caller's engine meters (and
+    memoises) the same work whether the per-netlist cache hits or misses.
     """
     key = netlist_hash(circuit)
     cached = _STATIC_LEARNING_CACHE.get(key)
     if cached is not None:
         return cached
-    if engine is None:
-        engine = ImplicationEngine(circuit)
+    engine = ImplicationEngine(circuit, constants=constants)
     acc: dict[Lit, list[Lit]] = {}
     nets = list(circuit.primary_inputs) + [g.output for g in engine.order]
     for net in nets:
@@ -213,7 +215,7 @@ class RedundancyProver:
         )
         self.circuit = self.engine.circuit
         self.nhash = netlist_hash(self.circuit)
-        self.learned = static_learning(self.circuit, self.engine)
+        self.learned = static_learning(self.circuit, self.engine.constants)
         self.work: dict[str, int] = {"closures": 0, "steps": 0}
         self.phase_wall_s: dict[str, float] = {"fire": 0.0, "static_learning": 0.0}
         self._topo_index: dict[str, int] = {

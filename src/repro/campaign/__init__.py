@@ -13,10 +13,7 @@ One campaign = one directory = one write-ahead journal.  The package treats
 * :mod:`repro.campaign.store` — the content-addressed result store that
   serves re-submitted sweeps from cache (:class:`ResultStore`);
 * :mod:`repro.campaign.supervisor` — the leased, heartbeat-monitored
-  process-pool scheduler (:class:`CampaignSupervisor`), which also bridges
-  worker events back onto the supervisor's bus tagged per job;
-* :mod:`repro.campaign.telemetry` — the live fleet table renderer
-  (:class:`FleetRenderer`, behind ``campaign run --progress``);
+  process-pool scheduler (:class:`CampaignSupervisor`);
 * :mod:`repro.campaign.cli` — ``python -m repro campaign run|resume|status|
   trace|report|gc|compact``.
 
@@ -43,7 +40,6 @@ from repro.campaign.store import (
     result_record,
 )
 from repro.campaign.supervisor import CampaignReport, CampaignSupervisor
-from repro.campaign.telemetry import FleetRenderer
 
 __all__ = [
     "CampaignSpec",
@@ -63,5 +59,4 @@ __all__ = [
     "record_sha256",
     "CampaignSupervisor",
     "CampaignReport",
-    "FleetRenderer",
 ]

@@ -26,11 +26,11 @@ continues exactly where the run stopped.
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 import time
 from pathlib import Path
+from typing import Callable, TextIO
 
 from repro import obs
 from repro.campaign.journal import (
@@ -43,6 +43,7 @@ from repro.campaign.spec import CampaignSpecError, load_spec
 from repro.campaign.state import DONE, LEASED, PENDING, QUARANTINED, CampaignState
 from repro.campaign.store import ResultStore, dir_size_bytes
 from repro.campaign.supervisor import DEFAULT_LEASE_TIMEOUT, CampaignSupervisor
+from repro.obs.events import CampaignEvent, Event
 from repro.resilience.checkpoint import CheckpointStore
 
 __all__ = ["campaign_main", "build_campaign_parser"]
@@ -93,14 +94,18 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress",
             action="store_true",
-            help="render a live per-job fleet table on stderr",
+            help=(
+                "print the status totals line on stderr after each job "
+                "transition, and the job table at the end"
+            ),
         )
         p.add_argument(
             "--events",
             metavar="FILE",
             help=(
-                "stream merged campaign + tagged worker events to FILE as "
-                "JSON lines (tailable; appends across resumes)"
+                "stream campaign events (job transitions and per-job "
+                "counters) to FILE as JSON lines (tailable; appends across "
+                "resumes)"
             ),
         )
 
@@ -140,14 +145,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="FILE",
         help="trace JSON destination (default: <dir>/trace.json)",
-    )
-    trace.add_argument(
-        "--events",
-        metavar="FILE",
-        help=(
-            "overlay a merged --events JSONL stream as per-worker instant "
-            "markers"
-        ),
     )
 
     report = sub.add_parser(
@@ -320,25 +317,18 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
             print(f"error: invalid campaign spec: {exc}", file=sys.stderr)
             return 2
 
-    renderer = event_sink = None
-    streaming = args.progress or bool(args.events)
-    if streaming:
-        bus = obs.enable_events()
-        if args.progress:
-            from repro.campaign.telemetry import FleetRenderer
-
-            renderer = FleetRenderer()
-            bus.subscribe(renderer)
-        if args.events:
-            try:
-                event_sink = obs.JsonlEventSink(args.events, bus)
-            except OSError as exc:
-                print(
-                    f"error: cannot write events file {args.events}: {exc}",
-                    file=sys.stderr,
-                )
-                obs.disable_events()
-                return 2
+    event_sink = None
+    bus = obs.enable_events() if args.progress or args.events else None
+    if bus is not None and args.events:
+        try:
+            event_sink = obs.JsonlEventSink(args.events, bus)
+        except OSError as exc:
+            print(
+                f"error: cannot write events file {args.events}: {exc}",
+                file=sys.stderr,
+            )
+            obs.disable_events()
+            return 2
 
     try:
         try:
@@ -351,6 +341,8 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
         except (JournalError, OSError, ValueError) as exc:
             print(f"error: cannot open campaign: {exc}", file=sys.stderr)
             return 2
+        if bus is not None and args.progress:
+            bus.subscribe(_progress_printer(supervisor.state, sys.stderr))
         if spec is not None:
             try:
                 new = supervisor.submit(spec)
@@ -368,12 +360,12 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
             )
             return 2
         report = supervisor.run()
+        if args.progress:
+            print("\n".join(_render_status(supervisor.state)), file=sys.stderr)
     finally:
-        if renderer is not None:
-            renderer.close()
         if event_sink is not None:
             event_sink.close()
-        if streaming:
+        if bus is not None:
             obs.disable_events()
 
     counts = report.counts
@@ -409,7 +401,6 @@ def _render_status(state: CampaignState) -> list[str]:
             f"(stop reason: {state.stop_reason}); resume will wait for a "
             "spec submission"
         ]
-    counts = state.counts()
     flags = []
     if state.finished:
         flags.append("finished")
@@ -434,11 +425,38 @@ def _render_status(state: CampaignState) -> list[str]:
             f"{job.job_id:<18} {job.status:<12} {job.attempts:>3} "
             f"{job.priority:>4}  {detail}"
         )
-    lines.append(
+    lines.append(_totals_line(state))
+    return lines
+
+
+def _totals_line(state: CampaignState) -> str:
+    counts = state.counts()
+    return (
         f"totals: {counts[DONE]} done, {counts[PENDING]} pending, "
         f"{counts[LEASED]} leased, {counts[QUARANTINED]} quarantined"
     )
-    return lines
+
+
+def _progress_printer(
+    state: CampaignState, stream: TextIO
+) -> Callable[[Event], None]:
+    """Bus subscriber behind ``--progress``: one totals line per transition.
+
+    ``state`` is the live supervisor's state, which every
+    :class:`CampaignEvent` follows (the record is journalled first), so the
+    line reads the same counts ``campaign status`` would.
+    """
+
+    def print_totals(event: Event) -> None:
+        if isinstance(event, CampaignEvent) and event.action != "counters":
+            print(
+                f"[campaign] {event.action} {event.job[:12]}  "
+                f"{_totals_line(state)}",
+                file=stream,
+                flush=True,
+            )
+
+    return print_totals
 
 
 def _status(args: argparse.Namespace) -> int:
@@ -482,28 +500,6 @@ def _status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_event_records(path: str) -> list[dict] | None:
-    """JSONL event records from a ``--events`` stream (None on I/O error)."""
-    records: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail of a killed writer
-                if isinstance(record, dict):
-                    records.append(record)
-    except OSError as exc:
-        print(f"error: cannot read events file {path}: {exc}",
-              file=sys.stderr)
-        return None
-    return records
-
-
 def _trace(args: argparse.Namespace) -> int:
     home = _require_campaign_dir(args.dir)
     if home is None:
@@ -513,18 +509,11 @@ def _trace(args: argparse.Namespace) -> int:
     except (JournalCorruptError, JournalError) as exc:
         print(f"error: cannot load campaign: {exc}", file=sys.stderr)
         return 2
-    events = None
-    if args.events:
-        events = _read_event_records(args.events)
-        if events is None:
-            return 2
     from repro.obs.export import write_campaign_trace
 
     out = args.out or str(home / "trace.json")
     try:
-        count = write_campaign_trace(
-            out, records, events=events, compactions=compactions
-        )
+        count = write_campaign_trace(out, records, compactions=compactions)
     except OSError as exc:
         print(f"error: cannot write trace {out}: {exc}", file=sys.stderr)
         return 2

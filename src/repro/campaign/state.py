@@ -139,21 +139,22 @@ class CampaignState:
         state.last_seq = last_seq
         return state
 
-    def release_dead_leases(self) -> list[str]:
+    def release_dead_leases(self) -> dict[str, str | None]:
         """Fold crash-orphaned leases back to pending (resume entry point).
 
         A lease only exists inside one supervisor process; after a crash the
         journal still says ``leased`` but no worker holds the job.  The
         lease attempt stays counted — a job that keeps crashing its
-        supervisor still exhausts its retry budget eventually.
+        supervisor still exhausts its retry budget eventually.  Returns the
+        released lease id per job id, in job-id order.
         """
-        released = []
+        released = {}
         for job in self.jobs.values():
             if job.status == LEASED:
+                released[job.job_id] = job.lease_id
                 job.status = PENDING
                 job.lease_id = None
-                released.append(job.job_id)
-        return sorted(released)
+        return dict(sorted(released.items()))
 
     # -- the fold -------------------------------------------------------
     def apply(self, record: dict) -> None:

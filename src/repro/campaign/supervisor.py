@@ -57,14 +57,7 @@ from repro.campaign.spec import CampaignSpec, config_from_dict
 from repro.campaign.state import DONE, CampaignState, campaign_record
 from repro.campaign.store import ResultStore, result_record
 from repro.experiments import run_experiment
-from repro.obs.events import (
-    BoundedEventBuffer,
-    CampaignEvent,
-    Event,
-    JobEvent,
-    RetryEvent,
-    read_event_envelopes,
-)
+from repro.obs.events import CampaignEvent, RetryEvent
 from repro.obs.manifest import RunManifest
 from repro.resilience import chaos
 from repro.resilience.errors import FailureKind, classify_failure
@@ -105,7 +98,6 @@ def _run_campaign_job(
     attempt: int,
     hb_path: str | None,
     hb_interval: float,
-    events_path: str | None = None,
     telemetry: bool = False,
 ) -> dict[str, object]:
     """Execute one job in a worker: run the experiment, return its record.
@@ -114,13 +106,13 @@ def _run_campaign_job(
     starts, so an injected ``sleep`` models the worst hang — a worker that
     never reports liveness at all.
 
-    With ``events_path`` the job runs under a fresh in-process event bus
-    whose events ship back through a :class:`BoundedEventBuffer` envelope
-    file (the pool half of the campaign event bridge); ``telemetry`` runs
-    the job under a fresh metrics registry and returns its counter snapshot
-    in the payload (``"counters"``).  Both save and restore the module-level
-    obs state, so the inline mode (``max_workers=0``, sharing the
-    supervisor's process) never clobbers the parent's collectors.
+    The job runs with the event bus suspended, inline or in a pool worker
+    alike: jobs publish nothing, and the supervisor's bus carries only its
+    own scheduling narration.  ``telemetry`` runs the job under a fresh
+    metrics registry and returns its counter snapshot in the payload
+    (``"counters"``).  The module-level obs state is restored afterwards,
+    so the inline mode (``max_workers=0``, sharing the supervisor's
+    process) never clobbers the parent's bus or collectors.
     """
     chaos.maybe_inject("campaign.job", key=job_id, attempt=attempt)
     stop = threading.Event()
@@ -138,21 +130,8 @@ def _run_campaign_job(
         thread.start()
     prev_bus = obs.event_bus()
     prev_collector, prev_registry = obs.collector(), obs.registry()
-    buffer: BoundedEventBuffer | None = None
-    if events_path is not None:
-        bus = obs.enable_events()
-        buffer = BoundedEventBuffer(
-            events_path,
-            tags={
-                "job": job_id,
-                "attempt": attempt,
-                "worker_pid": os.getpid(),
-            },
-        )
-        bus.subscribe(buffer)
-    fresh_registry = None
-    if telemetry or events_path is not None:
-        _collector, fresh_registry = obs.enable()
+    obs.disable_events()
+    fresh_registry = obs.enable()[1] if telemetry else None
     try:
         config = config_from_dict(dict(config_dict))
         t0 = time.perf_counter()
@@ -170,46 +149,13 @@ def _run_campaign_job(
         stop.set()
         if thread is not None:
             thread.join(timeout=1.0)
-        if buffer is not None:
-            buffer.close()
-        if events_path is not None:
-            if prev_bus is not None:
-                obs.enable_events(prev_bus)
-            else:
-                obs.disable_events()
+        if prev_bus is not None:
+            obs.enable_events(prev_bus)
         if fresh_registry is not None:
             if prev_collector is not None and prev_registry is not None:
                 obs.enable(prev_collector, prev_registry)
             else:
                 obs.disable()
-
-
-class _InlineForwarder:
-    """Re-publish an inline job's events on the parent bus, tagged.
-
-    The inline twin of the envelope-file bridge: events published while an
-    inline job runs land on a private bus, and this forwarder wraps each one
-    in a :class:`JobEvent` (job id, config hash, pid) before handing it to
-    the supervisor's own bus — so ``--events`` streams and renderers see one
-    merged, tagged feed regardless of pool width.
-    """
-
-    def __init__(self, job_id: str, pid: int, parent_bus: object) -> None:
-        self.job_id = job_id
-        self.pid = pid
-        self.parent_bus = parent_bus
-
-    def __call__(self, event: Event) -> None:
-        self.parent_bus.publish(  # type: ignore[attr-defined]
-            JobEvent(
-                job=self.job_id,
-                config_hash=self.job_id,
-                worker_pid=self.pid,
-                inner=event.to_record(),
-                ts=event.ts,
-                ts_mono=event.ts_mono,
-            )
-        )
 
 
 # ----------------------------------------------------------------------
@@ -222,13 +168,9 @@ class _Lease:
     lease_id: str
     attempt: int
     granted_mono: float
-    hb_path: Path | None
+    hb_path: Path
     last_hb: str = ""
     last_progress_mono: float = 0.0
-    #: Worker-side event envelope channel (None = telemetry off).
-    events_path: Path | None = None
-    events_offset: int = 0
-    events_dropped: int = 0
 
     def __post_init__(self) -> None:
         if not self.last_progress_mono:
@@ -350,7 +292,9 @@ class CampaignSupervisor:
         t0 = time.perf_counter()
         self._report = CampaignReport(name=self.state.name)
         released = self.state.release_dead_leases()
-        for job_id in released:
+        for job_id, lease_id in released.items():
+            # The dead holder's heartbeat file outlives it; drop it too.
+            (self.dir / "leases" / f"{lease_id}.hb").unlink(missing_ok=True)
             # The journal must reflect the release (replay would otherwise
             # still see the dead lease): reclaim with a restart reason.
             self._append(
@@ -420,8 +364,6 @@ class CampaignSupervisor:
                     timeout=self.poll_interval,
                     return_when=FIRST_COMPLETED,
                 )
-                for lease in in_flight.values():
-                    self._pump_lease_events(lease)
                 # Expiry first, harvest second: a chaos-forced ``expire``
                 # must win even when the worker already finished, or the
                 # reclaim path would depend on worker speed.
@@ -499,10 +441,6 @@ class CampaignSupervisor:
             if self.lease_timeout is not None
             else 1.0
         )
-        events_path: Path | None = None
-        if obs.events_enabled():
-            events_path = hb_dir / f"{lease_id}.events.jsonl"
-            events_path.unlink(missing_ok=True)
         pool = self._ensure_pool()
         try:
             future = pool.submit(
@@ -512,8 +450,7 @@ class CampaignSupervisor:
                 attempt,
                 str(hb_path),
                 interval,
-                str(events_path) if events_path is not None else None,
-                events_path is not None,
+                obs.events_enabled(),
             )
         except Exception as exc:  # pool broke at submission
             self._handle_failure(job_id, attempt, exc, {})
@@ -525,7 +462,6 @@ class CampaignSupervisor:
             attempt=attempt,
             granted_mono=time.monotonic(),
             hb_path=hb_path,
-            events_path=events_path,
         )
         return True
 
@@ -545,15 +481,6 @@ class CampaignSupervisor:
         )
         obs.inc("pipeline.cache_miss")
         self._emit_campaign(job_id, "lease", attempt=attempt)
-        # Inline jobs share the supervisor's process: swap in a fresh bus so
-        # the job's own events can be re-published *tagged* on the parent
-        # bus (the same JobEvent envelope pool workers ship through files).
-        parent_bus = obs.event_bus()
-        if parent_bus is not None:
-            fresh = obs.enable_events()
-            fresh.subscribe(
-                _InlineForwarder(job_id, os.getpid(), parent_bus)
-            )
         try:
             payload = _run_campaign_job(
                 job_id,
@@ -561,14 +488,11 @@ class CampaignSupervisor:
                 attempt,
                 None,
                 1.0,
-                telemetry=parent_bus is not None,
+                telemetry=obs.events_enabled(),
             )
         except Exception as exc:
             self._handle_failure(job_id, attempt, exc, backoff_until)
             return
-        finally:
-            if parent_bus is not None:
-                obs.enable_events(parent_bus)
         self._complete_job(job_id, payload)
 
     def _finish_lease(
@@ -589,7 +513,7 @@ class CampaignSupervisor:
                 self._degrade_pool(f"pool broke: {exc}")
             return
         finally:
-            self._close_lease_channel(lease)
+            lease.hb_path.unlink(missing_ok=True)
         self._complete_job(lease.job_id, payload)
 
     def _complete_job(self, job_id: str, payload: dict[str, object]) -> None:
@@ -621,7 +545,7 @@ class CampaignSupervisor:
         if isinstance(counters, dict) and counters:
             # The job's own counter snapshot, from the fresh per-job
             # registry: deterministic for a deterministic config, so a
-            # resumed campaign's merged stream carries counters
+            # resumed campaign's event stream carries counters
             # bit-identical to an uninterrupted run's.
             self._emit_campaign(job_id, "counters", counters=counters)
 
@@ -692,58 +616,6 @@ class CampaignSupervisor:
             stacklevel=2,
         )
 
-    # -- the event bridge (pool workers -> parent bus) --------------------
-    def _pump_lease_events(self, lease: _Lease) -> None:
-        """Re-publish a worker's shipped events, tagged, on the parent bus.
-
-        Reads the newline-terminated envelopes appended to the lease's
-        channel file since the last pump and re-publishes every wrapped
-        event as a :class:`JobEvent`.  Envelope drop counters are surfaced —
-        a ``campaign.worker_events_dropped`` counter plus an
-        ``events_dropped`` campaign event — never swallowed.
-        """
-        if lease.events_path is None:
-            return
-        envelopes, lease.events_offset = read_event_envelopes(
-            str(lease.events_path), lease.events_offset
-        )
-        for envelope in envelopes:
-            tags = envelope.get("tags") or {}
-            pid = tags.get("worker_pid")
-            for record in envelope.get("events", ()):
-                if not isinstance(record, dict):
-                    continue
-                obs.emit(
-                    JobEvent(
-                        job=lease.job_id,
-                        config_hash=lease.job_id,
-                        worker_pid=pid if isinstance(pid, int) else None,
-                        inner=record,
-                        ts=float(record.get("ts", 0.0) or 0.0),
-                        ts_mono=float(record.get("ts_mono", 0.0) or 0.0),
-                    )
-                )
-            dropped = envelope.get("dropped")
-            if isinstance(dropped, int) and dropped > lease.events_dropped:
-                delta = dropped - lease.events_dropped
-                lease.events_dropped = dropped
-                obs.inc("campaign.worker_events_dropped", delta)
-                self._emit_campaign(
-                    lease.job_id,
-                    "events_dropped",
-                    dropped=dropped,
-                    new=delta,
-                )
-
-    def _close_lease_channel(self, lease: _Lease) -> None:
-        """Final drain of a finished/reclaimed lease's files, then cleanup."""
-        self._pump_lease_events(lease)
-        if lease.hb_path is not None:
-            lease.hb_path.unlink(missing_ok=True)
-        if lease.events_path is not None:
-            lease.events_path.unlink(missing_ok=True)
-            lease.events_path = None
-
     # -- leases ----------------------------------------------------------
     def _check_leases(
         self,
@@ -755,14 +627,13 @@ class CampaignSupervisor:
         now = time.monotonic()
         expired: list["Future"] = []
         for future, lease in in_flight.items():
-            if lease.hb_path is not None:
-                try:
-                    beat = lease.hb_path.read_text(encoding="utf-8")
-                except OSError:
-                    beat = lease.last_hb
-                if beat != lease.last_hb:
-                    lease.last_hb = beat
-                    lease.last_progress_mono = now
+            try:
+                beat = lease.hb_path.read_text(encoding="utf-8")
+            except OSError:
+                beat = lease.last_hb
+            if beat != lease.last_hb:
+                lease.last_hb = beat
+                lease.last_progress_mono = now
             forced = (
                 chaos.planned_kind(
                     "campaign.lease", key=lease.job_id, attempt=lease.attempt
@@ -804,7 +675,7 @@ class CampaignSupervisor:
             obs.inc("campaign.leases_reclaimed")
             self._report.leases_reclaimed += 1
             self._emit_campaign(lease.job_id, "reclaim", reason=reason)
-            self._close_lease_channel(lease)
+            lease.hb_path.unlink(missing_ok=True)
             job = self.state.jobs[lease.job_id]
             if job.attempts >= job.max_attempts:
                 self._quarantine(

@@ -25,12 +25,10 @@ Naming scheme (see ``docs/OBSERVABILITY.md``): dotted lower-case
 from __future__ import annotations
 
 from repro.obs.events import (
-    BoundedEventBuffer,
     CampaignEvent,
     CheckpointEvent,
     Event,
     EventBus,
-    JobEvent,
     JsonlEventSink,
     ListSink,
     ProgressEvent,
@@ -38,7 +36,6 @@ from repro.obs.events import (
     RetryEvent,
     StageEvent,
     event_from_record,
-    read_event_envelopes,
 )
 from repro.obs.export import (
     campaign_chrome_trace,
@@ -96,13 +93,10 @@ __all__ = [
     "RetryEvent",
     "CheckpointEvent",
     "CampaignEvent",
-    "JobEvent",
     "JsonlEventSink",
     "ListSink",
-    "BoundedEventBuffer",
     "ProgressRenderer",
     "event_from_record",
-    "read_event_envelopes",
     "chrome_trace",
     "write_chrome_trace",
     "campaign_chrome_trace",

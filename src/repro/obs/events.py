@@ -8,8 +8,8 @@ working**, and any number of subscribers consume them live:
 * :class:`JsonlEventSink` — one JSON object per line, flushed per event, for
   machine consumption (``--events FILE``; tail it during a run);
 * :class:`ProgressRenderer` — a dependency-free terminal renderer
-  (``--progress``): patterns applied, faults remaining, detection rate,
-  chunk completions and an ETA from an EWMA of chunk latencies;
+  (``--progress``): patterns applied, faults remaining, detection rate
+  and an ETA from the observed completion rate;
 * :class:`ListSink` — in-memory capture, used by the Chrome-trace exporter
   to place retry/checkpoint instant events on the timeline, and by tests.
 
@@ -17,7 +17,8 @@ Like spans and metrics, events are **zero-cost when disabled**: with no bus
 installed ``obs.emit`` early-returns after one module-global check, and call
 sites inside loops guard event *construction* behind
 ``obs.events_enabled()``.  Event publication is low-frequency by design —
-per stage, per chunk, per pattern batch — never per pattern or per fault.
+per stage, per pattern batch, per campaign job — never per pattern or per
+fault.
 
 Every event carries two clocks: ``ts`` (``time.time()``, for humans and
 cross-machine logs) and ``ts_mono`` (``time.perf_counter()``, the clock
@@ -41,14 +42,11 @@ __all__ = [
     "RetryEvent",
     "CheckpointEvent",
     "CampaignEvent",
-    "JobEvent",
     "EventBus",
     "JsonlEventSink",
     "ListSink",
-    "BoundedEventBuffer",
     "ProgressRenderer",
     "event_from_record",
-    "read_event_envelopes",
 ]
 
 
@@ -83,8 +81,7 @@ class ProgressEvent(Event):
 
     ``total`` may be None for open-ended work (e.g. PODEM's target list
     shrinks as vectors retire several faults).  ``data`` carries stage
-    telemetry for renderers: ``faults_remaining``, ``detection_rate``,
-    ``chunk_id``, ``latency_s``, ``worker_pid``, ...
+    telemetry for renderers: ``faults_remaining``, ``detection_rate``.
     """
 
     stage: str = "?"
@@ -128,44 +125,16 @@ class CheckpointEvent(Event):
 class CampaignEvent(Event):
     """A campaign job changed state under the supervisor.
 
-    ``action``: ``"lease"`` | ``"done"`` | ``"cached"`` | ``"reclaim"`` |
-    ``"quarantine"`` | ``"degrade"`` | ``"stop"``.  ``job`` is the config
-    hash (``"-"`` for campaign-wide actions); ``data`` carries the action's
-    detail (``attempt``, ``result_sha``, ``reason``, ``workers``, ...).
+    ``action``: ``"lease"`` | ``"done"`` | ``"cached"`` | ``"counters"`` |
+    ``"reclaim"`` | ``"quarantine"`` | ``"degrade"`` | ``"stop"``.  ``job``
+    is the config hash (``"-"`` for campaign-wide actions); ``data`` carries
+    the action's detail (``attempt``, ``result_sha``, ``reason``,
+    ``workers``, the job's ``counters`` snapshot, ...).
     """
 
     job: str = "?"
     action: str = "lease"
     data: dict = field(default_factory=dict)
-
-
-@dataclass
-class JobEvent(Event):
-    """A worker-side event re-published by the campaign supervisor.
-
-    Pool workers publish ordinary events (:class:`ProgressEvent`,
-    :class:`StageEvent`, :class:`RetryEvent`, ...) on their own in-process
-    bus; the supervisor ships them back and re-publishes each one wrapped in
-    a ``JobEvent`` carrying the campaign coordinates the worker cannot know:
-    ``job`` (the job id), ``config_hash`` and ``worker_pid``.  ``inner`` is
-    the original event's :meth:`Event.to_record` dictionary, and the
-    wrapper's ``ts``/``ts_mono`` mirror the inner clocks so renderers and
-    trace exporters keep the worker's own timeline.
-    """
-
-    job: str = "?"
-    config_hash: str = ""
-    worker_pid: int | None = None
-    inner: dict = field(default_factory=dict)
-
-    @property
-    def inner_type(self) -> str:
-        """Type name of the wrapped event record (``"ProgressEvent"``...)."""
-        return str(self.inner.get("type", "Event"))
-
-    def inner_event(self) -> Event:
-        """Rebuild the wrapped event as its original typed class."""
-        return event_from_record(dict(self.inner))
 
 
 _EVENT_TYPES: dict[str, type[Event]] = {
@@ -176,7 +145,6 @@ _EVENT_TYPES: dict[str, type[Event]] = {
         RetryEvent,
         CheckpointEvent,
         CampaignEvent,
-        JobEvent,
     )
 }
 
@@ -283,141 +251,6 @@ class JsonlEventSink:
                 self._handle = None
 
 
-class BoundedEventBuffer:
-    """Bus subscriber shipping events through a JSONL envelope file.
-
-    The worker half of the campaign event bridge: subscribe one of these to
-    a worker's in-process bus and it appends *envelope* lines to ``path`` —
-
-    ``{"tags": {...}, "dropped": N, "events": [<event records>...]}``
-
-    with three hard guarantees:
-
-    * **Bounded memory** — at most ``capacity`` records buffer between
-      flushes; overflow drops the *oldest* record (the newest state is the
-      interesting one for progress telemetry) and counts it.
-    * **Bounded I/O** — an envelope is written at most once per
-      ``min_interval`` seconds, or immediately once ``flush_size`` records
-      are waiting, whichever comes first.  Each envelope is a single
-      ``write`` of one line, so a reader consuming only newline-terminated
-      lines never sees a torn envelope.
-    * **Loss is never silent** — ``dropped`` carries the *cumulative* drop
-      count on every envelope, and :meth:`close` always writes a final
-      envelope (even an empty one) so the reader sees the final total.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        tags: dict | None = None,
-        capacity: int = 512,
-        min_interval: float = 0.25,
-        flush_size: int = 64,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.path = path
-        self.tags = dict(tags or {})
-        self.capacity = capacity
-        self.min_interval = min_interval
-        self.flush_size = max(1, flush_size)
-        self.dropped = 0
-        self.envelopes_written = 0
-        self._clock = clock
-        self._records: list[dict] = []
-        self._last_flush = clock()
-        self._lock = threading.Lock()
-        self._handle: TextIO | None = None
-        self._closed = False
-
-    def __call__(self, event: Event) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._records.append(event.to_record())
-            if len(self._records) > self.capacity:
-                overflow = len(self._records) - self.capacity
-                del self._records[:overflow]
-                self.dropped += overflow
-            now = self._clock()
-            if (
-                len(self._records) >= self.flush_size
-                or now - self._last_flush >= self.min_interval
-            ):
-                self._flush_locked(now)
-
-    def _flush_locked(self, now: float) -> None:
-        envelope = {
-            "tags": self.tags,
-            "dropped": self.dropped,
-            "events": self._records,
-        }
-        line = json.dumps(envelope, sort_keys=True, default=repr) + "\n"
-        try:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
-        except OSError:
-            # A dead channel must never take the worker down; the records
-            # stay counted as dropped so the loss is still visible.
-            self.dropped += len(self._records)
-        else:
-            self.envelopes_written += 1
-        self._records = []
-        self._last_flush = now
-
-    def flush(self) -> None:
-        """Force the buffered records out regardless of throttling."""
-        with self._lock:
-            if not self._closed:
-                self._flush_locked(self._clock())
-
-    def close(self) -> None:
-        """Flush a final envelope (always, publishing the final drop count)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._flush_locked(self._clock())
-            self._closed = True
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-
-def read_event_envelopes(
-    path: str, offset: int = 0
-) -> tuple[list[dict], int]:
-    """Parse complete envelope lines from ``path`` starting at ``offset``.
-
-    The supervisor half of the event bridge: returns ``(envelopes,
-    new_offset)`` where ``new_offset`` covers exactly the newline-terminated
-    lines consumed — a torn tail (a flush racing the read, or a killed
-    writer) is left for the next call.  Unparsable *complete* lines are
-    skipped: the channel is advisory telemetry, never state.
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
-    except OSError:
-        return [], offset
-    end = data.rfind(b"\n")
-    if end < 0:
-        return [], offset
-    chunk = data[: end + 1]
-    envelopes: list[dict] = []
-    for raw in chunk.splitlines():
-        try:
-            envelope = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if isinstance(envelope, dict):
-            envelopes.append(envelope)
-    return envelopes, offset + len(chunk)
-
-
 def _fmt_eta(seconds: float) -> str:
     if seconds >= 3600:
         return f"{seconds / 3600:.1f}h"
@@ -434,22 +267,17 @@ class ProgressRenderer:
     ``min_interval`` seconds per stage so CI logs stay readable.  Stage
     starts/ends, retries and checkpoint actions always get their own line.
 
-    The ETA is computed from an exponentially-weighted moving average of
-    chunk latencies (``alpha`` weighting the newest sample): remaining
-    units x EWMA latency / concurrency.  For stages reporting no latency it
-    falls back to the observed completion rate.
+    The ETA extrapolates the stage's observed completion rate: remaining
+    units over units completed per second since the stage's first event.
     """
 
     def __init__(
         self,
         stream: TextIO | None = None,
-        alpha: float = 0.4,
         min_interval: float = 0.5,
     ):
         self.stream = stream if stream is not None else sys.stderr
-        self.alpha = alpha
         self.min_interval = min_interval
-        self._ewma: dict[str, float] = {}
         self._first_seen: dict[str, float] = {}
         self._last_printed: dict[str, float] = {}
         self._line_open = False
@@ -465,17 +293,6 @@ class ProgressRenderer:
         remaining = max(0.0, event.total - event.completed)
         if not remaining:
             return 0.0
-        latency = event.data.get("latency_s")
-        if isinstance(latency, (int, float)) and latency >= 0:
-            previous = self._ewma.get(event.stage)
-            ewma = (
-                float(latency)
-                if previous is None
-                else self.alpha * float(latency) + (1 - self.alpha) * previous
-            )
-            self._ewma[event.stage] = ewma
-            concurrency = max(1, int(event.data.get("workers", 1) or 1))
-            return remaining * ewma / concurrency
         first = self._first_seen.setdefault(event.stage, event.ts_mono)
         elapsed = event.ts_mono - first
         if elapsed <= 0:
@@ -497,9 +314,6 @@ class ProgressRenderer:
         rate = event.data.get("detection_rate")
         if rate is not None:
             parts.append(f"{100.0 * float(rate):.1f}% detected")
-        chunk = event.data.get("chunk_id")
-        if chunk is not None:
-            parts.append(f"chunk {chunk} done")
         eta = self._eta(event)
         if eta is not None and eta > 0:
             parts.append(f"eta {_fmt_eta(eta)}")
@@ -558,41 +372,6 @@ class ProgressRenderer:
         elif isinstance(event, CheckpointEvent):
             self._write_line(
                 f"[checkpoint] {event.action} {event.stage}", transient=False
-            )
-        elif isinstance(event, CampaignEvent):
-            detail = ""
-            if event.data:
-                detail = "  (" + ", ".join(
-                    f"{k}={v}" for k, v in sorted(event.data.items())
-                ) + ")"
-            self._write_line(
-                f"[campaign] {event.action} {event.job}{detail}",
-                transient=False,
-            )
-        elif isinstance(event, JobEvent):
-            # Worker telemetry re-published by a campaign supervisor: render
-            # the wrapped event under a short job-id prefix, throttled like
-            # plain progress so a wide fleet stays readable.
-            now = event.ts_mono
-            key = f"job:{event.job}"
-            last = self._last_printed.get(key)
-            if (
-                not self._tty
-                and last is not None
-                and now - last < self.min_interval
-            ):
-                return
-            self._last_printed[key] = now
-            inner = event.inner_event()
-            if isinstance(inner, ProgressEvent):
-                text = self._progress_line(inner)
-            else:
-                text = f"[{inner.type}]"
-                stage = getattr(inner, "stage", None)
-                if stage:
-                    text = f"[{stage}] {inner.type}"
-            self._write_line(
-                f"({event.job[:10]}) {text}", transient=self._tty
             )
 
     def close(self) -> None:

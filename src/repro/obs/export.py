@@ -174,7 +174,6 @@ def _record_ts(record: dict) -> float | None:
 
 def campaign_chrome_trace(
     records: Sequence[dict],
-    events: Sequence[dict] | None = None,
     compactions: Sequence[float] | None = None,
 ) -> dict:
     """Build one Chrome/Perfetto trace for a whole campaign.
@@ -189,9 +188,7 @@ def campaign_chrome_trace(
       (attempt number when the worker never reported, e.g. a reclaim);
     * **instant markers** for lease reclaims, transient-failure retries,
       cache hits, stop records and journal compactions
-      (``compactions``: wall-clock stamps from snapshots);
-    * ``events`` (optional) overlays a merged ``--events`` stream: each
-      ``JobEvent`` record becomes a thread-scoped instant in its job lane.
+      (``compactions``: wall-clock stamps from snapshots).
 
     The timebase is rebased to the earliest journal wall clock.  Journals
     written before records carried ``ts`` degrade to a synthetic index
@@ -339,38 +336,6 @@ def campaign_chrome_trace(
             job_id, t_end, {"type": "open", "note": "no terminal record"}
         )
 
-    for record in events or ():
-        if not isinstance(record, dict) or record.get("type") != "JobEvent":
-            continue
-        job_id = str(record.get("job", "?"))
-        ts = _record_ts(record)
-        if ts is None or synthetic:
-            continue
-        inner = record.get("inner") or {}
-        name = str(inner.get("type", "event"))
-        stage = inner.get("stage")
-        if stage:
-            name = f"{stage}: {name}"
-        pid_value = record.get("worker_pid")
-        trace_events.append(
-            {
-                "name": name,
-                "ph": "i",
-                "s": "t",
-                "ts": us(ts),
-                "pid": lane(job_id),
-                "tid": pid_value if isinstance(pid_value, int) else 0,
-                "args": _jsonable_args(
-                    {
-                        k: v
-                        for k, v in inner.items()
-                        if k not in ("type", "ts", "ts_mono")
-                        and isinstance(v, (bool, int, float, str))
-                    }
-                ),
-            }
-        )
-
     for ts in compactions or ():
         if isinstance(ts, (int, float)) and not synthetic:
             marker("journal compacted", float(ts), SUPERVISOR_LANE)
@@ -420,13 +385,10 @@ def campaign_chrome_trace(
 def write_campaign_trace(
     path: str,
     records: Sequence[dict],
-    events: Sequence[dict] | None = None,
     compactions: Sequence[float] | None = None,
 ) -> int:
     """Write a campaign trace JSON to ``path``; returns the event count."""
-    trace = campaign_chrome_trace(
-        records, events=events, compactions=compactions
-    )
+    trace = campaign_chrome_trace(records, compactions=compactions)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle, sort_keys=True)
         handle.write("\n")

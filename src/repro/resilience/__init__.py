@@ -43,7 +43,6 @@ from repro.resilience.errors import (
     FatalFailure,
     ResilienceError,
     TransientFailure,
-    WorkerCrashError,
     classify_failure,
 )
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -68,7 +67,6 @@ __all__ = [
     "FatalFailure",
     "ResilienceError",
     "TransientFailure",
-    "WorkerCrashError",
     "classify_failure",
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",

@@ -24,7 +24,6 @@ __all__ = [
     "ResilienceError",
     "TransientFailure",
     "FatalFailure",
-    "WorkerCrashError",
     "CheckpointError",
     "CheckpointCorruptError",
     "ChaosInjectedError",
@@ -45,10 +44,6 @@ class TransientFailure(ResilienceError):
 
 class FatalFailure(ResilienceError):
     """A deterministic failure: retrying reproduces it."""
-
-
-class WorkerCrashError(TransientFailure):
-    """A worker process died (the pool reported itself broken)."""
 
 
 class CheckpointError(ResilienceError):

@@ -367,6 +367,17 @@ def test_static_learning_cache_hits_on_equal_netlists():
     assert static_learning(a) is static_learning(b)
 
 
+def test_prover_work_does_not_depend_on_the_learning_cache():
+    from repro.analysis.prover import _STATIC_LEARNING_CACHE
+
+    circuit = BENCHMARKS["alu4"]()
+    _STATIC_LEARNING_CACHE.pop(netlist_hash(circuit), None)
+    cold = prove_untestable(circuit).work  # learns, then proves
+    warm = prove_untestable(circuit).work  # cache hit: proves only
+    assert cold == warm
+    assert cold["engine_closures"] > 0
+
+
 @pytest.mark.parametrize("name", ["c17", "alu4", "mux8"])
 def test_static_learning_is_sound(name):
     # Every learned implication (a, v) -> (b, w) must hold on all vectors.

@@ -1,6 +1,7 @@
 """End-to-end tests of ``python -m repro campaign ...`` via main()."""
 
 import json
+import re
 
 import pytest
 
@@ -200,6 +201,33 @@ def test_campaign_events_stream(capsys, tmp_path):
     assert "done" in actions
 
 
+def test_campaign_run_progress_counts_every_submitted_job(capsys, tmp_path):
+    code = main(
+        [
+            "campaign", "run", _write_spec(tmp_path, seeds=range(1, 7)),
+            "--dir", _campaign(tmp_path),
+            "--workers", "2",
+            "--progress",
+        ]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    progress = [line for line in err.splitlines() if "totals:" in line]
+    assert progress, err
+    for line in progress:
+        counts = re.search(
+            r"totals: (\d+) done, (\d+) pending, (\d+) leased, "
+            r"(\d+) quarantined",
+            line,
+        )
+        assert counts is not None, line
+        assert sum(int(n) for n in counts.groups()) == 6, line
+    # The full status table closes the run.
+    assert "6 job(s)" in err
+    assert progress[-1].endswith("totals: 6 done, 0 pending, 0 leased, "
+                                 "0 quarantined")
+
+
 # ---------------------------------------------------------------------------
 # status / compact / gc
 # ---------------------------------------------------------------------------
@@ -333,3 +361,15 @@ def test_campaign_status_is_read_only(tmp_path):
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["campaign", "status", "--dir", camp]) == 0
     assert journal_path.read_bytes() == before[:-3]
+
+
+def test_campaign_trace_rejects_the_retired_events_flag(capsys, tmp_path):
+    # Jobs publish no events, so there is no worker stream to overlay.
+    with pytest.raises(SystemExit):
+        main(
+            [
+                "campaign", "trace", "--dir", _campaign(tmp_path),
+                "--events", str(tmp_path / "events.jsonl"),
+            ]
+        )
+    assert "--events" in capsys.readouterr().err

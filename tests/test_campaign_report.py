@@ -104,13 +104,16 @@ def test_trace_lease_intervals_land_on_worker_lanes():
 
 
 def test_trace_markers_for_reclaim_retry_and_cache_hit():
-    trace = campaign_chrome_trace(_synthetic_records())
+    trace = campaign_chrome_trace(
+        _synthetic_records(), compactions=[101.45]
+    )
     markers = {
         e["name"] for e in trace["traceEvents"] if e["ph"] == "i"
     }
     assert "lease reclaimed" in markers
     assert "retry (transient failure)" in markers
     assert "cache hit" in markers
+    assert "journal compacted" in markers
 
 
 def test_trace_degrades_to_synthetic_timebase_without_ts():
@@ -128,35 +131,6 @@ def test_trace_closes_leases_left_open_by_a_crash():
     spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert {e["args"]["outcome"] for e in spans} == {"open"}
     assert all(e["args"]["note"] == "no terminal record" for e in spans)
-
-
-def test_trace_overlays_merged_event_stream():
-    event_records = [
-        {
-            "type": "JobEvent",
-            "job": "job-a",
-            "worker_pid": 4242,
-            "inner": {
-                "type": "ProgressEvent",
-                "stage": "fault_sim",
-                "completed": 4,
-                "total": 8,
-            },
-            "ts": 100.9,
-        }
-    ]
-    trace = campaign_chrome_trace(
-        _synthetic_records(), events=event_records, compactions=[101.45]
-    )
-    overlay = [
-        e
-        for e in trace["traceEvents"]
-        if e["ph"] == "i" and e.get("s") == "t"
-    ]
-    assert [e["name"] for e in overlay] == ["fault_sim: ProgressEvent"]
-    assert overlay[0]["pid"] == 1  # job-a's lane
-    names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "i"}
-    assert "journal compacted" in names
 
 
 def test_write_campaign_trace_is_valid_json(tmp_path):

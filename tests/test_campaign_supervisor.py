@@ -307,6 +307,26 @@ def test_dead_lease_reclaimed_on_restart(tmp_path):
     assert report.finished
 
 
+def test_restart_removes_dead_lease_heartbeat_files(tmp_path):
+    sup = _inline(tmp_path)
+    spec = _spec(seeds=(1,))
+    (job,) = spec.expand()
+    sup.submit(spec)
+    # A SIGKILLed pool supervisor leaves its lease and heartbeat behind.
+    lease_id = f"{job.job_id}.a0"
+    sup._append(
+        {"type": "lease", "job": job.job_id, "lease_id": lease_id, "attempt": 0}
+    )
+    sup.journal.close()
+    leases = tmp_path / "camp" / "leases"
+    leases.mkdir()
+    (leases / f"{lease_id}.hb").write_text("7", encoding="utf-8")
+
+    report = _inline(tmp_path).run()
+    assert report.finished
+    assert list(leases.iterdir()) == []
+
+
 def test_resubmission_strengthens_budget_without_resetting_progress(tmp_path):
     sup = _inline(tmp_path)
     spec = _spec(seeds=(1,))

@@ -1,30 +1,19 @@
-"""The campaign event bridge and the live fleet renderer.
+"""Campaign telemetry: the ``CampaignEvent`` stream a supervisor publishes.
 
-Covers the full path: worker-side :class:`BoundedEventBuffer` envelopes →
-supervisor ``_pump_lease_events`` re-publication as tagged
-:class:`JobEvent`\\ s (with drop counts surfaced, never swallowed) →
-:class:`FleetRenderer` folding the merged stream into a fleet table.
+Jobs run with the event bus suspended, so a campaign's stream holds only
+the supervisor's own scheduling narration plus one ``counters`` snapshot
+per computed job — the same records whether jobs run inline or on a pool.
 """
 
-import io
 import json
-import os
 
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignSpec, CampaignSupervisor, FleetRenderer
-from repro.campaign.supervisor import _Lease
+from repro.campaign import CampaignSpec, CampaignSupervisor
 from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import _run_cached
-from repro.obs.events import (
-    CampaignEvent,
-    JobEvent,
-    ListSink,
-    ProgressEvent,
-    RetryEvent,
-    StageEvent,
-)
+from repro.obs.events import CampaignEvent, ListSink, RetryEvent
 from repro.resilience.retry import RetryPolicy
 
 FAST_RETRY = RetryPolicy(
@@ -43,229 +32,58 @@ def _clean_events_state():
     _run_cached.cache_clear()
 
 
-def _spec(seeds=(1, 2)) -> CampaignSpec:
+def _spec() -> CampaignSpec:
     return CampaignSpec(
         name="t",
         base=ExperimentConfig(benchmark="c17", max_random_patterns=16),
-        grid={"seed": tuple(seeds)},
+        grid={"seed": (1, 2)},
     )
 
 
-def _run_campaign(directory, max_workers=0, seeds=(1, 2)) -> ListSink:
+def _run_campaign(directory, max_workers=0) -> ListSink:
     """Run a fresh campaign with the event bus on; return the sink."""
     bus = obs.enable_events()
     sink = ListSink(bus)
     sup = CampaignSupervisor(
         directory, max_workers=max_workers, retry=FAST_RETRY
     )
-    sup.submit(_spec(seeds=seeds))
+    sup.submit(_spec())
     report = sup.run()
     assert report.finished
+    assert obs.event_bus() is bus  # every job restored the supervisor's bus
+    obs.disable_events()
+    _run_cached.cache_clear()  # the next run must recompute, not memo-hit
     return sink
 
 
-# ---------------------------------------------------------------------------
-# bridge: merged stream carries tagged job events + campaign narration
-# ---------------------------------------------------------------------------
-def test_inline_campaign_publishes_tagged_job_events(tmp_path):
-    sink = _run_campaign(tmp_path / "camp")
-    job_ids = {j.job_id for j in _spec().expand()}
-
-    job_events = [e for e in sink.events if isinstance(e, JobEvent)]
-    assert job_events, "no worker events bridged onto the supervisor bus"
-    assert {e.job for e in job_events} == job_ids
-    assert all(e.config_hash == e.job for e in job_events)
-    # The wrapped records are real pipeline telemetry, not opaque blobs.
-    stages = {
-        e.inner.get("stage")
-        for e in job_events
-        if e.inner_type in ("StageEvent", "ProgressEvent")
+def _counters_by_job(sink: ListSink) -> dict[str, dict]:
+    return {
+        e.job: e.data["counters"]
+        for e in sink.events
+        if isinstance(e, CampaignEvent) and e.action == "counters"
     }
-    assert "fault_sim" in stages
-
-    campaign_events = [e for e in sink.events if isinstance(e, CampaignEvent)]
-    actions = [e.action for e in campaign_events]
-    assert actions.count("lease") == 2
-    assert actions.count("done") == 2
-    # One counters snapshot per *computed* job, keyed by job id.
-    counters = [e for e in campaign_events if e.action == "counters"]
-    assert {e.job for e in counters} == job_ids
-    assert all(e.data["counters"] for e in counters)
 
 
 def test_per_job_counters_bit_identical_across_fresh_campaigns(tmp_path):
-    """Acceptance core: the merged stream's per-job counters are stable."""
-
-    def counters_by_job(sink: ListSink) -> dict[str, dict]:
-        return {
-            e.job: e.data["counters"]
-            for e in sink.events
-            if isinstance(e, CampaignEvent) and e.action == "counters"
-        }
-
-    first = counters_by_job(_run_campaign(tmp_path / "a"))
-    obs.disable_events()
-    _run_cached.cache_clear()  # second run must recompute, not memo-hit
-    second = counters_by_job(_run_campaign(tmp_path / "b"))
-    assert first == second
-    assert json.dumps(first, sort_keys=True) == json.dumps(
-        second, sort_keys=True
-    )
-
-
-def test_pool_mode_bridges_worker_events_with_real_pids(tmp_path):
-    sink = _run_campaign(tmp_path / "camp", max_workers=2)
-    pids = {
-        e.worker_pid
-        for e in sink.events
-        if isinstance(e, JobEvent) and e.worker_pid is not None
-    }
-    assert pids, "pool workers shipped no events"
-    assert os.getpid() not in pids
-    # Channels are drained and removed once their leases settle.
-    assert list((tmp_path / "camp" / "leases").glob("*.events.jsonl")) == []
-
-
-def test_pump_publishes_drop_counts_never_silently(tmp_path):
-    """A worker that overflowed its buffer must be visible upstream."""
-    bus = obs.enable_events()
-    sink = ListSink(bus)
-    _, registry = obs.enable()
-    sup = CampaignSupervisor(
-        tmp_path / "camp", max_workers=0, retry=FAST_RETRY
-    )
-    channel = tmp_path / "camp" / "chan.jsonl"
-    envelope = {
-        "tags": {"job": "j1", "worker_pid": 999},
-        "dropped": 4,
-        "events": [StageEvent(stage="s", status="start").to_record()],
-    }
-    channel.write_text(json.dumps(envelope) + "\n")
-    lease = _Lease(
-        job_id="j1",
-        lease_id="L1",
-        attempt=0,
-        granted_mono=0.0,
-        hb_path=None,
-        events_path=channel,
-    )
-    sup._pump_lease_events(lease)
-    dropped = [
-        e
-        for e in sink.events
-        if isinstance(e, CampaignEvent) and e.action == "events_dropped"
+    """Acceptance core: per-job counters are stable across runs and modes."""
+    sinks = [
+        _run_campaign(tmp_path / "a"),
+        _run_campaign(tmp_path / "b"),
+        _run_campaign(tmp_path / "c", max_workers=2),
     ]
-    assert [e.data["dropped"] for e in dropped] == [4]
-    assert [e.data["new"] for e in dropped] == [4]
-    assert registry.counter("campaign.worker_events_dropped").value == 4
-    assert lease.events_dropped == 4
-    # Re-pumping the same envelope offset publishes nothing twice.
-    sup._pump_lease_events(lease)
-    assert len(dropped) == 1
-
-
-# ---------------------------------------------------------------------------
-# fleet renderer
-# ---------------------------------------------------------------------------
-def _progress(job, stage="fault_sim", completed=4, total=8):
-    inner = ProgressEvent(
-        stage=stage, completed=completed, total=total, unit="patterns"
+    job_ids = {j.job_id for j in _spec().expand()}
+    for sink in sinks:
+        # Inline or pooled, jobs publish nothing of their own.
+        assert {type(e) for e in sink.events} <= {CampaignEvent, RetryEvent}
+        actions = [e.action for e in sink.events]
+        assert actions.count("lease") == actions.count("done") == 2
+    first, second, pooled = (_counters_by_job(sink) for sink in sinks)
+    # One non-empty counters snapshot per *computed* job, keyed by job id.
+    assert set(first) == job_ids
+    assert all(first.values())
+    assert first == second == pooled
+    assert (
+        json.dumps(first, sort_keys=True)
+        == json.dumps(second, sort_keys=True)
+        == json.dumps(pooled, sort_keys=True)
     )
-    return JobEvent(job=job, worker_pid=123, inner=inner.to_record())
-
-
-def test_fleet_renderer_footer_counts_and_throughput():
-    stream = io.StringIO()
-    renderer = FleetRenderer(
-        total_jobs=2, stream=stream, min_interval=0.0
-    )
-    renderer(CampaignEvent(job="job-a", action="lease", data={"attempt": 0}))
-    renderer(_progress("job-a"))
-    renderer(
-        CampaignEvent(job="job-a", action="done", data={"wall_s": 0.5})
-    )
-    renderer(CampaignEvent(job="job-b", action="lease", data={"attempt": 0}))
-    renderer(
-        CampaignEvent(job="job-b", action="cached", data={"result_sha": "x"})
-    )
-    renderer.close()
-    out = stream.getvalue()
-    assert "2/2 done" in out
-    assert "1 cached" in out
-    assert "jobs/s" in out
-
-
-def test_fleet_renderer_eta_appears_while_jobs_remain():
-    stream = io.StringIO()
-    now = {"t": 0.0}
-    renderer = FleetRenderer(
-        total_jobs=3,
-        stream=stream,
-        min_interval=0.0,
-        clock=lambda: now["t"],
-    )
-    renderer(CampaignEvent(job="a", action="lease", data={"attempt": 0}))
-    renderer(CampaignEvent(job="a", action="done", data={"wall_s": 2.0}))
-    renderer(CampaignEvent(job="b", action="lease", data={"attempt": 0}))
-    assert "eta" in stream.getvalue()
-
-
-def test_fleet_renderer_surfaces_drops_and_retries():
-    stream = io.StringIO()
-    renderer = FleetRenderer(stream=stream, min_interval=0.0)
-    renderer(CampaignEvent(job="a", action="lease", data={"attempt": 0}))
-    renderer(
-        CampaignEvent(job="a", action="events_dropped", data={"dropped": 3})
-    )
-    renderer(
-        RetryEvent(
-            point="campaign.job",
-            key="a",
-            attempt=1,
-            reason="TimeoutError",
-            delay_s=0.01,
-        )
-    )
-    renderer.close()
-    out = stream.getvalue()
-    assert "3 worker event(s) dropped" in out
-
-
-def test_fleet_renderer_tty_redraws_in_place():
-    class _Tty(io.StringIO):
-        def isatty(self):
-            return True
-
-    stream = _Tty()
-    renderer = FleetRenderer(
-        total_jobs=1, stream=stream, min_interval=0.0
-    )
-    renderer(CampaignEvent(job="job-a", action="lease", data={"attempt": 0}))
-    renderer(_progress("job-a"))
-    renderer.close()
-    out = stream.getvalue()
-    assert "\x1b[2K" in out  # clear-line redraw
-    assert "\x1b[" in out and "A" in out  # cursor-up over previous frame
-    assert "job-a" in out
-    assert "[fault_sim] 4/8 patterns" in out
-
-
-def test_fleet_renderer_ignores_untagged_pipeline_events():
-    """Inline mode shares one bus: raw (untagged) worker events are the
-    ProgressRenderer's job, not the fleet table's."""
-    stream = io.StringIO()
-    renderer = FleetRenderer(stream=stream, min_interval=0.0)
-    renderer(ProgressEvent(stage="fault_sim", completed=1, total=2))
-    renderer(StageEvent(stage="fault_sim", status="start"))
-    assert stream.getvalue() == ""
-    assert renderer._jobs == {}
-
-
-def test_fleet_renderer_never_raises_into_the_bus():
-    class _Broken(io.StringIO):
-        def write(self, *_):
-            raise OSError("terminal gone")
-
-    renderer = FleetRenderer(stream=_Broken(), min_interval=0.0)
-    renderer(CampaignEvent(job="a", action="lease", data={"attempt": 0}))
-    renderer.close()  # must not raise

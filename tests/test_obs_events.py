@@ -160,22 +160,16 @@ def test_renderer_formats_progress_fields():
     assert "75.0% detected" in line
 
 
-def test_renderer_eta_uses_ewma_of_chunk_latencies():
+def test_renderer_eta_extrapolates_completion_rate():
     renderer, stream = _renderer()
-    for done, latency in ((1, 2.0), (2, 4.0)):
+    for done, t in ((1, 10.0), (3, 12.0)):
         renderer(
             ProgressEvent(
-                stage="par",
-                completed=done,
-                total=4,
-                unit="chunks",
-                data={"chunk_id": done - 1, "latency_s": latency, "workers": 2},
+                stage="sim", completed=done, total=9, unit="batches", ts_mono=t
             )
         )
-    # EWMA after (2.0, 4.0) with alpha=0.4: 0.4*4 + 0.6*2 = 2.8;
-    # 2 chunks remain over 2 workers -> eta = 2.8s.
-    assert renderer._ewma["par"] == pytest.approx(2.8)
-    assert "eta 2.8s" in stream.getvalue().splitlines()[-1]
+    # 3 of 9 done 2s after the first event: 1.5/s, 6 left -> eta 4.0s.
+    assert "eta 4.0s" in stream.getvalue().splitlines()[-1]
 
 
 def test_renderer_throttles_non_tty_but_prints_final(tmp_path):
@@ -208,156 +202,15 @@ def test_renderer_gives_stage_retry_checkpoint_their_own_lines():
 
 
 # ---------------------------------------------------------------------------
-# campaign events and the bounded envelope buffer (the event bridge)
+# campaign events
 # ---------------------------------------------------------------------------
-def test_campaign_and_job_event_json_round_trip():
-    from repro.obs.events import CampaignEvent, JobEvent
+def test_campaign_event_json_round_trip():
+    from repro.obs.events import CampaignEvent
 
-    inner = ProgressEvent(
-        stage="fault_sim", completed=7, total=32, unit="patterns"
+    event = CampaignEvent(
+        job="abc123", action="done", data={"result_sha": "d" * 64}
     )
-    for event in (
-        CampaignEvent(
-            job="abc123", action="done", data={"result_sha": "d" * 64}
-        ),
-        JobEvent(
-            job="abc123",
-            config_hash="abc123",
-            worker_pid=4242,
-            inner=inner.to_record(),
-        ),
-    ):
-        record = event.to_record()
-        rebuilt = event_from_record(json.loads(json.dumps(record)))
-        assert type(rebuilt) is type(event)
-        assert rebuilt.to_record() == record
-
-
-def test_job_event_rebuilds_typed_inner_event():
-    from repro.obs.events import JobEvent
-
-    inner = ProgressEvent(stage="podem", completed=3, total=9)
-    wrapped = JobEvent(job="j1", inner=inner.to_record())
-    assert wrapped.inner_type == "ProgressEvent"
-    rebuilt = wrapped.inner_event()
-    assert isinstance(rebuilt, ProgressEvent)
-    assert rebuilt.stage == "podem"
-    assert rebuilt.completed == 3
-
-
-def test_bounded_buffer_writes_envelopes_and_reader_round_trips(tmp_path):
-    from repro.obs.events import BoundedEventBuffer, read_event_envelopes
-
-    path = tmp_path / "chan.jsonl"
-    buffer = BoundedEventBuffer(
-        str(path), tags={"job": "j1", "worker_pid": 7}, flush_size=2
-    )
-    buffer(StageEvent(stage="a", status="start"))
-    buffer(StageEvent(stage="a", status="end"))  # hits flush_size
-    buffer.close()
-
-    envelopes, offset = read_event_envelopes(str(path))
-    assert offset == path.stat().st_size
-    assert [e["tags"]["job"] for e in envelopes] == ["j1"] * len(envelopes)
-    records = [r for e in envelopes for r in e["events"]]
-    assert [r["stage"] for r in records] == ["a", "a"]
-    assert all(e["dropped"] == 0 for e in envelopes)
-    # Nothing new: the reader stays put.
-    assert read_event_envelopes(str(path), offset) == ([], offset)
-
-
-def test_bounded_buffer_drops_oldest_and_publishes_loss(tmp_path):
-    from repro.obs.events import BoundedEventBuffer, read_event_envelopes
-
-    path = tmp_path / "chan.jsonl"
-    # Huge flush_size + interval: nothing flushes until close, so the
-    # capacity bound must drop the oldest records.
-    buffer = BoundedEventBuffer(
-        str(path),
-        capacity=3,
-        flush_size=10_000,
-        min_interval=10_000.0,
-        clock=lambda: 0.0,
-    )
-    for i in range(8):
-        buffer(ProgressEvent(stage="s", completed=i))
-    buffer.close()
-
-    envelopes, _ = read_event_envelopes(str(path))
-    final = envelopes[-1]
-    # 8 published, capacity 3: the 5 oldest dropped, count published.
-    assert final["dropped"] == 5
-    kept = [r["completed"] for e in envelopes for r in e["events"]]
-    assert kept == [5, 6, 7]
-    assert buffer.dropped == 5
-
-
-def test_bounded_buffer_close_always_writes_final_envelope(tmp_path):
-    from repro.obs.events import BoundedEventBuffer, read_event_envelopes
-
-    path = tmp_path / "chan.jsonl"
-    buffer = BoundedEventBuffer(str(path))
-    buffer.close()  # no events at all — the envelope still lands
-    envelopes, _ = read_event_envelopes(str(path))
-    assert len(envelopes) == 1
-    assert envelopes[0]["events"] == []
-    assert envelopes[0]["dropped"] == 0
-    # A closed buffer discards silently instead of raising into the bus.
-    buffer(StageEvent(stage="late"))
-    assert buffer.envelopes_written == 1
-
-
-def test_bounded_buffer_throttles_by_interval(tmp_path):
-    from repro.obs.events import BoundedEventBuffer
-
-    now = {"t": 0.0}
-    buffer = BoundedEventBuffer(
-        str(tmp_path / "chan.jsonl"),
-        min_interval=1.0,
-        flush_size=10_000,
-        clock=lambda: now["t"],
-    )
-    buffer(StageEvent(stage="a"))  # t=0: within interval of construction
-    assert buffer.envelopes_written == 0
-    now["t"] = 0.5
-    buffer(StageEvent(stage="b"))
-    assert buffer.envelopes_written == 0
-    now["t"] = 1.5
-    buffer(StageEvent(stage="c"))  # interval elapsed: flush
-    assert buffer.envelopes_written == 1
-
-
-def test_envelope_reader_leaves_torn_tail_for_next_call(tmp_path):
-    from repro.obs.events import read_event_envelopes
-
-    path = tmp_path / "chan.jsonl"
-    whole = json.dumps({"tags": {}, "dropped": 0, "events": []})
-    path.write_text(whole + "\n" + '{"tags": {}, "dro')  # torn mid-write
-    envelopes, offset = read_event_envelopes(str(path))
-    assert len(envelopes) == 1
-    assert offset == len(whole) + 1
-    # The writer finishes the line: the next call picks it up.
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('pped": 1, "events": []}\n')
-    more, offset2 = read_event_envelopes(str(path), offset)
-    assert [e["dropped"] for e in more] == [1]
-    assert offset2 == path.stat().st_size
-
-
-def test_envelope_reader_missing_file_is_empty():
-    from repro.obs.events import read_event_envelopes
-
-    assert read_event_envelopes("/nonexistent/chan.jsonl") == ([], 0)
-
-
-def test_renderer_renders_job_events_with_job_prefix():
-    from repro.obs.events import JobEvent
-
-    stream = io.StringIO()
-    renderer = ProgressRenderer(stream=stream, min_interval=0.0)
-    inner = ProgressEvent(stage="fault_sim", completed=4, total=8, unit="p")
-    renderer(JobEvent(job="abcdef123456", inner=inner.to_record()))
-    out = stream.getvalue()
-    assert "(abcdef1234)" in out
-    assert "[fault_sim]" in out
-    assert "4/8" in out
+    record = event.to_record()
+    rebuilt = event_from_record(json.loads(json.dumps(record)))
+    assert type(rebuilt) is CampaignEvent
+    assert rebuilt.to_record() == record
