@@ -72,6 +72,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.resilience import CheckpointError
+from repro.switchsim.coverage import TECHNIQUES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--technique",
         default="voltage",
-        choices=["voltage", "voltage-strict", "iddq", "either"],
+        choices=TECHNIQUES,
         help="detection technique for theta (default: voltage)",
     )
     parser.add_argument(

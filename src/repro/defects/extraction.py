@@ -172,11 +172,11 @@ class FaultExtractor:
             with obs.span("defects.extract.opens"):
                 self.extract_opens(faults)
             extract_span.set(n_faults=len(faults))
-        obs.inc("extraction.faults_extracted", len(faults))
-        if obs.is_enabled():
-            for fault in faults:
-                obs.observe("extraction.weights", fault.weight)
-                obs.inc(f"extraction.{type(fault).__name__}")
+            obs.inc("extraction.faults_extracted", len(faults))
+            if obs.is_enabled():
+                for fault in faults:
+                    obs.observe("extraction.weights", fault.weight)
+                    obs.inc(f"extraction.{type(fault).__name__}")
         return faults
 
     # ------------------------------------------------------------------

@@ -48,7 +48,7 @@ from repro.resilience.errors import CheckpointCorruptError
 from repro.simulation.fault_sim import FaultSimResult
 from repro.simulation.faults import StuckAtFault, collapse_faults
 from repro.simulation.numpy_sim import NumpyFaultSimulator
-from repro.switchsim.coverage import CoverageCurves, build_coverage
+from repro.switchsim.coverage import TECHNIQUES, CoverageCurves, build_coverage
 from repro.switchsim.simulator import SwitchLevelFaultSimulator, SwitchSimResult
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "cache_info"]
@@ -101,6 +101,10 @@ class ExperimentConfig:
         if self.backtrack_limit < 0:
             raise ValueError(
                 f"backtrack_limit must be non-negative, got {self.backtrack_limit}"
+            )
+        if self.detection not in TECHNIQUES:
+            raise ValueError(
+                f"detection must be one of {TECHNIQUES}, got {self.detection!r}"
             )
 
     def __hash__(self) -> int:  # DefectStatistics carries dicts
@@ -452,9 +456,9 @@ def _run_pipeline(
 
         def compute_extraction() -> FaultList:
             statistics = config.statistics or DefectStatistics()
-            return extract_faults(design, statistics).scaled_to_yield(
-                config.target_yield
-            )
+            extracted = extract_faults(design, statistics)
+            with obs.span("pipeline.scale_weights"):
+                return extracted.scaled_to_yield(config.target_yield)
 
         faults = run_stage("extraction", compute_extraction)
         if obs.is_enabled():

@@ -23,10 +23,12 @@ Engine architecture (see ``docs/PERFORMANCE.md``):
   with fault dropping the cheap (easily detected, small-cone) faults retire
   first and the expensive cones are only walked while genuinely undetected.
 
-The pipeline's stuck-at stage runs the numpy bitslice kernel
+The pipeline's stuck-at stage and the switch-level detection table run the
+numpy bitslice kernel
 (:class:`repro.simulation.numpy_sim.NumpyFaultSimulator`); this engine is
-its test oracle and the kernel behind switch-level simulation, ATPG,
-transition and diagnosis, which need multi-site forces and narrow widths.
+its test oracle (``detection_word``/``detection_word_multi`` for the
+switch-level table's single and multi-site forces) and the kernel behind
+ATPG, transition and diagnosis, which need narrow widths.
 """
 
 from __future__ import annotations

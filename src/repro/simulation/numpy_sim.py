@@ -1,9 +1,11 @@
 """Numpy ``uint64`` bitslice fault-simulation engine.
 
-This is the engine of the pipeline's stuck-at stage; the pure-python
+This is the engine of the pipeline's stuck-at stage (:meth:`run`) and of
+the switch-level simulator's detection table (:meth:`detection_words`,
+whose lanes may carry several simultaneous forces).  The pure-python
 wide-word :class:`~repro.simulation.fault_sim.FaultSimulator` remains the
 reference implementation and both engines are bit-exact against each other
-(``tests/test_engines.py``).
+(``tests/test_engines.py``, ``tests/test_switchsim_oracle.py``).
 
 Layout
 ------
@@ -26,7 +28,8 @@ fault forcing (stuck rows seeded before evaluation, driver outputs
 overwritten after evaluation, pin-operand overrides) keeps each lane's
 primary-output values exactly equal to what a cone-restricted single-fault
 resimulation would produce: gates outside a lane's own cone cannot be
-reached by its fault, so they compute fault-free values for that lane.
+reached by its fault, so they compute fault-free values for that lane.  A
+lane with several forced sites has the union of their cones as its cone.
 
 Good-machine values are computed once per block and shared by every batch;
 fault dropping retires lanes at their first detecting block and skips a
@@ -140,7 +143,6 @@ class _BatchProgram:
     """
 
     __slots__ = (
-        "faults",
         "n_lanes",
         "ops",
         "refs",
@@ -154,7 +156,6 @@ class _BatchProgram:
     )
 
     def __init__(self) -> None:
-        self.faults: list[StuckAtFault] = []
         self.n_lanes = 0
         self.ops: list[int] = []
         self.refs: list[tuple[int, ...]] = []
@@ -210,7 +211,9 @@ class NumpyFaultSimulator:
         self.cones = ConeIndex(self.logic)
         self._n_inputs = len(circuit.primary_inputs)
         self.words_per_block = width // 64
-        self._batch_memo: dict[tuple[StuckAtFault, ...], _BatchProgram] = {}
+        self._batch_memo: dict[
+            tuple[tuple[StuckAtFault, ...], ...], _BatchProgram
+        ] = {}
 
     # ------------------------------------------------------------------
     # Compilation
@@ -219,19 +222,24 @@ class NumpyFaultSimulator:
         """Number of gates in ``fault``'s output cone."""
         return len(self.cones.fault_cone(fault).gate_idx)
 
-    def _compile_batch(self, faults: tuple[StuckAtFault, ...]) -> _BatchProgram:
-        """Compile one lane batch into a union-of-cones slot schedule."""
-        program = self._batch_memo.get(faults)
+    def _compile_batch(
+        self, lanes: tuple[tuple[StuckAtFault, ...], ...]
+    ) -> _BatchProgram:
+        """Compile one lane batch into a union-of-cones slot schedule.
+
+        Each lane is a tuple of simultaneous stuck-at forces: one fault for
+        plain fault simulation, several sites for a multiple stuck-at force.
+        """
+        program = self._batch_memo.get(lanes)
         if program is not None:
             return program
         logic = self.logic
         cones = self.cones
         out_ids = logic.out_ids
         prog = _BatchProgram()
-        prog.faults = list(faults)
-        prog.n_lanes = len(faults)
+        prog.n_lanes = len(lanes)
 
-        fault_cones = [cones.fault_cone(f) for f in faults]
+        fault_cones = [cones.fault_cone(f) for lane in lanes for f in lane]
         union_gates = sorted(set().union(*(c.gate_idx for c in fault_cones)))
         pos_of = {gi: pos for pos, gi in enumerate(union_gates)}
         slot_of = {out_ids[gi]: slot for slot, gi in enumerate(union_gates)}
@@ -242,31 +250,33 @@ class NumpyFaultSimulator:
         # faulty lane's row is overwritten right after the driver writes it;
         # a forced net with no driver in the union gets a slot seeded from
         # the good column with the faulty lane's row forced up front.  Pin
-        # faults override a single gate's view of one operand for one lane.
+        # faults override a single gate's view of one operand for one lane,
+        # after any net force on that operand.
         force_slot: dict[int, int] = {}
-        for lane, fault in enumerate(faults):
-            nid = logic.net_id[fault.net]
-            stuck = bool(fault.value)
-            if fault.site is FaultSite.NET:
-                slot = slot_of.get(nid)
-                if slot is not None:
-                    driver_pos = pos_of[cones.driver_gate[nid]]
-                    prog.post_forces.setdefault(driver_pos, []).append(
-                        (slot, lane, stuck)
-                    )
+        for lane, forces in enumerate(lanes):
+            for fault in forces:
+                nid = logic.net_id[fault.net]
+                stuck = bool(fault.value)
+                if fault.site is FaultSite.NET:
+                    slot = slot_of.get(nid)
+                    if slot is not None:
+                        driver_pos = pos_of[cones.driver_gate[nid]]
+                        prog.post_forces.setdefault(driver_pos, []).append(
+                            (slot, lane, stuck)
+                        )
+                    else:
+                        slot = force_slot.get(nid)
+                        if slot is None:
+                            slot = n_slots
+                            n_slots += 1
+                            force_slot[nid] = slot
+                            prog.seeds.append((slot, nid))
+                        prog.init_forces.append((slot, lane, stuck))
                 else:
-                    slot = force_slot.get(nid)
-                    if slot is None:
-                        slot = n_slots
-                        n_slots += 1
-                        force_slot[nid] = slot
-                        prog.seeds.append((slot, nid))
-                    prog.init_forces.append((slot, lane, stuck))
-            else:
-                gi = cones.gate_index[fault.gate]
-                prog.pin_overrides.setdefault(pos_of[gi], []).append(
-                    (fault.pin, lane, stuck)
-                )
+                    gi = cones.gate_index[fault.gate]
+                    prog.pin_overrides.setdefault(pos_of[gi], []).append(
+                        (fault.pin, lane, stuck)
+                    )
 
         ops_all = logic.ops
         in_ids = logic.in_ids
@@ -320,13 +330,13 @@ class NumpyFaultSimulator:
                 # diff is identically 0.
 
         prog.n_slots = n_slots
-        self._batch_memo[faults] = prog
+        self._batch_memo[lanes] = prog
         return prog
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _good_block(self, block_words: np.ndarray) -> np.ndarray:
+    def good_block(self, block_words: np.ndarray) -> np.ndarray:
         """Fault-free simulation of one block: ``(words, n_nets)`` values."""
         logic = self.logic
         n_words = block_words.shape[0]
@@ -459,6 +469,54 @@ class NumpyFaultSimulator:
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
+    def detection_words(
+        self,
+        good: np.ndarray,
+        n_patterns: int,
+        lanes: Sequence[tuple[StuckAtFault, ...]],
+    ) -> np.ndarray:
+        """Where each lane's simultaneous forces reach a primary output.
+
+        ``good`` is :meth:`good_block` of one block holding all
+        ``n_patterns`` patterns.  Row ``i`` of the ``(len(lanes), words)``
+        result is lane ``i``'s detection bitset over that block: bit
+        ``k % 64`` of word ``k // 64`` is set when pattern ``k`` detects the
+        lane.  Bits past the last pattern are clear.  Lanes run
+        cheapest-cone-first in batches of ``lane_batch``.
+        """
+        n_words = good.shape[0]
+        table = np.zeros((len(lanes), n_words), dtype=np.uint64)
+        order = sorted(
+            range(len(lanes)),
+            key=lambda i: sum(self.cone_size(f) for f in lanes[i]),
+        )
+        lane_batch = self.lane_batch
+        batches = [
+            order[start : start + lane_batch]
+            for start in range(0, len(order), lane_batch)
+        ]
+        programs = [
+            self._compile_batch(tuple(lanes[i] for i in batch))
+            for batch in batches
+        ]
+        max_slots = max((prog.n_slots for prog in programs), default=0)
+        local_buf = np.empty((max_slots, lane_batch, n_words), dtype=np.uint64)
+        diff_buf = np.empty((lane_batch, n_words), dtype=np.uint64)
+        tmp_buf = np.empty_like(diff_buf)
+        for batch, prog in zip(batches, programs):
+            n_lanes = prog.n_lanes
+            table[batch] = self._run_batch(
+                prog,
+                good,
+                local_buf[: prog.n_slots, :n_lanes],
+                diff_buf[:n_lanes],
+                tmp_buf[:n_lanes],
+            )
+        tail_bits = n_patterns % 64
+        if tail_bits and n_words:
+            table[:, -1] &= np.uint64((1 << tail_bits) - 1)
+        return table
+
     def run(
         self,
         patterns: Sequence[Sequence[int]],
@@ -512,9 +570,13 @@ class NumpyFaultSimulator:
             # genuinely undetected.
             ordered = sorted(faults, key=self.cone_size)
             lane_batch = self.lane_batch
-            programs = [
-                self._compile_batch(tuple(ordered[start : start + lane_batch]))
+            batches = [
+                ordered[start : start + lane_batch]
                 for start in range(0, len(ordered), lane_batch)
+            ]
+            programs = [
+                self._compile_batch(tuple((fault,) for fault in batch))
+                for batch in batches
             ]
             alive = [
                 np.ones(prog.n_lanes, dtype=bool) for prog in programs
@@ -545,7 +607,7 @@ class NumpyFaultSimulator:
                 n_words = word_hi - word_lo
                 base = block_index * width
                 n_here = min(width, n_patterns - base)
-                good = self._good_block(packed[word_lo:word_hi])
+                good = self.good_block(packed[word_lo:word_hi])
                 masks_tail = tail_bits != 0 and word_hi == n_words_total
                 for batch_index, prog in enumerate(programs):
                     if drop_detected and batch_alive[batch_index] == 0:
@@ -572,7 +634,7 @@ class NumpyFaultSimulator:
                             + first_word * 64
                             + (value & -value).bit_length()
                         )
-                        fault = prog.faults[lane]
+                        fault = batches[batch_index][lane]
                         if fault not in first_detection:
                             first_detection[fault] = first
                         detection_counts[fault] = detection_counts.get(

@@ -1,6 +1,6 @@
 """Switch-level fault simulation of layout-extracted realistic faults."""
 
-from repro.switchsim.coverage import CoverageCurves, build_coverage
+from repro.switchsim.coverage import TECHNIQUES, CoverageCurves, build_coverage
 from repro.switchsim.simulator import (
     Detection,
     SwitchLevelFaultSimulator,
@@ -18,6 +18,7 @@ from repro.switchsim.strengths import (
 )
 
 __all__ = [
+    "TECHNIQUES",
     "CoverageCurves",
     "Detection",
     "N_STRENGTH",

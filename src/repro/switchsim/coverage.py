@@ -23,7 +23,15 @@ from repro.defects.fault_types import (
 )
 from repro.switchsim.simulator import SwitchSimResult
 
-__all__ = ["CoverageCurves", "build_coverage", "delay_screen_detections"]
+__all__ = [
+    "TECHNIQUES",
+    "CoverageCurves",
+    "build_coverage",
+    "delay_screen_detections",
+]
+
+#: Detection techniques :func:`build_coverage` accepts, pipeline default first.
+TECHNIQUES = ("voltage", "voltage-strict", "iddq", "either")
 
 
 @dataclass
@@ -130,6 +138,10 @@ def build_coverage(
     * ``"iddq"`` — quiescent-current testing;
     * ``"either"`` — voltage or IDDQ, whichever comes first.
     """
+    if technique not in TECHNIQUES:
+        raise ValueError(
+            f"unknown technique {technique!r}; expected one of {TECHNIQUES}"
+        )
     fault_list = list(faults)
     records: list[tuple[float, int | None]] = []
     for fault in fault_list:
@@ -142,11 +154,9 @@ def build_coverage(
             first = k_s
         elif technique == "iddq":
             first = k_i
-        elif technique == "either":
+        else:  # "either"
             candidates = [k for k in (k_v, k_i) if k is not None]
             first = min(candidates) if candidates else None
-        else:
-            raise ValueError(f"unknown technique {technique!r}")
         records.append((fault.weight, first))
     return CoverageCurves(
         n_patterns=result.n_patterns,

@@ -27,18 +27,31 @@ injections —
 * floating inputs are evaluated under both trapped-charge assumptions.
 
 A masked injection is "stuck-at force F, counted only on the vectors in mask
-M", and F's detection bitset does not depend on M.  The whole sequence is
-packed into one word, each distinct force is simulated once into a lazily
-filled table, and a fault's first detection is the lowest set bit of the OR
-of ``table[F] & M`` over its injections.
+M", and F's detection bitset does not depend on M.  Per-fault plans keep
+masks as bitsets (python ints, bit k = vector k).  :meth:`run` works in
+three phases, each a child span of ``switch_sim.run``:
+
+* **plan** (``switch_sim.plan``) — every fault's injections, grouped into
+  queries ("first vector where any of these injections is detected").
+  Bridges between two external nets are planned as chunked
+  ``(bridges, vectors)`` array passes; the other classes fault by fault;
+* **fill** (``switch_sim.fill``) — each distinct force with a nonempty mask
+  is simulated once, as lanes of the numpy bitslice engine
+  (:meth:`~repro.simulation.numpy_sim.NumpyFaultSimulator.detection_words`)
+  over one block holding the whole sequence, into the detection table;
+* **resolve** (``switch_sim.resolve``) — a query's first detection is the
+  lowest set bit of the OR of ``table[F] & M`` over its injections, taken
+  for all queries at once over packed ``uint64`` rows.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence, TypeGuard
 
 import numpy as np
 
@@ -55,9 +68,8 @@ from repro.defects.fault_types import (
 )
 from repro.layout.cells import GND, VDD
 from repro.layout.design import LayoutDesign
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import FaultSite, StuckAtFault
-from repro.simulation.logic_sim import pack_patterns
+from repro.simulation.numpy_sim import NumpyFaultSimulator, pack_bitslice
 from repro.switchsim.strengths import (
     PI_STRENGTH,
     SUPPLY_STRENGTH,
@@ -70,6 +82,22 @@ from repro.switchsim.strengths import (
 __all__ = ["SwitchSimResult", "SwitchLevelFaultSimulator", "Detection"]
 
 _SUPPLIES = (VDD, GND)
+_SUPPLY_PAIR = frozenset(_SUPPLIES)
+
+#: Cells (rows x vectors) of one chunk of planning arrays.  An external
+#: bridge chunk's float64 temporaries stay near 1 MB each and under about
+#: 8 MB together, and per-fault masks are packed once this many are pending.
+_CHUNK_CELLS = 1 << 17
+
+#: External-bridge injection slots, in the per-fault order: strict flips of
+#: net b, strict flips of net a, then the X forces of a and of b.  Slot ->
+#: (forced net is b, stuck value).
+_SLOT_ON_B = np.array([1, 1, 0, 0, 0, 0, 1, 1], dtype=bool)
+_SLOT_VALUE = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int64)
+_N_STRICT_SLOTS = 4
+
+#: (forces, vector mask as a bitset: bit k = vector k).
+Injection = tuple[tuple[StuckAtFault, ...], int]
 
 
 @dataclass(frozen=True)
@@ -86,6 +114,11 @@ class Detection:
         """Potential never later than strict; normalise just in case."""
         candidates = [k for k in (self.strict, self.potential) if k is not None]
         return min(candidates) if candidates else None
+
+
+#: A planned fault: builds its :class:`Detection` from the first detection
+#: (or None) of every query of the plan, indexed by query id.
+Pending = Callable[[Sequence[int | None]], Detection]
 
 
 @dataclass
@@ -127,6 +160,102 @@ class _CellInfo:
     gate_type: GateType
 
 
+class _Plan:
+    """Masked injections of a set of faults, grouped into queries.
+
+    A query asks for the first vector where any of its injections reaches a
+    primary output.  Injections are kept as blocks of ``(query ids, force
+    ids, packed masks)`` with each query's injections contiguous inside one
+    block, so the resolve pass ORs them with one ``reduceat`` per block.
+    Only injections with a nonempty mask are kept.
+    """
+
+    def __init__(self, n_patterns: int):
+        self.n_patterns = n_patterns
+        self.n_words = -(-n_patterns // 64)
+        self.n_queries = 0
+        #: Injections kept, counted once per query that uses them.
+        self.n_injections = 0
+        #: Distinct force tuple -> force id, in first-use order.
+        self.force_ids: dict[tuple[StuckAtFault, ...], int] = {}
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: Single-cell stuck-open plans by (instance, mods): a gate-open's
+        #: always-off half is the matching single-device stuck-open.
+        self.stuck_open: dict[tuple, Pending] = {}
+        self._queries: list[int] = []
+        self._forces: list[int] = []
+        self._masks: list[int] = []
+
+    def new_queries(self, n: int) -> int:
+        """Reserve ``n`` consecutive query ids; returns the first."""
+        first = self.n_queries
+        self.n_queries += n
+        return first
+
+    def force_id(self, forces: tuple[StuckAtFault, ...]) -> int:
+        return self.force_ids.setdefault(forces, len(self.force_ids))
+
+    def query(self, injections: Sequence[Injection]) -> int:
+        """One query over ``injections``; returns its id."""
+        q = self.new_queries(1)
+        for forces, mask in injections:
+            if mask:
+                self._queries.append(q)
+                self._forces.append(self.force_id(forces))
+                self._masks.append(mask)
+                self.n_injections += 1
+        if len(self._masks) * self.n_patterns >= _CHUNK_CELLS:
+            self.flush()
+        return q
+
+    def add_block(
+        self, queries: np.ndarray, forces: np.ndarray, masks: np.ndarray
+    ) -> None:
+        """Injections already packed, with ``queries`` nondecreasing."""
+        if len(queries):
+            self.blocks.append((queries, forces, masks))
+            self.n_injections += len(queries)
+
+    def flush(self) -> None:
+        """Pack the pending per-fault injections into one block."""
+        if self._masks:
+            n_bytes = 8 * self.n_words
+            packed = np.frombuffer(
+                b"".join(mask.to_bytes(n_bytes, "little") for mask in self._masks),
+                dtype="<u8",
+            )
+            self.blocks.append(
+                (
+                    np.array(self._queries, dtype=np.intp),
+                    np.array(self._forces, dtype=np.intp),
+                    packed.reshape(-1, self.n_words).astype(np.uint64),
+                )
+            )
+            self._queries, self._forces, self._masks = [], [], []
+
+
+class _BridgePlan:
+    """External bridges planned as one array pass.
+
+    Bridge ``i`` asks query ``query + 2i`` (strict) and ``query + 2i + 1``
+    (potential); its IDDQ detection and peak current need no query.
+    """
+
+    def __init__(self, query: int):
+        self.query = query
+        self.iddq: list[int | None] = []
+        self.peak: list[float] = []
+
+    def detection(self, i: int, firsts: Sequence[int | None]) -> Detection:
+        strict = self.query + 2 * i
+        return Detection(
+            firsts[strict], firsts[strict + 1], self.iddq[i], self.peak[i]
+        )
+
+    def pending(self, i: int) -> Pending:
+        return lambda firsts: self.detection(i, firsts)
+
+
 class SwitchLevelFaultSimulator:
     """Simulator bound to one layout design and one vector sequence."""
 
@@ -141,10 +270,10 @@ class SwitchLevelFaultSimulator:
         self.mapped = design.mapped
         self.patterns = [list(p) for p in patterns]
         self.n_patterns = len(self.patterns)
-        # One packed word spans the whole sequence: every stuck-at force is
-        # simulated in a single pass (bit k = vector k), and no word carries
-        # bits past the last vector.
-        self.fault_sim = FaultSimulator(self.mapped, width=max(1, self.n_patterns))
+        self.n_words = -(-self.n_patterns // 64)
+        # One block spans the whole sequence: every force is simulated in a
+        # single pass (bit k = vector k).
+        self.engine = NumpyFaultSimulator(self.mapped, width=64 * max(1, self.n_words))
         if not 0 < v_low <= 0.5 <= v_high < 1:
             raise ValueError("thresholds must satisfy 0 < v_low <= 0.5 <= v_high < 1")
         self.v_low = v_low
@@ -157,48 +286,60 @@ class SwitchLevelFaultSimulator:
             self.cells[gate.name] = info
             self.driver_cell[gate.output] = info
 
-        #: Force tuple -> sequence-wide detection bitset (bit k = vector k):
-        #: where those simultaneous stuck-at forces reach a primary output.
-        #: Filled lazily; a force is simulated once however many faults and
-        #: vector masks use it.
-        self._detections: dict[tuple[StuckAtFault, ...], int] = {}
-        #: Masked injections evaluated so far (nonempty vector mask).
-        self._n_injections = 0
+        #: Force tuple -> row of the detection table.  A force is simulated
+        #: once however many faults, vector masks and runs use it.
+        self._rows: dict[tuple[StuckAtFault, ...], int] = {}
+        #: Detection table: row = sequence-wide bitset of where those
+        #: simultaneous stuck-at forces reach a primary output.
+        self._table = np.zeros((0, self.n_words), dtype=np.uint64)
         self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._combos: dict[str, np.ndarray] = {}
-        self._stuck_open_memo: dict[tuple, Detection] = {}
+        self._drive_code_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._devices: dict[str, tuple[_CellInfo, str, int]] = {}
+        self._net_forces: dict[tuple[str, int], tuple[StuckAtFault]] = {}
+        self._code_masks: dict[str, list[tuple[int, int]]] = {}
         self._simulate_good()
 
     # ------------------------------------------------------------------
     # Fault-free preparation
     # ------------------------------------------------------------------
     def _simulate_good(self) -> None:
-        logic = self.fault_sim.logic
-        #: Fault-free value word of every net, indexed by net id.
-        self.good: list[int] = [0] * logic.n_nets
-        if self.patterns:
-            (words,) = pack_patterns(
-                self.patterns, len(self.mapped.primary_inputs), self.fault_sim.width
-            )
-            self.good = logic.simulate_packed_list(words)
+        logic = self.engine.logic
+        n_nets = logic.n_nets
+        #: Fault-free ``(words, n_nets)`` block of the whole sequence.
+        self.good = self.engine.good_block(
+            pack_bitslice(self.patterns, len(self.mapped.primary_inputs))
+        )
+        #: Net (or supply rail) -> row of the per-vector level and drive
+        #: matrices; the two rails follow the net ids.
+        self._row: dict[str, int] = dict(logic.net_id)
+        self._row[VDD] = n_nets
+        self._row[GND] = n_nets + 1
 
-        # Per-net value arrays over all vectors (numpy uint8).
-        n_bytes = (self.n_patterns + 7) // 8
-        blob = b"".join(word.to_bytes(n_bytes, "little") for word in self.good)
-        rows = np.unpackbits(
-            np.frombuffer(blob, dtype=np.uint8).reshape(logic.n_nets, n_bytes),
+        # Per-net value rows over all vectors (numpy uint8).
+        levels = np.zeros((n_nets + 2, self.n_patterns), dtype=np.uint8)
+        levels[:n_nets] = np.unpackbits(
+            np.ascontiguousarray(self.good.T).astype("<u8", copy=False).view(np.uint8),
             axis=1,
             count=self.n_patterns,
             bitorder="little",
         )
+        levels[self._row[VDD]] = 1
+        self._levels = levels
         self.values: dict[str, np.ndarray] = {
-            net: rows[logic.net_id[net]] for net in self.mapped.nets
+            net: levels[logic.net_id[net]] for net in self.mapped.nets
+        }
+        #: Every vector, and each net's fault-free value, as a bitset.
+        self._all = (1 << self.n_patterns) - 1
+        self._high: dict[str, int] = {
+            net: _mask_bits(values) for net, values in self.values.items()
         }
 
-        # Per-net drive strength arrays (strength holding the current value).
-        self.drive: dict[str, np.ndarray] = {}
+        # Per-net drive strength rows (strength holding the current value).
+        drives = np.full((n_nets + 2, self.n_patterns), SUPPLY_STRENGTH)
         for net in self.mapped.nets:
-            self.drive[net] = self._net_drive(net)
+            drives[self._row[net]] = self._net_drive(net)
+        self._drives = drives
 
     def _net_drive(self, net: str) -> np.ndarray:
         if net in _SUPPLIES:
@@ -210,6 +351,18 @@ class SwitchLevelFaultSimulator:
         g_up, g_down = self._faulty_tables(cell, {}, {})
         value = self.values[net]
         return np.where(value == 1, g_up[combos], g_down[combos])
+
+    def _code_bits(self, cell: _CellInfo) -> list[tuple[int, int]]:
+        """(input code, bitset of the vectors applying it) for every code
+        the sequence applies to ``cell``."""
+        masks = self._code_masks.get(cell.instance)
+        if masks is None:
+            combos = self._combo_indices(cell)
+            masks = self._code_masks[cell.instance] = [
+                (code, _mask_bits(combos == code))
+                for code in np.unique(combos).tolist()
+            ]
+        return masks
 
     def _combo_indices(self, cell: _CellInfo) -> np.ndarray:
         """Per-vector input code of ``cell`` (bit i = input pin i)."""
@@ -230,27 +383,54 @@ class SwitchLevelFaultSimulator:
         faults_by_class: Counter[str] = Counter()
         injections_by_class: Counter[str] = Counter()
         wall_by_class: Counter[str] = Counter()
-        n_forces = len(self._detections)
+        n_forces = len(self._rows)
         with obs.span(
             "switch_sim.run", n_faults=len(result.faults), n_patterns=self.n_patterns
         ):
-            for fault in result.faults:
-                n_injections = self._n_injections
+            with obs.span("switch_sim.plan"):
+                plan = _Plan(self.n_patterns)
+                # None marks an external bridge, planned by the array pass.
+                pending: list[Pending | None] = []
+                external: list[BridgeFault] = []
+                for fault in result.faults:
+                    name = type(fault).__name__
+                    faults_by_class[name] += 1
+                    if _is_external_bridge(fault):
+                        external.append(fault)
+                        pending.append(None)
+                        continue
+                    n_injections = plan.n_injections
+                    t0 = time.perf_counter()
+                    pending.append(self._plan(fault, plan))
+                    wall_by_class[name] += time.perf_counter() - t0
+                    injections_by_class[name] += plan.n_injections - n_injections
+                n_injections = plan.n_injections
                 t0 = time.perf_counter()
-                det = self._dispatch(fault)
-                name = type(fault).__name__
-                wall_by_class[name] += time.perf_counter() - t0
-                faults_by_class[name] += 1
-                injections_by_class[name] += self._n_injections - n_injections
-                if det.strict is not None:
-                    result.first_detection[id(fault)] = det.strict
-                potential = det.merged_potential()
-                if potential is not None:
-                    result.first_detection_potential[id(fault)] = potential
-                if det.iddq is not None:
-                    result.first_detection_iddq[id(fault)] = det.iddq
-                if det.iddq_current > 0:
-                    result.iddq_peak[id(fault)] = det.iddq_current
+                bridges = self._external_bridges(external, plan)
+                if external:
+                    name = BridgeFault.__name__
+                    wall_by_class[name] += time.perf_counter() - t0
+                    injections_by_class[name] += plan.n_injections - n_injections
+            with obs.span("switch_sim.fill", n_forces=len(plan.force_ids)):
+                rows = self._fill(plan)
+            with obs.span("switch_sim.resolve", n_queries=plan.n_queries):
+                firsts = self._resolve(plan, rows)
+                bridge = 0
+                for fault, finish in zip(result.faults, pending):
+                    if finish is None:
+                        det = bridges.detection(bridge, firsts)
+                        bridge += 1
+                    else:
+                        det = finish(firsts)
+                    if det.strict is not None:
+                        result.first_detection[id(fault)] = det.strict
+                    potential = det.merged_potential()
+                    if potential is not None:
+                        result.first_detection_potential[id(fault)] = potential
+                    if det.iddq is not None:
+                        result.first_detection_iddq[id(fault)] = det.iddq
+                    if det.iddq_current > 0:
+                        result.iddq_peak[id(fault)] = det.iddq_current
         obs.inc("switch_sim.faults_simulated", len(result.faults))
         obs.inc("switch_sim.detected_strict", len(result.first_detection))
         obs.inc(
@@ -264,134 +444,214 @@ class SwitchLevelFaultSimulator:
                 obs.inc(f"switch_sim.injections.{name}", count)
             for name, seconds in wall_by_class.items():
                 obs.set_gauge(f"switch_sim.wall_s.{name}", seconds)
-            obs.inc("switch_sim.detection_words", len(self._detections) - n_forces)
+            obs.inc("switch_sim.detection_words", len(self._rows) - n_forces)
         return result
 
     def _dispatch(self, fault: RealisticFault) -> Detection:
+        """Plan, fill and resolve one fault on its own."""
+        plan = _Plan(self.n_patterns)
+        finish = self._plan(fault, plan)
+        return finish(self._resolve(plan, self._fill(plan)))
+
+    def _plan(self, fault: RealisticFault, plan: _Plan) -> Pending:
         if isinstance(fault, BridgeFault):
-            return self._bridge(fault)
+            return self._bridge(fault, plan)
         if isinstance(fault, TransistorStuckOn):
-            return self._stuck_on(fault.transistor)
+            return self._stuck_on(fault.transistor, plan)
         if isinstance(fault, TransistorStuckOpen):
-            return self._stuck_open(fault.transistors)
+            return self._stuck_open(fault.transistors, plan)
         if isinstance(fault, TransistorGateOpen):
-            return self._gate_open(fault.transistor)
+            return self._gate_open(fault.transistor, plan)
         if isinstance(fault, FloatingNetFault):
-            return self._floating_net(fault)
+            return self._floating_net(fault, plan)
         raise TypeError(f"unknown fault class {type(fault).__name__}")
 
     # ------------------------------------------------------------------
-    # Masked packed detection helpers
+    # Fill and resolve
     # ------------------------------------------------------------------
-    def _detection_bits(self, forces: tuple[StuckAtFault, ...]) -> int:
-        """Vectors (bit k = vector k) where ``forces`` reach a primary output."""
-        bits = self._detections.get(forces)
-        if bits is None:
-            if len(forces) == 1:
-                bits = self.fault_sim.detection_word(forces[0], self.good)
-            else:
-                bits = self.fault_sim.detection_word_multi(forces, self.good)
-            self._detections[forces] = bits
-        return bits
+    def _fill(self, plan: _Plan) -> np.ndarray:
+        """Table row of each of the plan's force ids.
 
-    def _first_masked_detection(
-        self, injections: list[tuple[tuple[StuckAtFault, ...], np.ndarray]]
-    ) -> int | None:
-        """First vector where any (forces, vector-mask) injection misbehaves."""
-        hit = 0
-        for forces, mask in injections:
-            mask_bits = _mask_bits(mask)
-            if mask_bits:
-                self._n_injections += 1
-                hit |= self._detection_bits(forces) & mask_bits
-        return (hit & -hit).bit_length() if hit else None
+        Forces not yet in the table are simulated, all in one call to the
+        numpy engine, and appended to it.
+        """
+        plan.flush()
+        rows = np.empty(len(plan.force_ids), dtype=np.intp)
+        new: list[tuple[StuckAtFault, ...]] = []
+        for fid, forces in enumerate(plan.force_ids):
+            row = self._rows.get(forces)
+            if row is None:
+                row = self._rows[forces] = len(self._rows)
+                new.append(forces)
+            rows[fid] = row
+        if new:
+            words = self.engine.detection_words(self.good, self.n_patterns, new)
+            self._table = np.concatenate((self._table, words))
+        return rows
+
+    def _resolve(self, plan: _Plan, rows: np.ndarray) -> list[int | None]:
+        """First detection (1-based) of every query of ``plan``, or None."""
+        hit = np.zeros((plan.n_queries, plan.n_words), dtype=np.uint64)
+        for queries, forces, masks in plan.blocks:
+            detected = self._table[rows[forces]] & masks
+            starts = np.flatnonzero(np.diff(queries, prepend=-1))
+            hit[queries[starts]] |= np.bitwise_or.reduceat(detected, starts, axis=0)
+        return _first_set_bits(hit)
+
+    # ------------------------------------------------------------------
+    # Injection helpers
+    # ------------------------------------------------------------------
+    def _net_force(self, net: str, value: int) -> tuple[StuckAtFault]:
+        """The (shared) single stuck-at force tuple of ``net`` at ``value``."""
+        forces = self._net_forces.get((net, value))
+        if forces is None:
+            forces = self._net_forces[net, value] = (StuckAtFault(net, value),)
+        return forces
 
     @staticmethod
     def _first_true(mask: np.ndarray) -> int | None:
         indices = np.flatnonzero(mask)
         return int(indices[0]) + 1 if indices.size else None
 
-    def _flip_injections(
-        self, net: str, flip0: np.ndarray, flip1: np.ndarray
-    ) -> list[tuple[tuple[StuckAtFault, ...], np.ndarray]]:
+    def _flip_injections(self, net: str, flip0: int, flip1: int) -> list[Injection]:
         """Masked single-net injections for force-to-0/force-to-1 vectors."""
         if net in _SUPPLIES:
             return []
         injections = []
-        if flip0.any():
-            injections.append(((StuckAtFault(net, 0),), flip0))
-        if flip1.any():
-            injections.append(((StuckAtFault(net, 1),), flip1))
+        if flip0:
+            injections.append((self._net_force(net, 0), flip0))
+        if flip1:
+            injections.append((self._net_force(net, 1), flip1))
         return injections
 
-    def _x_injections(
-        self, net: str, x_mask: np.ndarray, values: np.ndarray
-    ) -> list[tuple[tuple[StuckAtFault, ...], np.ndarray]]:
+    def _x_injections(self, net: str, x_mask: int) -> list[Injection]:
         """Potential-detection injections: force opposite of good at X vectors."""
-        if net in _SUPPLIES or not x_mask.any():
+        if net in _SUPPLIES or not x_mask:
             return []
-        return self._flip_injections(net, x_mask & (values == 1), x_mask & (values == 0))
+        high = self._high[net]
+        return self._flip_injections(net, x_mask & high, x_mask & ~high)
+
+    def _strict_and_potential(
+        self, plan: _Plan, strict: list[Injection], x_forces: list[Injection]
+    ) -> tuple[int, int]:
+        """Queries over the strict flips, and over the flips plus X forces."""
+        return plan.query(strict), plan.query(strict + x_forces)
 
     # ------------------------------------------------------------------
     # Bridge faults
     # ------------------------------------------------------------------
-    def _bridge(self, fault: BridgeFault) -> Detection:
+    def _bridge(self, fault: BridgeFault, plan: _Plan) -> Pending:
         a, b = fault.net_a, fault.net_b
-        if {a, b} == set(_SUPPLIES):
+        if {a, b} == _SUPPLY_PAIR:
             # Power-to-ground short: the die draws massive current and no
             # valid levels exist — any vector fails either test.
             if self.n_patterns:
-                return Detection(1, 1, 1, iddq_current=1e3)
-            return Detection()
+                return _fixed(Detection(1, 1, 1, iddq_current=1e3))
+            return _UNDETECTED
         if "#" in a or "#" in b:
-            return self._bridge_internal(fault)
+            return self._bridge_internal(fault, plan)
+        return self._external_bridges([fault], plan).pending(0)
 
-        va = self._rail_or_values(a)
-        vb = self._rail_or_values(b)
+    def _external_bridges(
+        self, faults: Sequence[BridgeFault], plan: _Plan
+    ) -> _BridgePlan:
+        """Plan bridges between two external nets (or a net and a rail)."""
+        bridges = _BridgePlan(plan.new_queries(2 * len(faults)))
+        if not self.n_patterns:
+            bridges.iddq = [None] * len(faults)
+            bridges.peak = [0.0] * len(faults)
+            return bridges
+        rows = max(1, _CHUNK_CELLS // self.n_patterns)
+        for start in range(0, len(faults), rows):
+            chunk = faults[start : start + rows]
+            iddq, peak = self._external_chunk(chunk, bridges.query + 2 * start, plan)
+            bridges.iddq.extend(iddq)
+            bridges.peak.extend(peak)
+        return bridges
+
+    def _external_chunk(
+        self, faults: Sequence[BridgeFault], base: int, plan: _Plan
+    ) -> tuple[list[int | None], list[float]]:
+        """One ``(bridges, vectors)`` array pass of :meth:`_external_bridges`.
+
+        Bridge ``i`` of the chunk asks queries ``base + 2i`` (strict) and
+        ``base + 2i + 1`` (potential); returns the chunk's IDDQ first
+        detections and peak currents.
+
+        Row by row this is the per-bridge resolution: the two drivers fight
+        through a zero-resistance bridge; the side whose level survives
+        forces the other net, and an intermediate level is an X.
+        """
+        row = self._row
+        ia = np.array([row[f.net_a] for f in faults], dtype=np.intp)
+        ib = np.array([row[f.net_b] for f in faults], dtype=np.intp)
+        va = self._levels[ia]
+        vb = self._levels[ib]
         diff = va != vb
-        if not diff.any():
-            return Detection()
-        iddq = self._first_true(diff)
-
-        ga = self._rail_or_drive(a)
-        gb = self._rail_or_drive(b)
+        ga = self._drives[ia]
+        gb = self._drives[ib]
         # Quiescent current of the fight: VDD through the two drive paths in
         # series (zero bridge resistance).
-        fight_current = np.where(diff, ga * gb / (ga + gb), 0.0)
-        peak_current = float(fight_current.max())
+        peak = np.where(diff, ga * gb / (ga + gb), 0.0).max(axis=1)
         v_node = (ga * va + gb * vb) / (ga + gb)
         # Wired-AND tie-break: an exactly balanced fight resolves low.
         low_wins = (v_node <= self.v_low) | (v_node == 0.5)
-        a_wins = diff & (np.where(va == 1, v_node >= self.v_high, low_wins))
-        b_wins = diff & (np.where(vb == 1, v_node >= self.v_high, low_wins))
+        a_high = va == 1
+        b_high = vb == 1
+        a_wins = diff & np.where(a_high, v_node >= self.v_high, low_wins)
+        b_wins = diff & np.where(b_high, v_node >= self.v_high, low_wins)
         x_mask = diff & ~a_wins & ~b_wins
+        del ga, gb, v_node, low_wins  # free the float rows before the stack
+        masks = np.stack(
+            (
+                a_wins & b_high,
+                a_wins & ~b_high,
+                b_wins & a_high,
+                b_wins & ~a_high,
+                x_mask & a_high,
+                x_mask & ~a_high,
+                x_mask & b_high,
+                x_mask & ~b_high,
+            ),
+            axis=1,
+        )
+        # A rail is never forced.
+        masks[ia >= self._row[VDD]] &= _SLOT_ON_B[:, None]
+        masks[ib >= self._row[VDD]] &= ~_SLOT_ON_B[:, None]
+        bridge, slot = np.nonzero(masks.any(axis=2))
+        packed = _pack_masks(masks[bridge, slot], self.n_words)
+        del masks
 
-        strict_injections = []
-        for net, wins, values in ((b, a_wins, vb), (a, b_wins, va)):
-            strict_injections.extend(
-                self._flip_injections(net, wins & (values == 1), wins & (values == 0))
-            )
-        strict = self._first_masked_detection(strict_injections)
+        # Force ids of the nonempty slots, one dict lookup per distinct force.
+        keys = np.where(_SLOT_ON_B[slot], ib[bridge], ia[bridge]) * 2 + _SLOT_VALUE[slot]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        net_names = self.engine.logic.net_names
+        fids = np.array(
+            [
+                plan.force_id(self._net_force(net_names[key // 2], key % 2))
+                for key in distinct.tolist()
+            ],
+            dtype=np.intp,
+        )[inverse]
 
-        potential_injections = list(strict_injections)
-        potential_injections.extend(self._x_injections(a, x_mask, va))
-        potential_injections.extend(self._x_injections(b, x_mask, vb))
-        potential = self._first_masked_detection(potential_injections)
-        return Detection(strict, potential, iddq, iddq_current=peak_current)
+        # The strict query takes slots 0-3, the potential query every slot.
+        strict = slot < _N_STRICT_SLOTS
+        queries = np.concatenate((base + 2 * bridge[strict], base + 2 * bridge + 1))
+        entries = np.concatenate((np.flatnonzero(strict), np.arange(len(slot))))
+        order = np.argsort(queries, kind="stable")
+        entries = entries[order]
+        plan.add_block(queries[order], fids[entries], packed[entries])
+
+        iddq = np.where(diff.any(axis=1), diff.argmax(axis=1) + 1, 0)
+        return [k or None for k in iddq.tolist()], peak.tolist()
 
     def _rail_or_values(self, net: str) -> np.ndarray:
-        if net == VDD:
-            return np.ones(self.n_patterns, dtype=np.uint8)
-        if net == GND:
-            return np.zeros(self.n_patterns, dtype=np.uint8)
-        return self.values[net]
+        return self._levels[self._row[net]]
 
     def _rail_or_drive(self, net: str) -> np.ndarray:
-        if net in _SUPPLIES:
-            return np.full(self.n_patterns, SUPPLY_STRENGTH)
-        return self.drive[net]
+        return self._drives[self._row[net]]
 
-    def _bridge_internal(self, fault: BridgeFault) -> Detection:
+    def _bridge_internal(self, fault: BridgeFault, plan: _Plan) -> Pending:
         """Bridge between an external net and a cell-internal chain node."""
         internal = fault.net_a if "#" in fault.net_a else fault.net_b
         external = fault.net_b if internal == fault.net_a else fault.net_a
@@ -402,19 +662,19 @@ class SwitchLevelFaultSimulator:
             # conducting pair (conservatively: from the first vector, at a
             # weak stack-limited current).
             if self.n_patterns:
-                return Detection(None, None, 1, iddq_current=0.1)
-            return Detection()
+                return _fixed(Detection(None, None, 1, iddq_current=0.1))
+            return _UNDETECTED
         instance, tag = internal.split("#", 1)
         cell = self.cells.get(instance)
         if cell is None:
-            return Detection()
+            return _UNDETECTED
         tap_index = int(tag[1:])
 
         out = cell.output
         ext_vals = self._rail_or_values(external)
         ext_drive = self._rail_or_drive(external)
         out_vals = self.values[out]
-        out_new, tap_val = self._tap_levels(cell, tap_index, ext_vals, ext_drive)
+        out_new, tap_val = self._tap_levels(cell, tap_index, external)
 
         out_x = out_new == 2
         out_flip0 = (out_new == 0) & (out_vals == 1)
@@ -425,37 +685,43 @@ class SwitchLevelFaultSimulator:
         ext_flip1 = (tap_val == 1) & (ext_vals == 0)
         iddq_mask = ext_x | (out_new != out_vals)
 
-        strict_injections = self._flip_injections(out, out_flip0, out_flip1)
-        strict_injections.extend(self._flip_injections(external, ext_flip0, ext_flip1))
-        strict = self._first_masked_detection(strict_injections)
-
-        potential_injections = list(strict_injections)
-        potential_injections.extend(self._x_injections(out, out_x, out_vals))
-        potential_injections.extend(self._x_injections(external, ext_x, ext_vals))
-        potential = self._first_masked_detection(potential_injections)
+        bits = _mask_bits
+        strict_injections = self._flip_injections(
+            out, bits(out_flip0), bits(out_flip1)
+        )
+        strict_injections.extend(
+            self._flip_injections(external, bits(ext_flip0), bits(ext_flip1))
+        )
+        x_injections = self._x_injections(out, bits(out_x))
+        x_injections.extend(self._x_injections(external, bits(ext_x)))
+        strict, potential = self._strict_and_potential(
+            plan, strict_injections, x_injections
+        )
         peak = 0.0
         if iddq_mask.any():
             # The fight runs through the external driver and the cell stack;
             # bound it by the external drive strength at the worst vector.
             peak = float(np.where(iddq_mask, np.minimum(ext_drive, 4.0), 0.0).max())
-        return Detection(strict, potential, self._first_true(iddq_mask), iddq_current=peak)
+        return _detection(strict, potential, self._first_true(iddq_mask), peak)
 
     def _tap_levels(
-        self,
-        cell: _CellInfo,
-        tap_index: int,
-        ext_vals: np.ndarray,
-        ext_drive: np.ndarray,
+        self, cell: _CellInfo, tap_index: int, external: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vector (output, tap node) levels of ``cell`` tied at a node.
+        """Per-vector (output, tap node) levels of ``cell`` tied at a node
+        to net (or rail) ``external``.
 
         :func:`solve_with_tap` runs once per distinct (input combo, external
         value, external drive); the levels are gathered back per vector.
         """
+        drive_levels, drive_code = self._drive_codes(external)
         combos = self._combo_indices(cell)
-        drive_levels, drive_code = np.unique(ext_drive, return_inverse=True)
-        keys = (combos * 2 + ext_vals) * len(drive_levels) + drive_code
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        keys = (combos * 2 + self._rail_or_values(external)) * len(
+            drive_levels
+        ) + drive_code
+        # Keys are small: rank them through a bin count rather than a sort.
+        present = np.bincount(keys) > 0
+        unique_keys = np.flatnonzero(present)
+        inverse = (np.cumsum(present) - 1)[keys]
         n = len(cell.inputs)
         solved = []
         for key in unique_keys.tolist():
@@ -474,15 +740,28 @@ class SwitchLevelFaultSimulator:
         levels = np.array(solved, dtype=np.int64).reshape(-1, 2)[inverse]
         return levels[:, 0], levels[:, 1]
 
+    def _drive_codes(self, net: str) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct drive strengths of ``net`` and each vector's index into
+        them, memoised per net."""
+        codes = self._drive_code_memo.get(net)
+        if codes is None:
+            codes = self._drive_code_memo[net] = np.unique(
+                self._rail_or_drive(net), return_inverse=True
+            )
+        return codes
+
     # ------------------------------------------------------------------
     # Transistor faults
     # ------------------------------------------------------------------
     def _device(self, name: str) -> tuple[_CellInfo, str, int] | None:
-        instance, dev = name.rsplit(".", 1)
-        cell = self.cells.get(instance)
-        if cell is None:
-            return None
-        return cell, dev[0].lower(), int(dev[1:])
+        located = self._devices.get(name)
+        if located is None:
+            instance, dev = name.rsplit(".", 1)
+            cell = self.cells.get(instance)
+            if cell is None:
+                return None
+            located = self._devices[name] = (cell, dev[0].lower(), int(dev[1:]))
+        return located
 
     def _faulty_tables(
         self,
@@ -504,41 +783,43 @@ class SwitchLevelFaultSimulator:
             tables = self._tables[key] = (g_up, g_down)
         return tables
 
-    def _stuck_on(self, device: str) -> Detection:
+    def _stuck_on(self, device: str, plan: _Plan) -> Pending:
         located = self._device(device)
         if located is None:
-            return Detection()
+            return _UNDETECTED
         cell, polarity, index = located
         n_mods = {index: "on"} if polarity == "n" else {}
         p_mods = {index: "on"} if polarity == "p" else {}
         g_up, g_down = self._faulty_tables(cell, n_mods, p_mods)
 
-        combos = self._combo_indices(cell)
-        up = g_up[combos]
-        down = g_down[combos]
-        out_vals = self.values[cell.output]
+        # The fight and the node voltage depend on the input code only.
+        contention = to_high = to_low = x_mask = 0
+        peak_current = 0.0
+        for code, vectors in self._code_bits(cell):
+            up = float(g_up[code])
+            down = float(g_down[code])
+            total = up + down
+            v_node = up / total if total > 0 else math.nan
+            if up > 0 and down > 0:
+                contention |= vectors
+                peak_current = max(peak_current, up * down / total)
+                if self.v_low < v_node < self.v_high and v_node != 0.5:
+                    x_mask |= vectors
+            if v_node >= self.v_high:
+                to_high |= vectors
+            # Wired-AND tie-break: an exactly balanced fight resolves low.
+            if v_node <= self.v_low or v_node == 0.5:
+                to_low |= vectors
 
-        contention = (up > 0) & (down > 0)
-        iddq = self._first_true(contention)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fight = np.where(contention, up * down / np.where(up + down > 0, up + down, 1.0), 0.0)
-        peak_current = float(fight.max()) if contention.any() else 0.0
+        high = self._high[cell.output]
+        strict, potential = self._strict_and_potential(
+            plan,
+            self._flip_injections(cell.output, to_low & high, to_high & ~high),
+            self._x_injections(cell.output, x_mask),
+        )
+        return _detection(strict, potential, _lowest_bit(contention), peak_current)
 
-        total = up + down
-        with np.errstate(invalid="ignore", divide="ignore"):
-            v_node = np.where(total > 0, up / np.where(total > 0, total, 1.0), np.nan)
-        flips1 = (v_node >= self.v_high) & (out_vals == 0)
-        flips0 = ((v_node <= self.v_low) | (v_node == 0.5)) & (out_vals == 1)
-        x_mask = contention & (v_node > self.v_low) & (v_node < self.v_high) & (v_node != 0.5)
-
-        strict_injections = self._flip_injections(cell.output, flips0, flips1)
-        strict = self._first_masked_detection(strict_injections)
-        potential_injections = list(strict_injections)
-        potential_injections.extend(self._x_injections(cell.output, x_mask, out_vals))
-        potential = self._first_masked_detection(potential_injections)
-        return Detection(strict, potential, iddq, iddq_current=peak_current)
-
-    def _stuck_open(self, devices: tuple[str, ...]) -> Detection:
+    def _stuck_open(self, devices: tuple[str, ...], plan: _Plan) -> Pending:
         by_cell: dict[str, tuple[_CellInfo, dict[int, str], dict[int, str]]] = {}
         for name in devices:
             located = self._device(name)
@@ -551,48 +832,60 @@ class SwitchLevelFaultSimulator:
             else:
                 entry[2][index] = "absent"
         if not by_cell:
-            return Detection()
+            return _UNDETECTED
         # Multi-cell stuck-open sets (e.g. a supply-rail break) are handled
         # per cell; detection by any cell's misbehaviour counts.
-        strict: int | None = None
-        potential: int | None = None
-        for cell, n_mods, p_mods in by_cell.values():
-            det = self._stuck_open_one_cell(cell, n_mods, p_mods)
-            strict = _min_opt(strict, det.strict)
-            potential = _min_opt(potential, det.merged_potential())
-        return Detection(strict, potential, None)  # no quiescent current
+        cells = [
+            self._stuck_open_one_cell(cell, n_mods, p_mods, plan)
+            for cell, n_mods, p_mods in by_cell.values()
+        ]
+
+        def finish(firsts: Sequence[int | None]) -> Detection:
+            strict: int | None = None
+            potential: int | None = None
+            for cell_finish in cells:
+                det = cell_finish(firsts)
+                strict = _min_opt(strict, det.strict)
+                potential = _min_opt(potential, det.merged_potential())
+            return Detection(strict, potential, None)  # no quiescent current
+
+        return finish
 
     def _stuck_open_one_cell(
         self,
         cell: _CellInfo,
         n_mods: dict[int, str],
         p_mods: dict[int, str],
-    ) -> Detection:
-        """Memoised per (instance, mods): a gate-open's always-off half is
-        the matching single-device stuck-open."""
+        plan: _Plan,
+    ) -> Pending:
+        """Planned once per (instance, mods) in ``plan``."""
         key = (cell.instance, _mods_key(n_mods), _mods_key(p_mods))
-        memo = self._stuck_open_memo.get(key)
+        memo = plan.stuck_open.get(key)
         if memo is not None:
             return memo
         g_up, g_down = self._faulty_tables(cell, n_mods, p_mods)
-        combos = self._combo_indices(cell)
-        faulty = retained_levels(g_up[combos], g_down[combos])
-        out_vals = self.values[cell.output]
-        x_mask = faulty == 2
-        flips0 = (faulty == 0) & (out_vals == 1)
-        flips1 = (faulty == 1) & (out_vals == 0)
+        pulled_high = pulled_low = floating = 0
+        for code, vectors in self._code_bits(cell):
+            if g_up[code] > 0:
+                if g_down[code] <= 0:
+                    pulled_high |= vectors
+            elif g_down[code] > 0:
+                pulled_low |= vectors
+            else:
+                floating |= vectors
+        level1, level0 = retained_bits(pulled_high, pulled_low, floating, self._all)
+        x_mask = self._all & ~(level1 | level0)
+        high = self._high[cell.output]
 
-        strict_injections = self._flip_injections(cell.output, flips0, flips1)
-        strict = self._first_masked_detection(strict_injections)
-        potential_injections = list(strict_injections)
-        potential_injections.extend(
-            self._x_injections(cell.output, x_mask, out_vals)
+        strict, potential = self._strict_and_potential(
+            plan,
+            self._flip_injections(cell.output, level0 & high, level1 & ~high),
+            self._x_injections(cell.output, x_mask),
         )
-        potential = self._first_masked_detection(potential_injections)
-        det = self._stuck_open_memo[key] = Detection(strict, potential, None)
-        return det
+        finish = plan.stuck_open[key] = _detection(strict, potential, None, 0.0)
+        return finish
 
-    def _gate_open(self, device: str) -> Detection:
+    def _gate_open(self, device: str, plan: _Plan) -> Pending:
         """Floating single gate: unknown but fixed state.
 
         Strict voltage detection requires failing under both the always-on
@@ -600,37 +893,43 @@ class SwitchLevelFaultSimulator:
         """
         located = self._device(device)
         if located is None:
-            return Detection()
+            return _UNDETECTED
         cell, polarity, index = located
         off_mods = ({index: "absent"}, {}) if polarity == "n" else ({}, {index: "absent"})
 
-        det_on = self._stuck_on(device)
-        det_off = self._stuck_open_one_cell(cell, *off_mods)
-        strict = _max_opt(det_on.strict, det_off.strict)
-        potential = _min_opt(det_on.merged_potential(), det_off.merged_potential())
-        return Detection(
-            strict, potential, det_on.iddq, iddq_current=det_on.iddq_current
-        )
+        on = self._stuck_on(device, plan)
+        off = self._stuck_open_one_cell(cell, *off_mods, plan)
+
+        def finish(firsts: Sequence[int | None]) -> Detection:
+            det_on = on(firsts)
+            det_off = off(firsts)
+            strict = _max_opt(det_on.strict, det_off.strict)
+            potential = _min_opt(det_on.merged_potential(), det_off.merged_potential())
+            return Detection(
+                strict, potential, det_on.iddq, iddq_current=det_on.iddq_current
+            )
+
+        return finish
 
     # ------------------------------------------------------------------
     # Floating-net (open) faults
     # ------------------------------------------------------------------
-    def _floating_net(self, fault: FloatingNetFault) -> Detection:
+    def _floating_net(self, fault: FloatingNetFault, plan: _Plan) -> Pending:
         if fault.floating_inputs:
-            return self._floating_inputs(fault)
+            return self._floating_inputs(fault, plan)
         if fault.stuck_open:
-            return self._stuck_open(fault.stuck_open)
+            return self._stuck_open(fault.stuck_open, plan)
         # Only a primary-output observer floats: the tester cannot *rely* on
         # the unknown level (strict: undetected) but will very likely see a
         # wrong value at some point (potential: first vector).
         if fault.floats_output_port and self.n_patterns:
-            return Detection(None, 1, None)
-        return Detection()
+            return _fixed(Detection(None, 1, None))
+        return _UNDETECTED
 
-    def _floating_inputs(self, fault: FloatingNetFault) -> Detection:
+    def _floating_inputs(self, fault: FloatingNetFault, plan: _Plan) -> Pending:
         net = fault.net
         if net not in self.values:
-            return Detection()
+            return _UNDETECTED
         forces_template: list[tuple[str, int]] = []
         for instance, _ in fault.floating_inputs:
             cell = self.cells.get(instance)
@@ -640,50 +939,125 @@ class SwitchLevelFaultSimulator:
                 if pin_net == net:
                     forces_template.append((instance, pin))
         if not forces_template:
-            return Detection()
+            return _UNDETECTED
 
-        firsts: list[int | None] = []
-        net_vals = self.values[net]
-        for assumption in (0, 1):
-            forces = tuple(
-                StuckAtFault(net, assumption, FaultSite.GATE_INPUT, inst, pin)
-                for inst, pin in forces_template
+        # Trapped charge at ``assumption`` misbehaves where the net is not.
+        high = self._high[net]
+        queries = [
+            plan.query(
+                [
+                    (
+                        tuple(
+                            StuckAtFault(net, assumption, FaultSite.GATE_INPUT, inst, pin)
+                            for inst, pin in forces_template
+                        ),
+                        self._all & ~high if assumption else high,
+                    )
+                ]
             )
-            mask = net_vals == (1 - assumption)
-            if not mask.any():
-                firsts.append(None)
-                continue
-            firsts.append(self._first_masked_detection([(forces, mask)]))
+            for assumption in (0, 1)
+        ]
 
-        strict = None
-        if firsts[0] is not None and firsts[1] is not None:
-            strict = max(firsts[0], firsts[1])
-        potential = _min_opt(firsts[0], firsts[1])
-        return Detection(strict, potential, None)
+        def finish(firsts: Sequence[int | None]) -> Detection:
+            low, high = (firsts[q] for q in queries)
+            strict = None
+            if low is not None and high is not None:
+                strict = max(low, high)
+            return Detection(strict, _min_opt(low, high), None)
+
+        return finish
 
 
-def retained_levels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Per-vector level (0, 1 or X = 2) of a node with charge retention.
+def retained_bits(
+    pulled_high: int, pulled_low: int, floating: int, every: int
+) -> tuple[int, int]:
+    """Vectors (bitsets, bit k = vector k) where a node with charge
+    retention reads 1 and reads 0; the rest of ``every`` reads X.
 
     A node pulled one way only takes that level.  A floating node (neither
     network conducts) holds the level of the last vector that pulled it one
     way, and reads X before any such vector.  A node pulled both ways reads
-    X and leaves the held charge as it was.
+    X and leaves the held charge as it was.  Adding ``pulled << 1`` to the
+    bitset of unpulled vectors (floating or fought over) carries through
+    each run of them that follows a pulled vector; the XOR recovers the run.
     """
-    high = (up > 0) & (down <= 0)
-    resolved = high | ((down > 0) & (up <= 0))
-    floating = (up <= 0) & (down <= 0)
-    last = np.maximum.accumulate(np.where(resolved, np.arange(len(up)), -1))
-    held = floating & (last >= 0)
-    levels = np.full(len(up), 2, dtype=np.int8)
-    levels[resolved] = high[resolved]
-    levels[held] = high[last[held]]
-    return levels
+    unpulled = every & ~(pulled_high | pulled_low)
+    held_high = ((unpulled + (pulled_high << 1)) ^ unpulled) & floating
+    held_low = ((unpulled + (pulled_low << 1)) ^ unpulled) & floating
+    return pulled_high | held_high, pulled_low | held_low
+
+
+def _is_external_bridge(fault: RealisticFault) -> TypeGuard[BridgeFault]:
+    """A bridge :meth:`SwitchLevelFaultSimulator._external_bridges` plans."""
+    return (
+        isinstance(fault, BridgeFault)
+        and "#" not in fault.net_a
+        and "#" not in fault.net_b
+        and {fault.net_a, fault.net_b} != _SUPPLY_PAIR
+    )
+
+
+def _fixed(detection: Detection) -> Pending:
+    """A planned fault whose detection needs no query."""
+    return lambda firsts: detection
+
+
+#: A planned fault that no vector detects.
+_UNDETECTED = _fixed(Detection())
+
+
+def _queried(
+    strict: int,
+    potential: int,
+    iddq: int | None,
+    iddq_current: float,
+    firsts: Sequence[int | None],
+) -> Detection:
+    return Detection(firsts[strict], firsts[potential], iddq, iddq_current)
+
+
+def _detection(
+    strict: int, potential: int, iddq: int | None, iddq_current: float
+) -> Pending:
+    """A planned fault whose strict and potential detections are queries."""
+    return partial(_queried, strict, potential, iddq, iddq_current)
+
+
+def _pack_masks(masks: np.ndarray, n_words: int) -> np.ndarray:
+    """Boolean ``(rows, vectors)`` masks as ``(rows, n_words)`` uint64 bitsets.
+
+    Bit ``k % 64`` of word ``k // 64`` is vector ``k``; bits past the last
+    vector are clear.
+    """
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    padded = np.zeros((len(masks), n_words * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8").astype(np.uint64, copy=False)
 
 
 def _mask_bits(mask: np.ndarray) -> int:
     """A boolean vector mask as a bitset (bit k = vector k)."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _lowest_bit(bits: int) -> int | None:
+    """1-based index of the lowest set bit, or None for 0."""
+    return (bits & -bits).bit_length() or None
+
+
+def _first_set_bits(words: np.ndarray) -> list[int | None]:
+    """Per row of packed ``uint64`` bitsets: 1-based index of the lowest set
+    bit, or None for an all-zero row."""
+    if not words.shape[1]:
+        return [None] * len(words)
+    nonzero = words != 0
+    word = nonzero.argmax(axis=1)
+    value = words[np.arange(len(words)), word]
+    lowest = value & (~value + np.uint64(1))
+    # ``lowest`` is a power of two (or 0), exact as a float64.
+    bit = np.frexp(lowest.astype(np.float64))[1] - 1
+    first = np.where(nonzero.any(axis=1), word * 64 + bit + 1, 0)
+    return [k or None for k in first.tolist()]
 
 
 def _mods_key(mods: dict[int, str]) -> tuple[tuple[int, str], ...]:

@@ -69,6 +69,13 @@ def test_techniques_select_maps():
         build_coverage(faults, result, "psychic")
 
 
+def test_unknown_technique_rejected_before_any_fault():
+    # An empty fault list never reaches the per-fault selection.
+    result = SwitchSimResult(faults=[], n_patterns=10)
+    with pytest.raises(ValueError, match="bogus"):
+        build_coverage([], result, technique="bogus")
+
+
 def test_curve_rows():
     faults = _faults([1, 1])
     a, b = faults.faults

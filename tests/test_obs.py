@@ -442,25 +442,29 @@ def test_switch_sim_counters_per_fault_class(c17_design):
     by_class = Counter(type(fault).__name__ for fault in faults)
     for name, count in by_class.items():
         assert counters[f"switch_sim.faults.{name}"] == count
-    # Wall per fault class, taken around each fault's dispatch.
+    # Plan time per fault class, inside the plan phase.
     gauges = registry.snapshot()["gauges"]
     walls = [gauges.pop(f"switch_sim.wall_s.{name}") for name in by_class]
     assert all(seconds > 0 for seconds in walls)
     assert not [name for name in gauges if name.startswith("switch_sim.wall_s.")]
     (run,) = collector.find("switch_sim.run")
-    assert sum(walls) <= run.wall_time
+    assert [child.name for child in run.children] == [
+        "switch_sim.plan",
+        "switch_sim.fill",
+        "switch_sim.resolve",
+    ]
+    assert sum(walls) <= run.children[0].wall_time
     injections = sum(
         counters.get(f"switch_sim.injections.{name}", 0) for name in by_class
     )
-    assert injections == sim._n_injections
     # Every distinct force is simulated once, however many injections use it.
-    assert counters["switch_sim.detection_words"] == len(sim._detections)
+    assert counters["switch_sim.detection_words"] == len(sim._rows)
     assert 0 < counters["switch_sim.detection_words"] < injections
 
     # A second run on the same simulator reuses every filled force.
     sim.run(faults)
     again = registry.snapshot()["counters"]
-    assert again["switch_sim.detection_words"] == len(sim._detections)
+    assert again["switch_sim.detection_words"] == len(sim._rows)
     assert again["switch_sim.faults.BridgeFault"] == 2 * by_class["BridgeFault"]
 
 

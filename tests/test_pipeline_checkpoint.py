@@ -11,6 +11,7 @@ from repro.resilience import (
     CheckpointStore,
     chaos,
 )
+from repro.switchsim import TECHNIQUES
 
 STAGES = ["atpg", "stuck_sim", "extraction", "switch_sim"]
 
@@ -131,6 +132,14 @@ def test_manifest_records_resilience(tmp_path):
 def test_config_validation_rejects_bad_knobs(kwargs, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(benchmark="c17", **kwargs)
+
+
+def test_config_rejects_unknown_detection_technique():
+    # A typo fails at construction, before any pipeline stage runs.
+    with pytest.raises(ValueError, match="iddqq"):
+        ExperimentConfig(benchmark="c17", detection="iddqq")
+    for technique in TECHNIQUES:
+        ExperimentConfig(benchmark="c17", detection=technique)
 
 
 def test_config_validation_accepts_boundaries():

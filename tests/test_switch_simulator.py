@@ -93,7 +93,7 @@ def test_stuck_open_needs_two_pattern_sequence(c17_design):
 def test_gate_open_strict_requires_both_assumptions(c17_design, c17_sim):
     device = c17_design.transistors[0].name
     det = c17_sim._dispatch(TransistorGateOpen(weight=1.0, transistor=device))
-    det_on = c17_sim._stuck_on(device)
+    det_on = c17_sim._dispatch(TransistorStuckOn(weight=1.0, transistor=device))
     if det.strict is not None:
         assert det_on.strict is not None
         assert det.strict >= det_on.strict

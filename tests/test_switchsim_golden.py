@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.atpg import random_patterns
 from repro.circuit.iscas import load_benchmark
 from repro.defects import extract_faults
@@ -50,6 +51,24 @@ def switch_result_digest(result) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: Switch-sim counters of the alu4 golden run: forces simulated, and faults
+#: and masked injections per fault class.  Computed with the lazily filled
+#: python detection table that preceded the batched numpy fill.
+ALU4_COUNTERS = {
+    "switch_sim.detection_words": 1196,
+    "switch_sim.faults.BridgeFault": 3168,
+    "switch_sim.faults.FloatingNetFault": 919,
+    "switch_sim.faults.TransistorGateOpen": 326,
+    "switch_sim.faults.TransistorStuckOn": 515,
+    "switch_sim.faults.TransistorStuckOpen": 1051,
+    "switch_sim.injections.BridgeFault": 10660,
+    "switch_sim.injections.FloatingNetFault": 1099,
+    "switch_sim.injections.TransistorGateOpen": 252,
+    "switch_sim.injections.TransistorStuckOn": 532,
+    "switch_sim.injections.TransistorStuckOpen": 2056,
+}
+
+
 def simulate(circuit_name: str):
     design = build_layout(load_benchmark(circuit_name))
     faults = extract_faults(design).faults
@@ -61,3 +80,19 @@ def simulate(circuit_name: str):
 @pytest.mark.parametrize("circuit", sorted(GOLDEN))
 def test_switch_sim_digest_is_pinned(circuit):
     assert switch_result_digest(simulate(circuit)) == GOLDEN[circuit]
+
+
+def test_switch_sim_counters_are_pinned():
+    _, registry = obs.enable()
+    try:
+        simulate("alu4")
+    finally:
+        obs.disable()
+    counters = registry.snapshot()["counters"]
+    pinned = {
+        name: value
+        for name, value in counters.items()
+        if name == "switch_sim.detection_words"
+        or name.startswith(("switch_sim.faults.", "switch_sim.injections."))
+    }
+    assert pinned == ALU4_COUNTERS
