@@ -15,13 +15,22 @@ list:
 Every fault's weight is ``density x size-averaged critical area`` (eq. 4's
 ``w_j = A_j D_j``); behaviourally identical faults aggregate by summing
 weights (:class:`repro.defects.fault_types.FaultList`).
+
+The bridge pass works on whole columns of pairs: one weight per distinct
+``(layer, run, spacing)``, classification and the merge by behavioural key
+as array passes, then one insertion per merged fault.  Faults, their order
+and every weight bit equal those of adding each pair's fault in turn.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import Generic, TypeVar
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from repro.defects.fault_types import (
     BridgeFault,
     FaultList,
     FloatingNetFault,
+    RealisticFault,
     TransistorGateOpen,
     TransistorStuckOn,
     TransistorStuckOpen,
@@ -43,7 +53,7 @@ from repro.defects.statistics import (
 )
 from repro.layout.cells import GND, VDD
 from repro.layout.design import LayoutDesign
-from repro.layout.extract import build_connectivity
+from repro.layout.extract import connectivity_edges, neighbour_lists
 from repro.layout.geometry import Layer, Rect
 from repro.layout.sweep import GridOrder, facing_spans, rect_arrays, sweep_pairs
 
@@ -52,6 +62,24 @@ __all__ = ["FaultExtractor", "extract_faults", "facing_pairs"]
 _SUPPLIES = (VDD, GND)
 _DIFF_LAYERS = (Layer.NDIFF, Layer.PDIFF)
 _GENERIC_OPEN_LAYERS = (Layer.METAL1, Layer.METAL2)
+_LAYERS = tuple(Layer)
+#: Mechanisms in value order: merged origins sort by code.
+_MECHANISMS = tuple(sorted(DefectMechanism, key=lambda m: m.value))
+#: Layer code -> code of its short mechanism (-1 for non-conductors).
+_SHORT_CODE = np.array(
+    [
+        _MECHANISMS.index(LAYER_MECHANISMS[layer][0]) if layer.is_conductor else -1
+        for layer in _LAYERS
+    ]
+)
+
+#: Facing pairs as columns: ``a``, ``b`` (shape indices, ``a < b``),
+#: ``spacing`` and ``run``.
+PairColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+T = TypeVar("T")
+#: Shapes cut off, and the effect of a floating-net fault (None: no sink).
+_Floating = tuple[int, tuple[tuple[tuple[str, str], ...], bool, tuple[str, ...]] | None]
 
 
 def extract_faults(
@@ -63,55 +91,90 @@ def extract_faults(
 
 def facing_pairs(
     shapes: list[Rect], margin: float
-) -> tuple[list[tuple[int, int, float, float]], dict[str, int]]:
+) -> tuple[PairColumns, dict[str, int]]:
     """Bridge candidates: same-layer, different-net shapes facing within ``margin``.
 
-    Returns ``(a, b, spacing, run)`` per pair, ``a < b``, in the order
-    ``SpatialIndex(shapes).candidate_pairs(margin)`` would yield them, and
-    the number of sweep pairs examined per conductor layer.  Candidates come
-    from one x sort-and-sweep per conductor layer over its labelled shapes;
-    :class:`GridOrder` restores the bucket-grid order (and drops any pair
-    the grid would never have offered), so the extracted faults, their merge
-    order and every weight stay what the bucket-grid pass produced.
+    Returns the columns ``(a, b, spacing, run)``, ``a < b``, in the order
+    ``SpatialIndex(shapes).candidate_pairs(margin)`` would yield the pairs,
+    and the number of sweep pairs examined per conductor layer.  Candidates
+    come from one x sort-and-sweep per conductor layer over its labelled
+    shapes.  Same-net pairs and pairs whose 1-D y gap reaches ``margin`` are
+    dropped before the facing test: the spacing of a y-separated pair is at
+    least that gap, so no kept pair is lost.  :class:`GridOrder` restores the
+    bucket-grid order (and drops any pair the grid would never have offered),
+    so the extracted faults, their merge order and every weight stay what the
+    bucket-grid pass produced.
     """
     boxes = rect_arrays(shapes)
+    lly, ury = boxes[:, 1], boxes[:, 3]
     grid = GridOrder(boxes, margin)
     net_ids: dict[str, int] = {}
     net = np.array([net_ids.setdefault(s.net, len(net_ids)) for s in shapes])
-    layers = np.array([s.layer.value for s in shapes])
+    code = {layer: k for k, layer in enumerate(_LAYERS)}
+    layers = np.array([code[s.layer] for s in shapes], dtype=np.int64)
     labelled = np.array([bool(s.net) for s in shapes], dtype=bool)
     examined: dict[str, int] = {}
-    kept: list[tuple[np.ndarray, ...]] = []
-    for layer in Layer:
+    kept: list[tuple[np.ndarray, ...]] = [
+        (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),) * 2
+    ]
+    for layer in _LAYERS:
         if not layer.is_conductor:
             continue
-        members = np.flatnonzero(labelled & (layers == layer.value))
+        members = np.flatnonzero(labelled & (layers == code[layer]))
+        bottom, top, on = lly[members], ury[members], net[members]
         examined[layer.value] = 0
         for i, j in sweep_pairs(boxes[members, 0], boxes[members, 2], margin):
             examined[layer.value] += len(i)
-            a = np.minimum(members[i], members[j])
-            b = np.maximum(members[i], members[j])
+            # Symmetric in i and j, so it runs before the pairs are ordered.
+            near = (bottom[j] - top[i] < margin) & (bottom[i] - top[j] < margin)
+            i, j = i[near], j[near]
+            near = on[i] != on[j]
+            i, j = members[i[near]], members[j[near]]
+            a, b = np.minimum(i, j), np.maximum(i, j)
             faces, spacing, run = facing_spans(boxes, a, b)
-            keep = faces & (net[a] != net[b]) & (spacing < margin) & (run > 0)
+            keep = faces & (spacing < margin) & (run > 0)
             a, b, spacing, run = a[keep], b[keep], spacing[keep], run[keep]
             rank = grid.rank(a, b)
             on_grid = rank >= 0
             kept.append(
                 (rank[on_grid], a[on_grid], b[on_grid], spacing[on_grid], run[on_grid])
             )
-    if not kept:
-        return [], examined
     rank, a, b, spacing, run = (np.concatenate(column) for column in zip(*kept))
     order = np.lexsort((b, a, rank))
-    pairs = list(
-        zip(
-            a[order].tolist(),
-            b[order].tolist(),
-            spacing[order].tolist(),
-            run[order].tolist(),
+    return (a[order], b[order], spacing[order], run[order]), examined
+
+
+class _Members(Generic[T]):
+    """Values of one class of a net's shapes, in DFS preorder of the shapes.
+
+    Shapes the DFS never reached are kept apart: they float whatever is
+    removed.
+    """
+
+    def __init__(self, values: dict[int, T], reach: Separation):
+        placed = sorted(
+            (at, i) for i in values if (at := reach.position(i)) is not None
         )
-    )
-    return pairs, examined
+        self.positions = [at for at, _ in placed]
+        self.values = [values[i] for _, i in placed]
+        self.unreached = [
+            (i, value) for i, value in values.items() if reach.position(i) is None
+        ]
+
+    def cut_off(
+        self, starts: Sequence[int], stops: Sequence[int], removed: int
+    ) -> list[T]:
+        """Values of the members inside the preorder ranges or never reached."""
+        found = (
+            [value for i, value in self.unreached if i != removed]
+            if self.unreached
+            else []
+        )
+        for lo, hi in zip(starts, stops):
+            found += self.values[
+                bisect_left(self.positions, lo) : bisect_left(self.positions, hi)
+            ]
+        return found
 
 
 @dataclass
@@ -125,6 +188,10 @@ class _NetContext:
     gate_shapes: set[int] = field(default_factory=set)
     po_ports: set[int] = field(default_factory=set)
     diff_shapes: set[int] = field(default_factory=set)
+    #: Gate-pin owners, PO ports and diffusion devices; see ``_floaters``.
+    floaters: tuple[_Members, _Members, _Members] | None = None
+    #: Removed node -> what breaking it floats; see ``_floating``.
+    floating: dict[int, _Floating] = field(default_factory=dict)
 
     @cached_property
     def from_anchors(self) -> Separation:
@@ -145,16 +212,7 @@ class FaultExtractor:
         self.stats = statistics
         self.size = statistics.size
         self.shapes = design.shapes
-        self.graph = build_connectivity(self.shapes)
-        self._adjacent_transistors = self._map_seg_transistors()
-        self._sd_pair_transistor = self._map_sd_pairs()
-        self._instance_of = {t.name: t.name.rsplit(".", 1)[0] for t in design.transistors}
-        self._devices_by_gate: dict[str, list] = defaultdict(list)
-        for t in design.transistors:
-            self._devices_by_gate[t.gate].append(t)
-        self._output_of: dict[str, str] = {}
-        for net, cell in design.cell_of_net.items():
-            self._output_of.setdefault(cell.instance, net)
+        self._connected = False
 
     # ------------------------------------------------------------------
     # Public API
@@ -165,6 +223,8 @@ class FaultExtractor:
         with obs.span(
             "defects.extract", n_shapes=len(self.shapes)
         ) as extract_span:
+            with obs.span("defects.extract.connectivity"):
+                self._connect()
             with obs.span("defects.extract.bridges"):
                 self.extract_bridges(faults)
             with obs.span("defects.extract.oxide_shorts"):
@@ -173,10 +233,13 @@ class FaultExtractor:
                 self.extract_opens(faults)
             extract_span.set(n_faults=len(faults))
             obs.inc("extraction.faults_extracted", len(faults))
-            if obs.is_enabled():
+            registry = obs.registry()
+            if registry is not None:
+                weights = registry.histogram("extraction.weights")
                 for fault in faults:
-                    obs.observe("extraction.weights", fault.weight)
-                    obs.inc(f"extraction.{type(fault).__name__}")
+                    weights.observe(fault.weight)
+                for name, count in Counter(type(f).__name__ for f in faults).items():
+                    obs.inc(f"extraction.{name}", count)
         return faults
 
     # ------------------------------------------------------------------
@@ -184,43 +247,114 @@ class FaultExtractor:
     # ------------------------------------------------------------------
     def extract_bridges(self, faults: FaultList) -> None:
         """Same-layer proximity bridges (plus channel stuck-on shorts)."""
-        pairs, examined = facing_pairs(self.shapes, self.size.x_max)
-        accepted: Counter[str] = Counter()
-        for ia, ib, spacing, run in pairs:
-            a, b = self.shapes[ia], self.shapes[ib]
-            mech = LAYER_MECHANISMS[a.layer][0]
-            weight = self.stats.density(mech) * average_critical_area(
-                run, spacing, self.size
+        self._connect()
+        (a, b, spacing, run), examined = facing_pairs(self.shapes, self.size.x_max)
+        layer = self._layer[a]
+        weight = self._bridge_weights(layer, spacing, run)
+        keep = weight > 0
+        a, b, layer, weight = a[keep], b[keep], layer[keep], weight[keep]
+        accepted = np.bincount(layer, minlength=len(_LAYERS)).tolist()
+        for name, count in examined.items():
+            obs.inc(f"extraction.pairs_examined.{name}", count)
+            obs.inc(
+                f"extraction.pairs_accepted.{name}",
+                accepted[_LAYERS.index(Layer(name))],
             )
-            if weight <= 0:
-                continue
-            faults.add(self._classify_bridge(a, b, weight, mech))
-            accepted[a.layer.value] += 1
-        for layer, count in examined.items():
-            obs.inc(f"extraction.pairs_examined.{layer}", count)
-            obs.inc(f"extraction.pairs_accepted.{layer}", accepted[layer])
+        self._merge_bridges(a, b, layer, weight, faults)
 
-    def _classify_bridge(
-        self, a: Rect, b: Rect, weight: float, mech: DefectMechanism
-    ):
-        # A diffusion bridge across a transistor channel conducts regardless
-        # of the gate: a stuck-on device, not a node-to-node bridge.
-        if (
-            a.layer in _DIFF_LAYERS
-            and a.owner
-            and a.owner == b.owner
-        ):
-            t_name = self._sd_pair_transistor.get(
-                (a.owner, frozenset((a.net, b.net)))
+    def _bridge_weights(
+        self, layer: np.ndarray, spacing: np.ndarray, run: np.ndarray
+    ) -> np.ndarray:
+        """``density x average_critical_area`` of every pair.
+
+        The scalar function runs once per distinct ``(layer, run, spacing)``,
+        keyed by the floats' bits, so every weight is the one a call per pair
+        returns.
+        """
+        bits = (spacing.view(np.int64), run.view(np.int64), layer)
+        order = np.lexsort(bits)
+        starts = np.zeros(len(order), dtype=bool)
+        starts[:1] = True
+        for column in bits:
+            ordered = column[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        first = order[starts]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(starts) - 1
+        weights = [
+            self.stats.density(_MECHANISMS[code])
+            * average_critical_area(length, gap, self.size)
+            for code, length, gap in zip(
+                _SHORT_CODE[layer[first]].tolist(),
+                run[first].tolist(),
+                spacing[first].tolist(),
             )
-            if t_name is not None:
-                return TransistorStuckOn(
-                    weight=weight,
-                    origin=(mech,),
-                    transistor=t_name,
-                    instance=a.owner,
+        ]
+        return np.array(weights, dtype=np.float64)[inverse]
+
+    def _merge_bridges(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        layer: np.ndarray,
+        weight: np.ndarray,
+        faults: FaultList,
+    ) -> None:
+        """Add one fault per behavioural key of the accepted pairs.
+
+        A pair's key number is its unordered net pair, or, past every net
+        pair, the device whose channel a same-owner diffusion pair shorts (a
+        stuck-on device rather than a node-to-node bridge).  Keys come in
+        order of first appearance.  Each weight is the left fold of its
+        pairs' weights in pair order (``np.add.at`` applies them in index
+        order), each origin the value-sorted set of their mechanisms.  Into
+        an empty list this adds exactly what adding every pair's fault in
+        turn would; a key already in ``faults`` gets its pairs' sum at once.
+        """
+        n_nets = self._n_nets
+        net_a, net_b = self._net[a], self._net[b]
+        key = np.minimum(net_a, net_b) * n_nets + np.maximum(net_a, net_b)
+        owner = self._owner[a]
+        channel = self._diffusion[a] & (owner >= 0) & (owner == self._owner[b])
+        for k in np.flatnonzero(channel).tolist():
+            sa, sb = self.shapes[a[k]], self.shapes[b[k]]
+            device = self._sd_pair_transistor.get(
+                (sa.owner, frozenset((sa.net, sb.net)))
+            )
+            if device is not None:
+                key[k] = n_nets * n_nets + device
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first)
+        group = np.empty_like(by_appearance)
+        group[by_appearance] = np.arange(len(by_appearance))
+        group = group[inverse]
+        total = np.zeros(len(by_appearance))
+        np.add.at(total, group, weight)
+        n_mech = len(_MECHANISMS)
+        origins: list[list[DefectMechanism]] = [[] for _ in by_appearance]
+        for code in np.unique(group * n_mech + _SHORT_CODE[layer]).tolist():
+            origins[code // n_mech].append(_MECHANISMS[code % n_mech])
+        firsts = first[by_appearance]
+        for w, origin, ia, ib, k in zip(
+            total.tolist(),
+            origins,
+            a[firsts].tolist(),
+            b[firsts].tolist(),
+            key[firsts].tolist(),
+        ):
+            sa, sb = self.shapes[ia], self.shapes[ib]
+            if k >= n_nets * n_nets:
+                fault: RealisticFault = TransistorStuckOn(
+                    weight=w,
+                    origin=tuple(origin),
+                    transistor=self.design.transistors[k - n_nets * n_nets].name,
+                    instance=sa.owner,
                 )
-        return BridgeFault(weight=weight, origin=(mech,), net_a=a.net, net_b=b.net)
+            else:
+                fault = BridgeFault(
+                    weight=w, origin=tuple(origin), net_a=sa.net, net_b=sb.net
+                )
+            faults.add(fault)
 
     def extract_oxide_shorts(self, faults: FaultList) -> None:
         """Gate-oxide pinholes: gate net bridged to the channel region.
@@ -232,6 +366,7 @@ class FaultExtractor:
         density = self.stats.density(DefectMechanism.GATE_OXIDE_SHORT)
         if density <= 0:
             return
+        self._connect()
         for t in self.design.transistors:
             weight = density * t.channel.area
             other = t.drain if "#" not in t.drain else t.source
@@ -258,6 +393,7 @@ class FaultExtractor:
         are answered per net by one :class:`Separation` DFS from the net's
         anchors, and one from its sinks for stranded-anchor checks.
         """
+        self._connect()
         contexts = self._build_net_contexts()
         for ctx in contexts.values():
             self._opens_for_net(ctx, faults)
@@ -271,11 +407,11 @@ class FaultExtractor:
         for i, shape in enumerate(self.shapes):
             if not shape.net:
                 continue
-            ctx = contexts.setdefault(shape.net, _NetContext(name=shape.net))
+            ctx = contexts.get(shape.net)
+            if ctx is None:
+                ctx = contexts[shape.net] = _NetContext(name=shape.net)
             ctx.nodes.append(i)
-            ctx.adjacency[i] = [
-                j for j in self.graph.neighbors(i) if self.shapes[j].net == shape.net
-            ]
+            ctx.adjacency[i] = self._net_neighbours[i]
             if shape.purpose == "gate":
                 ctx.gate_shapes.add(i)
             if shape.purpose == "port" and shape.net in po_set:
@@ -312,7 +448,7 @@ class FaultExtractor:
         for i in ctx.nodes:
             shape = self.shapes[i]
             if shape.layer in _DIFF_LAYERS:
-                self._diff_open(shape, faults)
+                self._diff_open(i, faults)
             elif shape.layer.is_cut:
                 self._cut_open(ctx, i, faults)
             elif shape.layer is Layer.POLY and shape.purpose == "gate":
@@ -320,15 +456,16 @@ class FaultExtractor:
             elif shape.layer in _GENERIC_OPEN_LAYERS and not internal:
                 self._wire_opens(ctx, i, faults)
 
-    def _diff_open(self, shape: Rect, faults: FaultList) -> None:
+    def _diff_open(self, node: int, faults: FaultList) -> None:
         """A broken source/drain segment severs its adjacent devices."""
+        shape = self.shapes[node]
         mech = LAYER_MECHANISMS[shape.layer][1]
         weight = self.stats.density(mech) * average_critical_area(
             shape.length, shape.min_dimension, self.size
         )
         if weight <= 0:
             return
-        affected = self._adjacent_transistors.get(id(shape), ())
+        affected = self._adjacent_transistors.get(node, ())
         if affected:
             faults.add(
                 TransistorStuckOpen(
@@ -365,7 +502,7 @@ class FaultExtractor:
         # Connection intervals along y: contacts first, then channels.
         contacts = [
             (self.shapes[j].lly, self.shapes[j].ury)
-            for j in self.graph.neighbors(node)
+            for j in self._neighbours[node]
             if self.shapes[j].layer is Layer.CONTACT
         ]
         channels = sorted(
@@ -428,10 +565,16 @@ class FaultExtractor:
         weight = self.stats.density(mech)
         if weight <= 0 or not ctx.anchors:
             return
-        self._emit_open(ctx, ctx.from_anchors.cut_off(node), weight, mech, faults)
+        self._emit_open(ctx, node, weight, mech, faults)
 
     def _wire_opens(self, ctx: _NetContext, node: int, faults: FaultList) -> None:
-        """Breaks along a metal wire: one fault per inter-connection gap."""
+        """Breaks along a metal wire: one fault per inter-connection gap.
+
+        A gap splits the wire's connections into those before and after it.
+        When both sides still reach an anchor with the wire broken, only
+        stranded anchors can lose drive; otherwise what the break cuts off
+        floats.
+        """
         shape = self.shapes[node]
         mech = LAYER_MECHANISMS[shape.layer][1]
         density = self.stats.density(mech)
@@ -450,41 +593,26 @@ class FaultExtractor:
             (span_of(self.shapes[j]) + (j,) for j in neighbours),
             key=lambda item: item[0],
         )
+        gaps: list[tuple[int, float]] = []
         prev_hi = marks[0][1]
-        left: list[int] = [marks[0][2]]
-        for lo, hi, j in marks[1:]:
+        for k, (lo, hi, _) in enumerate(marks[1:], 1):
             gap = lo - prev_hi
             if gap > 0:
                 weight = density * average_critical_area(
                     gap, shape.min_dimension, self.size
                 )
                 if weight > 0:
-                    right = [m[2] for m in marks if m[2] not in left]
-                    self._split_open(ctx, node, left, right, weight, mech, faults)
-            left.append(j)
+                    gaps.append((k, weight))
             prev_hi = max(prev_hi, hi)
-
-    def _split_open(
-        self,
-        ctx: _NetContext,
-        node: int,
-        left: list[int],
-        right: list[int],
-        weight: float,
-        mech: DefectMechanism,
-        faults: FaultList,
-    ) -> None:
-        """Open splitting ``node`` with its neighbours divided left/right."""
-        reach = ctx.from_anchors
-        if any(reach.reaches(node, j) for j in left) and any(
-            reach.reaches(node, j) for j in right
-        ):
-            # Both sides independently reach anchors: check for stranded
-            # anchor groups that lost every sink (partial drive loss).
-            self._stranded_anchor_check(ctx, node, weight, mech, faults)
+        if not gaps:
             return
-        # Nodes not reachable from anchors (excluding the broken one) float.
-        self._emit_open(ctx, reach.cut_off(node), weight, mech, faults)
+        reach = ctx.from_anchors
+        alive = [reach.reaches(node, j) for _, _, j in marks]
+        for k, weight in gaps:
+            if any(alive[:k]) and any(alive[k:]):
+                self._stranded_anchor_check(ctx, node, weight, mech, faults)
+            else:
+                self._emit_open(ctx, node, weight, mech, faults)
 
     def _stranded_anchor_check(
         self,
@@ -502,7 +630,7 @@ class FaultExtractor:
             return
         devices: set[str] = set()
         for a in stranded:
-            devices.update(self._adjacent_transistors.get(id(self.shapes[a]), ()))
+            devices.update(self._adjacent_transistors.get(a, ()))
         if devices:
             faults.add(
                 TransistorStuckOpen(
@@ -516,48 +644,125 @@ class FaultExtractor:
     def _emit_open(
         self,
         ctx: _NetContext,
-        floating: set[int],
+        removed: int,
         weight: float,
         mech: DefectMechanism,
         faults: FaultList,
     ) -> None:
-        if not floating:
-            return
-        obs.inc("extraction.open_nodes_separated", len(floating))
-        floating_inputs: set[tuple[str, str]] = set()
-        stuck_open: set[str] = set()
-        floats_po = False
-        for i in floating:
-            shape = self.shapes[i]
-            if i in ctx.gate_shapes:
-                floating_inputs.add((shape.owner, ctx.name))
-            elif i in ctx.po_ports:
-                floats_po = True
-            elif i in ctx.diff_shapes:
-                stuck_open.update(self._adjacent_transistors.get(id(shape), ()))
-        if not floating_inputs and not stuck_open and not floats_po:
-            return
-        faults.add(
-            FloatingNetFault(
-                weight=weight,
-                origin=(mech,),
-                net=ctx.name,
-                floating_inputs=tuple(sorted(floating_inputs)),
-                floats_output_port=floats_po,
-                stuck_open=tuple(sorted(stuck_open)),
+        """The open floating what breaking ``removed`` cuts off the anchors."""
+        separated, effect = self._floating(ctx, removed)
+        if separated:
+            obs.inc("extraction.open_nodes_separated", separated)
+        if effect is not None:
+            floating_inputs, floats_po, stuck_open = effect
+            faults.add(
+                FloatingNetFault(
+                    weight=weight,
+                    origin=(mech,),
+                    net=ctx.name,
+                    floating_inputs=floating_inputs,
+                    floats_output_port=floats_po,
+                    stuck_open=stuck_open,
+                )
             )
+
+    def _floating(self, ctx: _NetContext, removed: int) -> _Floating:
+        """What breaking ``removed`` cuts off ``ctx``'s anchors, memoised.
+
+        The count of cut-off shapes, and the ``(floating_inputs,
+        floats_output_port, stuck_open)`` of a :class:`FloatingNetFault`, or
+        None when no sink floats.  The cut-off shapes are preorder ranges of
+        ``ctx.from_anchors`` plus the shapes no anchor reaches; each class of
+        sink is found by bisecting its sorted positions, never by walking
+        the ranges.
+        """
+        found = ctx.floating.get(removed)
+        if found is not None:
+            return found
+        reach = ctx.from_anchors
+        starts, stops = reach.cut_ranges(removed)
+        separated = sum(stops) - sum(starts) + len(reach.unreached)
+        if reach.position(removed) is None:
+            separated -= 1
+        effect = None
+        if separated:
+            if ctx.floaters is None:
+                ctx.floaters = self._floaters(ctx)
+            gates, ports, diffs = ctx.floaters
+            owners = gates.cut_off(starts, stops, removed)
+            floats_po = bool(ports.cut_off(starts, stops, removed))
+            stuck_open = set(chain.from_iterable(diffs.cut_off(starts, stops, removed)))
+            if owners or floats_po or stuck_open:
+                effect = (
+                    tuple(sorted({(owner, ctx.name) for owner in owners})),
+                    floats_po,
+                    tuple(sorted(stuck_open)),
+                )
+        found = ctx.floating[removed] = (separated, effect)
+        return found
+
+    def _floaters(self, ctx: _NetContext) -> tuple[_Members, _Members, _Members]:
+        """Owners of gate pins, then other PO ports, then devices of other
+        diffusion shapes, each in ``ctx.from_anchors`` preorder."""
+        reach = ctx.from_anchors
+        ports = ctx.po_ports - ctx.gate_shapes
+        diffs = ctx.diff_shapes - ctx.gate_shapes - ctx.po_ports
+        return (
+            _Members({i: self.shapes[i].owner for i in ctx.gate_shapes}, reach),
+            _Members(dict.fromkeys(ports, True), reach),
+            _Members({i: self._adjacent_transistors.get(i, ()) for i in diffs}, reach),
         )
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _connect(self) -> None:
+        """Build the connectivity and device maps, once."""
+        if self._connected:
+            return
+        shapes, n = self.shapes, len(self.shapes)
+        net_ids: dict[str, int] = {}
+        self._net = np.array(
+            [net_ids.setdefault(s.net, len(net_ids)) for s in shapes], dtype=np.int64
+        )
+        self._n_nets = len(net_ids)
+        owner_ids: dict[str, int] = {}
+        self._owner = np.array(
+            [
+                owner_ids.setdefault(s.owner, len(owner_ids)) if s.owner else -1
+                for s in shapes
+            ],
+            dtype=np.int64,
+        )
+        layer_ids = {layer: k for k, layer in enumerate(_LAYERS)}
+        self._layer = np.array([layer_ids[s.layer] for s in shapes], dtype=np.int64)
+        self._diffusion = np.isin(self._layer, [layer_ids[x] for x in _DIFF_LAYERS])
+        labelled = np.array([bool(s.net) for s in shapes], dtype=bool)
+        edges = connectivity_edges(shapes)
+        a, b = edges[:, 0], edges[:, 1]
+        same_net = labelled[a] & (self._net[a] == self._net[b])
+        self._net_neighbours = neighbour_lists(n, edges[same_net])
+        self._instance_of = {
+            t.name: t.name.rsplit(".", 1)[0] for t in self.design.transistors
+        }
+        self._devices_by_gate: dict[str, list] = defaultdict(list)
+        for t in self.design.transistors:
+            self._devices_by_gate[t.gate].append(t)
+        self._output_of: dict[str, str] = {}
+        for net, cell in self.design.cell_of_net.items():
+            self._output_of.setdefault(cell.instance, net)
+        self._adjacent_transistors = self._map_seg_transistors()
+        self._sd_pair_transistor = self._map_sd_pairs()
+        self._neighbours = neighbour_lists(n, edges)
+        self._connected = True
+
     def _map_seg_transistors(self) -> dict[int, tuple[str, ...]]:
-        """id(diff shape) -> names of devices horizontally adjacent to it."""
+        """Diffusion shape index -> names of devices horizontally adjacent."""
         by_owner: dict[str, list] = defaultdict(list)
         for t in self.design.transistors:
             by_owner[self._instance(t.name)].append(t)
         mapping: dict[int, tuple[str, ...]] = {}
-        for shape in self.shapes:
+        for i, shape in enumerate(self.shapes):
             if shape.layer not in _DIFF_LAYERS or not shape.owner:
                 continue
             polarity = "n" if shape.layer is Layer.NDIFF else "p"
@@ -573,14 +778,15 @@ class FaultExtractor:
                 if touches and y_overlap:
                     names.append(t.name)
             if names:
-                mapping[id(shape)] = tuple(sorted(names))
+                mapping[i] = tuple(sorted(names))
         return mapping
 
-    def _map_sd_pairs(self) -> dict[tuple[str, frozenset], str]:
-        mapping: dict[tuple[str, frozenset], str] = {}
-        for t in self.design.transistors:
+    def _map_sd_pairs(self) -> dict[tuple[str, frozenset], int]:
+        """(instance, {source, drain}) -> index of the first such device."""
+        mapping: dict[tuple[str, frozenset], int] = {}
+        for k, t in enumerate(self.design.transistors):
             key = (self._instance(t.name), frozenset((t.source, t.drain)))
-            mapping.setdefault(key, t.name)
+            mapping.setdefault(key, k)
         return mapping
 
     def _cell_output_of(self, transistor_name: str) -> str:

@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+#: Each mechanism's value, the sort key of merged origins.
+_VALUE_OF = {m: m.value for m in DefectMechanism}
+
+
 @dataclass
 class RealisticFault:
     """Base class: a layout-extracted fault with an occurrence weight."""
@@ -161,16 +165,24 @@ class FaultList:
         self._by_key: dict[tuple, RealisticFault] = {}
 
     def add(self, fault: RealisticFault) -> None:
-        """Insert or merge ``fault`` by behavioural key."""
+        """Insert or merge ``fault`` by behavioural key.
+
+        A merge adds the weights and keeps the value-sorted union of both
+        origins.
+        """
         if fault.weight <= 0:
             return
-        existing = self._by_key.get(fault.key())
+        key = fault.key()
+        existing = self._by_key.get(key)
         if existing is None:
-            self._by_key[fault.key()] = fault
-        else:
-            existing.weight += fault.weight
+            self._by_key[key] = fault
+            return
+        existing.weight += fault.weight
+        # A repeat of a lone mechanism leaves the origin as it is; anything
+        # else re-sorts the union, which also canonicalises a given tuple.
+        if len(existing.origin) != 1 or fault.origin != existing.origin:
             merged = set(existing.origin) | set(fault.origin)
-            existing.origin = tuple(sorted(merged, key=lambda m: m.value))
+            existing.origin = tuple(sorted(merged, key=_VALUE_OF.__getitem__))
 
     def __iter__(self):
         return iter(self._by_key.values())

@@ -8,6 +8,10 @@ iterative Tarjan low-point DFS, started at a virtual root joined to every
 root.  In DFS preorder each subtree is a contiguous range, and removing a
 reached node ``v`` cuts off exactly the subtrees of those children ``c``
 with ``low[c] >= disc[v]``: no back edge leaves them above ``v``.
+
+Callers that classify what a removal cuts off can bisect sorted preorder
+positions against :meth:`Separation.cut_ranges` instead of walking every
+separated node.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ class Separation:
         root_set = set(roots)
         order: list[int] = []
         disc: dict[int, int] = {}
-        low: dict[int, int] = {}
+        # low[at]: the lowest preorder position a back edge reaches from the
+        # subtree of the node at preorder position ``at``.
+        low: list[int] = []
         # cuts[v] = (starts, stops): the preorder ranges removing v cuts
-        # off, disjoint and appended in increasing order.
+        # off, disjoint, appended in increasing order and merged where they
+        # abut.
         cuts: dict[int, tuple[list[int], list[int]]] = {}
         for root in root_set:
             if root in disc:
@@ -38,37 +45,48 @@ class Separation:
             # Every root also has an edge to the virtual root (preorder -1):
             # a tree edge for this one, a back edge for roots found later.
             disc[root] = len(order)
-            low[root] = -1
             order.append(root)
-            stack = [(root, None, iter(adjacency.get(root, ())))]
+            low.append(-1)
+            # Stack entries: (position, parent's position, neighbour iterator).
+            stack = [(len(order) - 1, -1, iter(adjacency.get(root, ())))]
             while stack:
-                v, parent, neighbours = stack[-1]
+                at, up, neighbours = stack[-1]
                 for w in neighbours:
-                    # The edge back to ``parent`` only lowers low[v] to
-                    # disc[parent], which changes no cut decision.
-                    if w in disc:
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
+                    # The edge back to the parent only lowers low[at] to
+                    # ``up``, which changes no cut decision.
+                    seen = disc.get(w)
+                    if seen is not None:
+                        if seen < low[at]:
+                            low[at] = seen
                         continue
-                    disc[w] = len(order)
-                    low[w] = -1 if w in root_set else disc[w]
+                    seen = disc[w] = len(order)
                     order.append(w)
-                    stack.append((w, v, iter(adjacency.get(w, ()))))
+                    low.append(-1 if w in root_set else seen)
+                    stack.append((seen, at, iter(adjacency.get(w, ()))))
                     break
                 else:
                     stack.pop()
-                    if parent is None:
+                    if up < 0:
                         continue
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        starts, stops = cuts.setdefault(parent, ([], []))
-                        starts.append(disc[v])
-                        stops.append(len(order))
-        self._order = order
+                    if low[at] < low[up]:
+                        low[up] = low[at]
+                    if low[at] >= up:
+                        starts, stops = cuts.setdefault(order[up], ([], []))
+                        if stops and stops[-1] == at:
+                            stops[-1] = len(order)  # abuts the last range
+                        else:
+                            starts.append(at)
+                            stops.append(len(order))
+        #: Every reached node, in DFS preorder.
+        self.preorder = order
+        #: Nodes no root reaches even with nothing removed.
+        self.unreached = [n for n in adjacency if n not in disc]
         self._disc = disc
         self._cuts = cuts
-        self._unreached = [n for n in adjacency if n not in disc]
+
+    def position(self, node: int) -> int | None:
+        """Preorder position of ``node``; None when no root reaches it."""
+        return self._disc.get(node)
 
     def reaches(self, removed: int, node: int) -> bool:
         """True when ``node`` still reaches a root once ``removed`` is gone."""
@@ -81,10 +99,19 @@ class Separation:
         k = bisect_right(cut[0], at) - 1
         return k < 0 or at >= cut[1][k]
 
+    def cut_ranges(self, removed: int) -> tuple[Sequence[int], Sequence[int]]:
+        """``(starts, stops)`` of the preorder ranges cut off by ``removed``.
+
+        The half-open ranges are disjoint, ascending, never abut and never
+        hold ``removed``.  Together with :attr:`unreached` (less ``removed``)
+        they are exactly :meth:`cut_off`.
+        """
+        return self._cuts.get(removed, ((), ()))
+
     def cut_off(self, removed: int) -> set[int]:
         """Every node but ``removed`` that reaches no root once it is gone."""
-        lost = set(self._unreached)
-        for lo, hi in zip(*self._cuts.get(removed, ((), ()))):
-            lost.update(self._order[lo:hi])
+        lost = set(self.unreached)
+        for lo, hi in zip(*self.cut_ranges(removed)):
+            lost.update(self.preorder[lo:hi])
         lost.discard(removed)
         return lost

@@ -87,6 +87,11 @@ class SizeDistribution:
     exponent: float = 3.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x0, self.x_max, self.exponent))):
+            raise ValueError(
+                "size distribution needs finite x0, x_max and exponent, got "
+                f"{self.x0}, {self.x_max}, {self.exponent}"
+            )
         if not 0 < self.x0 < self.x_max:
             raise ValueError(f"need 0 < x0 < x_max, got {self.x0}, {self.x_max}")
         if self.exponent <= 1.0:
@@ -136,6 +141,15 @@ class DefectStatistics:
     densities: dict[DefectMechanism, float] = field(
         default_factory=lambda: dict(_MALY_LIKE_DENSITIES)
     )
+
+    def __post_init__(self) -> None:
+        bad = {
+            getattr(m, "value", m): d
+            for m, d in self.densities.items()
+            if not (math.isfinite(d) and d >= 0)
+        }
+        if bad:
+            raise ValueError(f"defect densities must be finite and >= 0, got {bad}")
 
     def density(self, mechanism: DefectMechanism) -> float:
         """Density for one mechanism (0 when absent from the table)."""

@@ -3,8 +3,10 @@
 This is the "layout-level circuit description + circuit extraction rules"
 half of the paper's *lift* tool:
 
-* :func:`build_connectivity` derives the electrical connectivity graph from
-  pure geometry (same-layer contact/overlap plus contact/via cuts);
+* :func:`connectivity_edges` derives the electrical connectivity from pure
+  geometry (same-layer contact/overlap plus contact/via cuts) as one edge
+  array; :func:`neighbour_lists` slices it into ascending per-shape
+  neighbour lists and :func:`build_connectivity` wraps it as a networkx graph;
 * :func:`verify_layout` is an LVS-lite check: every net label forms exactly
   one connected component and no two different nets touch (a hard short);
 * :func:`extract_transistors` recovers MOS devices from poly/diffusion
@@ -17,8 +19,8 @@ extractor downstream can trust shape labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.layout.design import LayoutDesign
@@ -26,10 +28,15 @@ from repro.layout.geometry import Layer, Rect
 from repro.layout.spatial import SpatialIndex
 from repro.layout.sweep import cross_pairs, rect_arrays, sweep_pairs
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = [
     "ExtractedTransistor",
     "VerificationReport",
     "build_connectivity",
+    "connectivity_edges",
+    "neighbour_lists",
     "verify_layout",
     "extract_transistors",
     "find_shorts",
@@ -65,19 +72,19 @@ def _touching_pairs(
 
 
 def _layer_members(shapes: list[Rect]) -> dict[Layer, np.ndarray]:
-    layers = np.array([s.layer.value for s in shapes])
-    return {layer: np.flatnonzero(layers == layer.value) for layer in Layer}
+    code = {layer: k for k, layer in enumerate(Layer)}
+    layers = np.array([code[s.layer] for s in shapes], dtype=np.int64)
+    return {layer: np.flatnonzero(layers == k) for layer, k in code.items()}
 
 
-def build_connectivity(shapes: list[Rect]) -> nx.Graph:
-    """Electrical connectivity graph over shape indices.
+def connectivity_edges(shapes: list[Rect]) -> np.ndarray:
+    """``(k, 2)`` electrical connectivity edges over shape indices.
 
     Edges join same-layer shapes that touch/overlap, and conductor shapes
     joined through a contact (poly/diff <-> metal1) or via (metal1 <->
-    metal2) cut that overlaps both with positive area.
+    metal2) cut that overlaps both with positive area.  Each edge appears
+    once as ``(a, b)`` with ``a < b``, rows in ascending ``(a, b)`` order.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(shapes)))
     boxes = rect_arrays(shapes)
     llx, lly, urx, ury = boxes.T
     members = _layer_members(shapes)
@@ -94,8 +101,32 @@ def build_connectivity(shapes: list[Rect]) -> nx.Graph:
                 overlap = (np.maximum(0.0, w) * np.maximum(0.0, h)) > 0
                 edges.append(np.stack((a[overlap], b[overlap]), axis=1))
 
-    found = np.sort(np.concatenate(edges), axis=1)
-    graph.add_edges_from(np.unique(found, axis=0).tolist())
+    found = np.concatenate(edges)
+    n = len(shapes)
+    key = np.unique(found.min(axis=1) * n + found.max(axis=1))
+    return np.stack((key // n, key % n), axis=1)
+
+
+def neighbour_lists(n: int, edges: np.ndarray) -> list[list[int]]:
+    """Every node's neighbours over the undirected ``edges``, ascending.
+
+    ``n`` is the node count.  The order is the one a networkx graph built
+    from the sorted edge rows reports, so callers may break ties by it.
+    """
+    a, b = edges[:, 0], edges[:, 1]
+    key = np.sort(np.concatenate((a * n + b, b * n + a)))
+    ends = np.searchsorted(key // n, np.arange(1, n + 1)).tolist()
+    flat = (key % n).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
+def build_connectivity(shapes: list[Rect]) -> nx.Graph:
+    """:func:`connectivity_edges` as a networkx graph over shape indices."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(shapes)))
+    graph.add_edges_from(connectivity_edges(shapes).tolist())
     return graph
 
 
@@ -135,6 +166,8 @@ def verify_layout(design: LayoutDesign) -> VerificationReport:
     * no connected component may carry two different net labels;
     * no two different-net shapes on one layer may touch.
     """
+    import networkx as nx
+
     report = VerificationReport()
     shapes = design.shapes
     graph = build_connectivity(shapes)

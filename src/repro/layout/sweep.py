@@ -162,9 +162,9 @@ class GridOrder:
         self._height = int(self.y1.max()) - self._gy + 1
         width = int(self.x1.max()) - self._gx + 1
         cells = self._cells(self.x0, self.x1, self.y0, self.y1)
-        unique, first = np.unique(cells, return_index=True)
-        self._rank = np.full(width * self._height, -1, dtype=np.int64)
-        self._rank[unique] = first
+        # A bucket's rank is the position of its first appearance.
+        self._rank = np.full(width * self._height, len(cells), dtype=np.int64)
+        np.minimum.at(self._rank, cells, np.arange(len(cells)))
 
     def _cells(self, x0, x1, y0, y1) -> np.ndarray:
         """Flat cell ids of every footprint, footprint by footprint, gx-major."""

@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from repro import obs
 from repro.circuit.iscas import load_benchmark
 from repro.defects import extract_faults
 from repro.layout import build_layout
@@ -37,7 +38,39 @@ def fault_list_digest(faults) -> str:
     return h.hexdigest()
 
 
+#: The default c432 extraction's counters.  Pairs are counted as the
+#: per-layer x sweeps yield them, before any filter.
+C432_COUNTERS = {
+    "extraction.pairs_examined.metal1": 764_831,
+    "extraction.pairs_examined.metal2": 184_490,
+    "extraction.pairs_examined.ndiff": 54_563,
+    "extraction.pairs_examined.pdiff": 54_563,
+    "extraction.pairs_examined.poly": 21_105,
+    "extraction.pairs_accepted.metal1": 30_572,
+    "extraction.pairs_accepted.metal2": 12_758,
+    "extraction.pairs_accepted.ndiff": 3_116,
+    "extraction.pairs_accepted.pdiff": 2_414,
+    "extraction.pairs_accepted.poly": 1_245,
+    "extraction.open_nodes_separated": 208_902,
+    "extraction.faults_extracted": 12_793,
+}
+
+
+@pytest.fixture(scope="module")
+def designs():
+    return {circuit: build_layout(load_benchmark(circuit)) for circuit in GOLDEN}
+
+
 @pytest.mark.parametrize("circuit", sorted(GOLDEN))
-def test_extraction_digest_is_pinned(circuit):
-    design = build_layout(load_benchmark(circuit))
-    assert fault_list_digest(extract_faults(design)) == GOLDEN[circuit]
+def test_extraction_digest_is_pinned(circuit, designs):
+    assert fault_list_digest(extract_faults(designs[circuit])) == GOLDEN[circuit]
+
+
+def test_c432_extraction_counters_are_pinned(designs):
+    _, registry = obs.enable()
+    try:
+        extract_faults(designs["c432"])
+    finally:
+        obs.disable()
+    counters = registry.snapshot()["counters"]
+    assert {name: counters[name] for name in C432_COUNTERS} == C432_COUNTERS

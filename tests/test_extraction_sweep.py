@@ -5,8 +5,10 @@
   it replaced: ``SpatialIndex.candidate_pairs(margin)`` plus ``facing_span``.
 * :func:`build_connectivity` must find exactly the edges of a brute-force
   pass over every shape pair, and :func:`find_shorts` exactly the shorts
-  of the bucket-grid pass it replaced.
-* :class:`Separation` must agree with one BFS per removed node.
+  of the bucket-grid pass it replaced; :func:`neighbour_lists` must list
+  each shape's neighbours in the graph's own order.
+* :class:`Separation` must agree with one BFS per removed node, through
+  both :meth:`~Separation.cut_off` and its preorder ranges.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.defects.extraction import facing_pairs
 from repro.defects.separation import Separation
 from repro.layout import build_connectivity, find_shorts
+from repro.layout.extract import connectivity_edges, neighbour_lists
 from repro.layout.geometry import Layer, Rect, facing_span
 from repro.layout.spatial import SpatialIndex
 from repro.layout.sweep import cross_pairs, sweep_pairs
@@ -47,6 +50,11 @@ def reference_facing_pairs(shapes, margin):
             continue
         out.append((index_of[id(a)], index_of[id(b)], spacing, run))
     return out
+
+
+def pair_rows(columns):
+    """:func:`facing_pairs` columns as ``(a, b, spacing, run)`` tuples."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def reference_connectivity(shapes):
@@ -124,10 +132,10 @@ def layouts(draw, max_shapes=40):
 @given(case=layouts())
 def test_facing_pairs_match_bucket_grid_filter(case):
     shapes, margin = case
-    pairs, examined = facing_pairs(shapes, margin)
+    columns, examined = facing_pairs(shapes, margin)
     reference = reference_facing_pairs(shapes, margin)
     # repr tells apart values == cannot (0.0 and -0.0): bit-identical spans.
-    assert repr(pairs) == repr(reference)
+    assert repr(pair_rows(columns)) == repr(reference)
     assert set(examined) == {layer.value for layer in Layer if layer.is_conductor}
 
 
@@ -141,7 +149,7 @@ def test_facing_pairs_tie_and_margin_edges():
         Rect(Layer.METAL1, 0.0, 2.5, 10.0, 3.0, net=""),  # net-less: ignored
         Rect(Layer.METAL2, 0.0, 2.0, 10.0, 3.0, net="e"),  # other layer
     ]
-    pairs, _ = facing_pairs(shapes, m)
+    pairs = pair_rows(facing_pairs(shapes, m)[0])
     assert pairs == reference_facing_pairs(shapes, m)
     found = {(a, b) for a, b, *_ in pairs}
     assert (0, 1) not in found
@@ -231,6 +239,24 @@ def test_connectivity_matches_brute_force_on_c17(c17_design):
     assert {tuple(sorted(e)) for e in graph.edges} == reference_connectivity(shapes)
 
 
+def assert_neighbour_lists_match_graph(shapes):
+    edges = connectivity_edges(shapes)
+    assert [tuple(e) for e in edges.tolist()] == sorted(reference_connectivity(shapes))
+    graph = build_connectivity(shapes)
+    expected = [list(graph.neighbors(i)) for i in range(len(shapes))]
+    assert neighbour_lists(len(shapes), edges) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=connectivity_layouts())
+def test_neighbour_lists_match_networkx_order(shapes):
+    assert_neighbour_lists_match_graph(shapes)
+
+
+def test_neighbour_lists_match_networkx_order_on_c17(c17_design):
+    assert_neighbour_lists_match_graph(c17_design.shapes)
+
+
 # ---------------------------------------------------------------------------
 # Separation (Tarjan) vs one BFS per removed node
 # ---------------------------------------------------------------------------
@@ -257,11 +283,28 @@ def test_separation_matches_bfs_per_removed_node(case):
     nodes = set(adjacency)
     for roots in (anchors, sinks):
         separation = Separation(adjacency, roots)
+        preorder = separation.preorder
+        assert sorted(preorder + separation.unreached) == sorted(nodes)
+        for at, node in enumerate(preorder):
+            assert separation.position(node) == at
+        for node in separation.unreached:
+            assert separation.position(node) is None
         for removed in nodes:
             reach = reference_reach(adjacency, roots, removed)
-            assert separation.cut_off(removed) == nodes - reach - {removed}
+            lost = nodes - reach - {removed}
+            assert separation.cut_off(removed) == lost
             for node in nodes:
                 assert separation.reaches(removed, node) == (node in reach)
+            # The ranges: ascending, disjoint, never abutting, never holding
+            # ``removed``, and with the unreached nodes exactly ``lost``.
+            starts, stops = separation.cut_ranges(removed)
+            assert len(starts) == len(stops)
+            assert all(lo < hi for lo, hi in zip(starts, stops))
+            assert all(hi < lo for hi, lo in zip(stops, starts[1:]))
+            ranged = [node for lo, hi in zip(starts, stops) for node in preorder[lo:hi]]
+            assert removed not in ranged
+            assert len(ranged) == len(set(ranged))
+            assert set(ranged) | (set(separation.unreached) - {removed}) == lost
 
 
 def test_separation_on_a_path_with_a_removed_anchor():

@@ -404,18 +404,26 @@ def test_extraction_counters_where_the_cost_is(c17_design):
     extract_faults(c17_design)
     assert not stale.snapshot()["counters"]
 
-    _, registry = obs.enable()
+    collector, registry = obs.enable()
     extract_faults(c17_design)
     counters = registry.snapshot()["counters"]
-    pairs, examined = facing_pairs(c17_design.shapes, DefectStatistics().size.x_max)
+    (a, *_), examined = facing_pairs(c17_design.shapes, DefectStatistics().size.x_max)
     conductors = [layer.value for layer in Layer if layer.is_conductor]
     for layer in conductors:
         assert counters[f"extraction.pairs_examined.{layer}"] == examined[layer]
-    assert sum(examined.values()) > len(pairs) > 0
+    assert sum(examined.values()) > len(a) > 0
     # At the default densities every facing pair has a positive weight.
     accepted = sum(counters[f"extraction.pairs_accepted.{layer}"] for layer in conductors)
-    assert accepted == len(pairs)
+    assert accepted == len(a)
     assert counters["extraction.open_nodes_separated"] > 0
+    # The connectivity and device maps are built inside the extract span.
+    (extract,) = collector.find("defects.extract")
+    assert [child.name for child in extract.children] == [
+        "defects.extract.connectivity",
+        "defects.extract.bridges",
+        "defects.extract.oxide_shorts",
+        "defects.extract.opens",
+    ]
 
 
 def test_switch_sim_counters_per_fault_class(c17_design):

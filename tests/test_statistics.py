@@ -100,3 +100,31 @@ def test_general_exponent_distribution():
     assert SizeDistribution(exponent=2.0).mean() == math.inf
     with pytest.raises(ValueError):
         SizeDistribution(exponent=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-7])
+def test_densities_must_be_finite_and_non_negative(bad):
+    densities = dict(DefectStatistics().densities)
+    densities[DefectMechanism.METAL1_SHORT] = bad
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        DefectStatistics(densities=densities)
+
+
+def test_bad_tables_fail_at_construction_not_downstream():
+    # An all-negative table once ran layout and extraction before failing.
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        DefectStatistics(densities={m: -1e-7 for m in DefectMechanism})
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        DefectStatistics().scaled(math.nan)
+    # Zero densities stay legal: they switch a mechanism off.
+    zeros = DefectStatistics(densities={m: 0.0 for m in DefectMechanism})
+    assert zeros.density(DefectMechanism.VIA_OPEN) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"exponent": math.nan}, {"exponent": math.inf}, {"x_max": math.inf}, {"x0": math.nan}],
+)
+def test_size_distribution_needs_finite_parameters(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SizeDistribution(**kwargs)
