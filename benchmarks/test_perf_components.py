@@ -12,7 +12,8 @@ from repro.atpg import PodemAtpg, random_patterns
 from repro.circuit import c432_like
 from repro.defects import extract_faults
 from repro.layout import build_layout
-from repro.simulation import FaultSimulator, LogicSimulator, collapse_faults
+from repro.simulation import LogicSimulator, collapse_faults
+from tests.fault_sim_oracle import FaultSimulator
 
 
 @pytest.fixture(scope="module")

@@ -38,12 +38,12 @@ from repro.circuit.levelize import levelize, output_cone
 from repro.circuit.library import ALL_ONES_64, evaluate_gate_packed
 from repro.circuit.netlist import Circuit, Gate
 from repro.simulation import (
-    FaultSimulator,
     NumpyFaultSimulator,
     StuckAtFault,
     collapse_faults,
 )
 from repro.simulation.faults import FaultSite
+from tests.fault_sim_oracle import FaultSimulator
 
 QUICK = bool(os.environ.get("FAULT_SIM_BENCH_QUICK"))
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fault_sim.json"
@@ -52,7 +52,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fault_sim.json"
 # ---------------------------------------------------------------------------
 # The seed engine, frozen.  64 patterns per word, name-keyed value dicts,
 # per-fault cone re-walk with no compiled schedule — the baseline every
-# optimization in repro.simulation.fault_sim is measured against.
+# optimization of the fault-simulation kernel is measured against.
 # ---------------------------------------------------------------------------
 
 

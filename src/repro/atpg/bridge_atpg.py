@@ -165,25 +165,23 @@ def _exhaustive_miter_check(
     ``"too-big"`` when the support exceeds ``exhaustive_limit`` inputs.
 
     A vector sets DIFF to 1 exactly when it detects ``DIFF stuck-at-0``, so
-    the scan reuses the fault simulator's batched
-    :meth:`~repro.simulation.fault_sim.FaultSimulator.first_detecting` —
-    assignments are packed a full engine word per pass instead of being
-    simulated vector by vector.
+    the scan fault-simulates that one fault over 1,024 assignments per pass
+    and reads its first detection, instead of simulating vector by vector.
     """
     from repro.circuit.levelize import input_cone
-    from repro.simulation.fault_sim import FaultSimulator
+    from repro.simulation.numpy_sim import NumpyFaultSimulator
 
     pis = miter.primary_inputs
     support = [pi for pi in pis if pi in input_cone(miter, _DIFF_NET)]
     if len(support) > exhaustive_limit:
         return "too-big"
-    sim = FaultSimulator(miter)
+    sim = NumpyFaultSimulator(miter)
     diff_sa0 = StuckAtFault(_DIFF_NET, 0)
     indices = [pis.index(pi) for pi in support]
     n = len(support)
     base = [0] * len(pis)
     # Bound per-pass memory: enumerate assignments in packed-word batches.
-    batch = max(sim.width, 1024)
+    batch = sim.width
     for start in range(0, 2**n, batch):
         chunk = []
         for code in range(start, min(start + batch, 2**n)):
@@ -191,7 +189,7 @@ def _exhaustive_miter_check(
             for bit, index in enumerate(indices):
                 vec[index] = (code >> bit) & 1
             chunk.append(vec)
-        hit = sim.first_detecting(diff_sa0, chunk)
+        hit = sim.run(chunk, faults=[diff_sa0]).first_detection.get(diff_sa0)
         if hit is not None:
             return chunk[hit - 1]
     return None

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from repro.atpg.patterns import TestSet
 from repro.circuit.netlist import Circuit
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import StuckAtFault
+from repro.simulation.numpy_sim import NumpyFaultSimulator
 
 __all__ = ["compact_test_set"]
 
@@ -27,7 +27,7 @@ def compact_test_set(
     kept out if coverage of the originally-detected faults is preserved.
     Complexity is O(vectors x fault-sim); fine at benchmark scale.
     """
-    simulator = FaultSimulator(circuit)
+    simulator = NumpyFaultSimulator(circuit)
     baseline = simulator.run(test_set.patterns, faults=faults)
     must_detect = set(baseline.first_detection)
 

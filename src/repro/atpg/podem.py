@@ -23,8 +23,8 @@ from repro.circuit.levelize import levelize
 from repro.circuit.library import GateType
 from repro.circuit.netlist import Circuit, Gate
 from repro.obs.events import ProgressEvent
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import FaultSite, StuckAtFault
+from repro.simulation.numpy_sim import NumpyFaultSimulator
 
 __all__ = [
     "PodemAtpg",
@@ -569,7 +569,7 @@ def generate_deterministic_tests(
     atpg = PodemAtpg(
         circuit, backtrack_limit=backtrack_limit, scoap=scoap, learned=learned
     )
-    simulator = FaultSimulator(circuit)
+    simulator = NumpyFaultSimulator(circuit)
     result = DeterministicAtpgResult(
         test_set=TestSet(n_inputs=len(circuit.primary_inputs))
     )

@@ -14,10 +14,13 @@ from repro import obs
 from repro.atpg.patterns import TestSet, random_patterns
 from repro.circuit.netlist import Circuit
 from repro.obs.events import ProgressEvent
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import StuckAtFault, collapse_faults
+from repro.simulation.numpy_sim import NumpyFaultSimulator
 
 __all__ = ["RandomAtpgResult", "generate_random_tests"]
+
+#: Vectors per generation batch; the stop rule is checked between batches.
+_BATCH = 64
 
 
 @dataclass
@@ -54,6 +57,12 @@ def generate_random_tests(
 ) -> RandomAtpgResult:
     """Generate random vectors until coverage, patience, or cap is reached.
 
+    Vectors come in batches of 64, batch ``g`` drawn from
+    ``random_patterns(n_inputs, n, seed=seed + g * 64)``, and the stop rule
+    is checked after each batch.  The stream does not depend on the faults,
+    so it is built up to ``max_patterns`` and fault-simulated in one pass;
+    the stop point then follows from each fault's first detection.
+
     Parameters
     ----------
     circuit:
@@ -65,51 +74,57 @@ def generate_random_tests(
     max_patterns:
         Hard cap on the number of generated vectors.
     patience:
-        Stop after this many consecutive vectors that detect nothing new.
+        Stop once this many vectors have passed since the last vector that
+        detected a new fault.
     seed:
         PRNG seed (results are fully reproducible).
     word_width:
-        Packed-word width of the underlying fault simulator; defaults to the
-        engine default.  Generation batches stay at 64 vectors so stopping
-        decisions (and therefore the generated sequence) are width-invariant.
+        Retired and ignored; it never changed the generated sequence.
     """
     if faults is None:
         faults = collapse_faults(circuit)
-    if word_width is None:
-        simulator = FaultSimulator(circuit)
-    else:
-        simulator = FaultSimulator(circuit, width=word_width)
     n_inputs = len(circuit.primary_inputs)
-    test_set = TestSet(n_inputs=n_inputs)
-
-    remaining = list(faults)
-    detected: list[StuckAtFault] = []
-    useless_run = 0
     total = len(faults)
-
-    batch = 64
-    generated = 0
     with obs.span(
         "atpg.random", n_faults=total, target_coverage=target_coverage
     ) as random_span:
+        stream: list[list[int]] = []
+        if faults:
+            for start in range(0, max_patterns, _BATCH):
+                n_here = min(_BATCH, max_patterns - start)
+                stream += random_patterns(n_inputs, n_here, seed=seed + start)
+        first_detection = (
+            NumpyFaultSimulator(circuit).run(stream, faults=faults).first_detection
+            if stream
+            else {}
+        )
+        # Per batch: its newly detected faults in input order, and the
+        # 1-based position of its last new detection.
+        hits: dict[int, list[StuckAtFault]] = {}
+        last_hit: dict[int, int] = {}
+        for fault in faults:
+            k = first_detection.get(fault)
+            if k is not None:
+                batch, position = divmod(k - 1, _BATCH)
+                hits.setdefault(batch, []).append(fault)
+                last_hit[batch] = max(last_hit.get(batch, 0), position + 1)
+
+        detected: list[StuckAtFault] = []
+        useless_run = 0
+        generated = 0
         while (
-            remaining
+            len(detected) < total
             and generated < max_patterns
             and useless_run < patience
             and (total == 0 or len(detected) / total < target_coverage)
         ):
-            n_here = min(batch, max_patterns - generated)
-            vectors = random_patterns(n_inputs, n_here, seed=seed + generated)
+            batch = generated // _BATCH
+            n_here = min(_BATCH, max_patterns - generated)
             generated += n_here
-            result = simulator.run(vectors, faults=remaining)
-            test_set.extend(vectors, "random")
-            if result.first_detection:
-                # Count the useless tail of this batch for patience accounting.
-                last_hit = max(result.first_detection.values())
-                useless_run = n_here - last_hit
-                hits = set(result.first_detection)
-                detected.extend(f for f in remaining if f in hits)
-                remaining = [f for f in remaining if f not in hits]
+            if batch in hits:
+                # The batch's vectors after its last hit start the useless run.
+                useless_run = n_here - last_hit[batch]
+                detected.extend(hits[batch])
             else:
                 useless_run += n_here
             if obs.events_enabled():
@@ -120,7 +135,7 @@ def generate_random_tests(
                         total=max_patterns,
                         unit="patterns",
                         data={
-                            "faults_remaining": len(remaining),
+                            "faults_remaining": total - len(detected),
                             "detection_rate": (
                                 len(detected) / total if total else 1.0
                             ),
@@ -133,9 +148,14 @@ def generate_random_tests(
         random_span.set(n_patterns=generated, coverage=round(coverage, 4))
     obs.inc("random_atpg.patterns_generated", generated)
     obs.inc("random_atpg.faults_detected", len(detected))
+    test_set = TestSet(n_inputs=n_inputs)
+    test_set.extend(stream[:generated], "random")
+    undetected = [
+        f for f in faults if first_detection.get(f, generated + 1) > generated
+    ]
     return RandomAtpgResult(
         test_set=test_set,
         detected=detected,
-        undetected=remaining,
+        undetected=undetected,
         coverage=coverage,
     )

@@ -27,7 +27,7 @@ __all__ = [
 #: Mask of 64 set bits, the width of the classic packed simulation word.
 ALL_ONES_64 = (1 << 64) - 1
 
-#: Default packed-word width of the simulators.  Python ints are arbitrary
+#: Default packed-word width of the logic simulator.  Python ints are arbitrary
 #: precision, so packing more patterns per word amortises interpreter
 #: overhead; 256 is the sweet spot measured in ``BENCH_fault_sim.json``.
 DEFAULT_WORD_WIDTH = 256

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.circuit.netlist import Circuit
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import StuckAtFault, collapse_faults
-from repro.simulation.logic_sim import pack_patterns
+from repro.simulation.numpy_sim import NumpyFaultSimulator, pack_bitslice
 
 __all__ = ["Syndrome", "Match", "FaultDictionary"]
 
@@ -79,35 +80,29 @@ class FaultDictionary:
         """Simulate every fault against every vector, recording failures."""
         if faults is None:
             faults = collapse_faults(circuit)
-        simulator = FaultSimulator(circuit)
         dictionary = cls(
             circuit=circuit,
             patterns=[list(p) for p in patterns],
             faults=list(faults),
         )
-        width = simulator.width
-        groups = pack_patterns(
-            dictionary.patterns, len(circuit.primary_inputs), width
-        )
+        simulator = NumpyFaultSimulator(circuit)
         n_patterns = len(dictionary.patterns)
-        pos = {po: i for i, po in enumerate(circuit.primary_outputs)}
-
+        good = simulator.good_block(
+            pack_bitslice(dictionary.patterns, len(circuit.primary_inputs))
+        )
+        flips = simulator.po_diff_words(
+            good, n_patterns, [(fault,) for fault in faults]
+        )
+        # Bit k % 64 of word k // 64 is vector k: read the words as
+        # little-endian bytes and unpack them least significant bit first.
+        bits = np.unpackbits(
+            flips.astype("<u8").view(np.uint8), axis=-1, bitorder="little"
+        )
         failures: dict[StuckAtFault, set[tuple[int, int]]] = {
             f: set() for f in faults
         }
-        for g, words in enumerate(groups):
-            base = g * width
-            n_here = min(width, n_patterns - base)
-            mask = (1 << n_here) - 1
-            good = simulator.logic.simulate_packed_list(words)
-            for fault in faults:
-                per_po = simulator.po_diff_words(fault, good)
-                for po, diff in per_po.items():
-                    diff &= mask
-                    while diff:
-                        bit = (diff & -diff).bit_length() - 1
-                        failures[fault].add((base + bit + 1, pos[po]))
-                        diff &= diff - 1
+        for row, po, k in zip(*np.nonzero(bits)):
+            failures[faults[row]].add((int(k) + 1, int(po)))
         dictionary._syndromes = {
             f: Syndrome(frozenset(fails)) for f, fails in failures.items()
         }

@@ -1,6 +1,6 @@
 """Gate-level simulation substrate: logic sim, stuck-at faults, fault sim."""
 
-from repro.simulation.fault_sim import ConeIndex, FaultSimResult, FaultSimulator
+from repro.simulation.fault_sim import ConeIndex, FaultSimResult
 from repro.simulation.faults import (
     FaultSite,
     StuckAtFault,
@@ -19,7 +19,6 @@ from repro.simulation.transition import (
 __all__ = [
     "ConeIndex",
     "FaultSimResult",
-    "FaultSimulator",
     "FaultSite",
     "LogicSimulator",
     "NumpyFaultSimulator",

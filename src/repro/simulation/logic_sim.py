@@ -137,8 +137,7 @@ class LogicSimulator:
 
     The simulator is constructed once per circuit; the compiled net-id
     program (level order, opcodes, dense operand indices) is cached so
-    repeated simulation (the fault simulator calls this in its inner loop)
-    pays no graph-traversal or name-lookup cost.
+    repeated simulation pays no graph-traversal or name-lookup cost.
 
     Parameters
     ----------

@@ -1,11 +1,14 @@
-"""Numpy ``uint64`` bitslice fault-simulation engine.
+"""Numpy ``uint64`` bitslice stuck-at fault-simulation engine.
 
-This is the engine of the pipeline's stuck-at stage (:meth:`run`) and of
-the switch-level simulator's detection table (:meth:`detection_words`,
-whose lanes may carry several simultaneous forces).  The pure-python
-wide-word :class:`~repro.simulation.fault_sim.FaultSimulator` remains the
-reference implementation and both engines are bit-exact against each other
-(``tests/test_engines.py``, ``tests/test_switchsim_oracle.py``).
+This is the repository's one stuck-at engine.  :meth:`run` serves the
+pipeline's stuck-at stage, random ATPG (one pass over the whole random
+stream), PODEM's fault dropping, compaction and bridge ATPG's exhaustive
+miter check.  :meth:`detection_words` serves the switch-level simulator's
+detection table (whose lanes may carry several simultaneous forces) and
+transition-fault simulation; :meth:`po_diff_words` serves the diagnosis
+dictionary.  The tests keep the pure-python wide-word simulator as the
+oracle every result must match bit for bit (``tests/fault_sim_oracle.py``,
+checked in ``tests/test_engines.py`` and ``tests/test_switchsim_oracle.py``).
 
 Layout
 ------
@@ -14,22 +17,22 @@ packed input set is ``(n_words, n_inputs)``-shaped and the fault-free
 ("good") machine is evaluated one *block* of ``width`` patterns at a time
 into a ``(words_per_block, n_nets)``-shaped array, one vectorized bitwise
 op per gate.  ``width`` must be a multiple of 64 — the block is the
-detection-count group, so matching the python engine's group extent is
-what makes drop-mode ``detection_counts`` bit-exact.
+detection-count group: with fault dropping, a fault's ``detection_counts``
+entry covers the block it was first detected in.
 
 Faulty machines are evaluated in *lane batches*: faults are ordered
-cheapest-cone-first (the same static order as the python engine) and
-partitioned into batches of ``lane_batch`` lanes.  Each batch compiles one
-schedule over the union of its cones; slots are ``(n_lanes, words)``
-arrays, so every gate in the union is evaluated for all lanes of the batch
-with a single vectorized op.  Gates in the union whose inputs are entirely
-fault-free collapse to a copy of the good column at compile time.  Per-lane
-fault forcing (stuck rows seeded before evaluation, driver outputs
-overwritten after evaluation, pin-operand overrides) keeps each lane's
-primary-output values exactly equal to what a cone-restricted single-fault
-resimulation would produce: gates outside a lane's own cone cannot be
-reached by its fault, so they compute fault-free values for that lane.  A
-lane with several forced sites has the union of their cones as its cone.
+cheapest-cone-first and partitioned into batches of ``lane_batch`` lanes.
+Each batch compiles one schedule over the union of its cones; slots are
+``(n_lanes, words)`` arrays, so every gate in the union is evaluated for all
+lanes of the batch with a single vectorized op.  Gates in the union whose
+inputs are entirely fault-free collapse to a copy of the good column at
+compile time.  Per-lane fault forcing (stuck rows seeded before evaluation,
+driver outputs overwritten after evaluation, pin-operand overrides) keeps
+each lane's primary-output values exactly equal to what a cone-restricted
+single-fault resimulation would produce: gates outside a lane's own cone
+cannot be reached by its fault, so they compute fault-free values for that
+lane.  A lane with several forced sites has the union of their cones as its
+cone.
 
 Good-machine values are computed once per block and shared by every batch;
 fault dropping retires lanes at their first detecting block and skips a
@@ -38,7 +41,7 @@ batch entirely once all of its lanes have dropped.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,9 +68,9 @@ __all__ = [
     "pack_bitslice",
 ]
 
-#: Default block extent (patterns per detection group) for the numpy engine.
-#: Wider than the python default: the vectorized kernel amortises per-gate
-#: dispatch over ``width // 64`` words *and* ``lane_batch`` lanes at once.
+#: Default block extent (patterns per detection group).  The vectorized
+#: kernel amortises per-gate dispatch over ``width // 64`` words *and*
+#: ``lane_batch`` lanes at once.
 DEFAULT_NUMPY_WIDTH = 1024
 
 #: Default number of faults evaluated per union-of-cones batch.
@@ -125,6 +128,13 @@ def pack_bitslice(
     return np.ascontiguousarray(words.T)
 
 
+def _clear_tail(table: np.ndarray, n_patterns: int) -> None:
+    """Clear the bits past pattern ``n_patterns`` in the last word column."""
+    tail_bits = n_patterns % 64
+    if tail_bits and table.shape[-1]:
+        table[..., -1] &= np.uint64((1 << tail_bits) - 1)
+
+
 def _popcount(words: np.ndarray) -> int:
     """Total set-bit count over a 1-d uint64 array."""
     if _HAVE_BITWISE_COUNT:
@@ -135,11 +145,10 @@ def _popcount(words: np.ndarray) -> int:
 class _BatchProgram:
     """One lane batch's compiled union-of-cones schedule.
 
-    ``refs`` entries encode operand sources like the python engine's
-    programs: ``ref >= 0`` reads the good-machine column ``good[:, ref]``;
-    ``ref < 0`` reads the batch-local slot ``local[~ref]`` (an
-    ``(n_lanes, words)`` array).  Gates compiled to :data:`_OP_GOOD` carry
-    their output net id as the single ref.
+    ``refs`` entries encode operand sources: ``ref >= 0`` reads the
+    good-machine column ``good[:, ref]``; ``ref < 0`` reads the batch-local
+    slot ``local[~ref]`` (an ``(n_lanes, words)`` array).  Gates compiled to
+    :data:`_OP_GOOD` carry their output net id as the single ref.
     """
 
     __slots__ = (
@@ -171,8 +180,8 @@ class _BatchProgram:
 class NumpyFaultSimulator:
     """Bitslice parallel-pattern stuck-at fault simulator (numpy engine).
 
-    Bit-exact against :class:`~repro.simulation.fault_sim.FaultSimulator`
-    for every ``FaultSimResult`` field, provided both engines use the same
+    Bit-exact against the python oracle in ``tests/fault_sim_oracle.py``
+    for every ``FaultSimResult`` field, provided both use the same
     ``width`` (the detection-count group extent).
 
     Parameters
@@ -469,23 +478,17 @@ class NumpyFaultSimulator:
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
-    def detection_words(
-        self,
-        good: np.ndarray,
-        n_patterns: int,
-        lanes: Sequence[tuple[StuckAtFault, ...]],
-    ) -> np.ndarray:
-        """Where each lane's simultaneous forces reach a primary output.
+    def _lane_batches(
+        self, good: np.ndarray, lanes: Sequence[tuple[StuckAtFault, ...]]
+    ) -> Iterator[tuple[list[int], _BatchProgram, np.ndarray, np.ndarray]]:
+        """Evaluate ``lanes`` over one good block, batch by batch.
 
-        ``good`` is :meth:`good_block` of one block holding all
-        ``n_patterns`` patterns.  Row ``i`` of the ``(len(lanes), words)``
-        result is lane ``i``'s detection bitset over that block: bit
-        ``k % 64`` of word ``k // 64`` is set when pattern ``k`` detects the
-        lane.  Bits past the last pattern are clear.  Lanes run
-        cheapest-cone-first in batches of ``lane_batch``.
+        Lanes run cheapest-cone-first in batches of ``lane_batch``.  Yields
+        each batch's lane indices, its program, its evaluated slots
+        (``(n_slots, n_lanes, words)``) and its per-lane diffs; both arrays
+        are scratch that the next batch overwrites.
         """
         n_words = good.shape[0]
-        table = np.zeros((len(lanes), n_words), dtype=np.uint64)
         order = sorted(
             range(len(lanes)),
             key=lambda i: sum(self.cone_size(f) for f in lanes[i]),
@@ -505,16 +508,54 @@ class NumpyFaultSimulator:
         tmp_buf = np.empty_like(diff_buf)
         for batch, prog in zip(batches, programs):
             n_lanes = prog.n_lanes
-            table[batch] = self._run_batch(
-                prog,
-                good,
-                local_buf[: prog.n_slots, :n_lanes],
-                diff_buf[:n_lanes],
-                tmp_buf[:n_lanes],
+            local = local_buf[: prog.n_slots, :n_lanes]
+            diff = self._run_batch(
+                prog, good, local, diff_buf[:n_lanes], tmp_buf[:n_lanes]
             )
-        tail_bits = n_patterns % 64
-        if tail_bits and n_words:
-            table[:, -1] &= np.uint64((1 << tail_bits) - 1)
+            yield batch, prog, local, diff
+
+    def detection_words(
+        self,
+        good: np.ndarray,
+        n_patterns: int,
+        lanes: Sequence[tuple[StuckAtFault, ...]],
+    ) -> np.ndarray:
+        """Where each lane's simultaneous forces reach a primary output.
+
+        ``good`` is :meth:`good_block` of one block holding all
+        ``n_patterns`` patterns.  Row ``i`` of the ``(len(lanes), words)``
+        result is lane ``i``'s detection bitset over that block: bit
+        ``k % 64`` of word ``k // 64`` is set when pattern ``k`` detects the
+        lane.  Bits past the last pattern are clear.
+        """
+        table = np.zeros((len(lanes), good.shape[0]), dtype=np.uint64)
+        for batch, _, _, diff in self._lane_batches(good, lanes):
+            table[batch] = diff
+        _clear_tail(table, n_patterns)
+        return table
+
+    def po_diff_words(
+        self,
+        good: np.ndarray,
+        n_patterns: int,
+        lanes: Sequence[tuple[StuckAtFault, ...]],
+    ) -> np.ndarray:
+        """Per-primary-output refinement of :meth:`detection_words`.
+
+        Entry ``[i, j]`` of the ``(len(lanes), n_outputs, words)`` result is
+        the bitset of patterns on which lane ``i`` flips primary output
+        ``j`` (in ``circuit.primary_outputs`` order).  The OR over ``j`` is
+        :meth:`detection_words`.
+        """
+        po_ids = self.logic.po_ids
+        column = {po: j for j, po in enumerate(po_ids)}
+        table = np.zeros(
+            (len(lanes), len(po_ids), good.shape[0]), dtype=np.uint64
+        )
+        for batch, prog, local, _ in self._lane_batches(good, lanes):
+            for slot, po in prog.po_refs:
+                table[batch, column[po]] = local[slot] ^ good[:, po]
+        _clear_tail(table, n_patterns)
         return table
 
     def run(
@@ -591,12 +632,6 @@ class NumpyFaultSimulator:
             )
             diff_buf = np.empty((lane_batch, words_per_block), dtype=np.uint64)
             tmp_buf = np.empty_like(diff_buf)
-            tail_bits = n_patterns % 64
-            # A no-op all-ones mask when the pattern count is word-aligned:
-            # masks_tail below never fires then, and the mask stays non-None.
-            tail_mask = (
-                np.uint64((1 << tail_bits) - 1) if tail_bits else _U64_ONES
-            )
 
             n_blocks = -(-n_words_total // words_per_block) if n_patterns else 0
             for block_index in range(n_blocks):
@@ -608,7 +643,7 @@ class NumpyFaultSimulator:
                 base = block_index * width
                 n_here = min(width, n_patterns - base)
                 good = self.good_block(packed[word_lo:word_hi])
-                masks_tail = tail_bits != 0 and word_hi == n_words_total
+                last_block = word_hi == n_words_total
                 for batch_index, prog in enumerate(programs):
                     if drop_detected and batch_alive[batch_index] == 0:
                         continue
@@ -617,8 +652,8 @@ class NumpyFaultSimulator:
                     diff = diff_buf[:n_lanes, :n_words]
                     tmp = tmp_buf[:n_lanes, :n_words]
                     self._run_batch(prog, good, local, diff, tmp)
-                    if masks_tail:
-                        diff[:, -1] &= tail_mask
+                    if last_block:
+                        _clear_tail(diff, n_patterns)
                     lane_alive = alive[batch_index]
                     hits = np.nonzero(diff.any(axis=1))[0]
                     for row in hits:

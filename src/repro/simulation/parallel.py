@@ -5,8 +5,9 @@ The process pool that once lived here never engaged on a shipped workload
 stuck-at fault simulation runs in-process on
 :class:`~repro.simulation.numpy_sim.NumpyFaultSimulator`.  The name stays
 only for ``perfbench/layers.py``, which hooks ``ParallelFaultSimulator.run``
-to time the pipeline's stuck-at stage: through this alias the hook wraps
-``NumpyFaultSimulator.run``, which nothing else in the pipeline calls.
+to time the pipeline's stuck-at stage.  Through this alias the hook wraps
+``NumpyFaultSimulator.run``, which random ATPG and PODEM's fault dropping
+also call, so that layer's time includes their simulation too.
 """
 
 from repro.simulation.numpy_sim import NumpyFaultSimulator

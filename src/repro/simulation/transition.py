@@ -11,9 +11,10 @@ tests.  This module provides the classic transition-fault abstraction:
   1) and propagates ``n`` stuck-at-0 behaviour to an output on ``t_k``;
 * **slow-to-fall** is the dual.
 
-Detection reuses the packed stuck-at machinery, so simulating the whole
-transition universe over the paper's vector sequence costs about as much as
-one extra stuck-at fault-simulation pass.
+Detection reuses the stuck-at engine: one detection-table pass of the
+stuck-at complements over the whole sequence, ANDed with each net's launch
+bitset, so simulating the whole transition universe over the paper's vector
+sequence costs about as much as one extra stuck-at fault-simulation pass.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.circuit.netlist import Circuit
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import StuckAtFault
-from repro.simulation.logic_sim import pack_patterns
+from repro.simulation.numpy_sim import NumpyFaultSimulator, pack_bitslice
 
 __all__ = ["TransitionFault", "TransitionSimResult", "TransitionFaultSimulator",
            "transition_universe"]
@@ -85,14 +87,10 @@ class TransitionSimResult:
 class TransitionFaultSimulator:
     """Two-pattern (launch/capture) transition-fault simulation."""
 
-    def __init__(self, circuit: Circuit, width: int | None = None):
+    def __init__(self, circuit: Circuit):
         circuit.validate()
         self.circuit = circuit
-        if width is None:
-            self.stuck = FaultSimulator(circuit)
-        else:
-            self.stuck = FaultSimulator(circuit, width=width)
-        self.width = self.stuck.width
+        self.stuck = NumpyFaultSimulator(circuit)
 
     def run(
         self,
@@ -102,50 +100,40 @@ class TransitionFaultSimulator:
         """Simulate consecutive vector pairs against the transition faults."""
         if faults is None:
             faults = transition_universe(self.circuit)
-        n_inputs = len(self.circuit.primary_inputs)
-        width = self.width
-        groups = pack_patterns(patterns, n_inputs, width)
-        goods = [self.stuck.logic.simulate_packed(words) for words in groups]
-
-        result = TransitionSimResult(
-            faults=list(faults), n_patterns=len(patterns)
+        result = TransitionSimResult(faults=list(faults), n_patterns=len(patterns))
+        if not faults or not patterns:
+            return result
+        stuck = self.stuck
+        good = stuck.good_block(
+            pack_bitslice(patterns, len(self.circuit.primary_inputs))
         )
-        active = list(faults)
-        previous_bit: dict[str, int] = {}
-        for g, good in enumerate(goods):
-            if not active:
-                break
-            base = g * width
-            n_here = min(width, len(patterns) - base)
-            group_mask = (1 << n_here) - 1
-            survivors = []
-            for fault in active:
-                values = good[fault.net]
-                # Launch mask: previous vector at the complement, current at
-                # the slow-to value.
-                prev = (values << 1) & group_mask
-                if base > 0:
-                    prev |= previous_bit.get(fault.net, 0)
-                if fault.slow_to == 1:
-                    launch = (~prev) & values  # 0 -> 1
-                else:
-                    launch = prev & (~values)  # 1 -> 0
-                launch &= group_mask
-                if g == 0:
-                    launch &= ~1  # the very first vector has no launch
-                detected = 0
-                if launch:
-                    # Slow transition means the old (complement) value
-                    # persists at capture time: stuck-at complement.
-                    stuck = StuckAtFault(fault.net, 1 - fault.slow_to)
-                    detected = self.stuck.detection_word(stuck, good) & launch
-                if detected:
-                    first = base + ((detected & -detected).bit_length() - 1) + 1
-                    result.first_detection[fault] = first
-                else:
-                    survivors.append(fault)
-            for net in {f.net for f in survivors}:
-                values = good[net]
-                previous_bit[net] = (values >> (n_here - 1)) & 1
-            active = survivors
+        # Each net's value on the previous vector: every column shifted up
+        # one bit, carrying bit 63 of a word into bit 0 of the next.
+        previous = good << np.uint64(1)
+        previous[1:] |= good[:-1] >> np.uint64(63)
+        rises = ~previous & good
+        falls = previous & ~good
+        # The very first vector has no launch; the 0 shifted in below it
+        # would read as a rise.
+        rises[0] &= ~np.uint64(1)
+        net_id = stuck.logic.net_id
+        launch = np.stack(
+            [(rises if f.slow_to else falls)[:, net_id[f.net]] for f in faults]
+        )
+        launched = np.flatnonzero(launch.any(axis=1))
+        # A slow transition leaves the old (complement) value in place at
+        # capture time: the capture vector must detect stuck-at complement.
+        lanes = [
+            (StuckAtFault(faults[i].net, 1 - faults[i].slow_to),) for i in launched
+        ]
+        detected = stuck.detection_words(good, len(patterns), lanes)
+        detected &= launch[launched]
+        for i, words in zip(launched.tolist(), detected):
+            hit_words = np.flatnonzero(words)
+            if hit_words.size:
+                word = int(hit_words[0])
+                value = int(words[word])
+                result.first_detection[faults[i]] = (
+                    word * 64 + (value & -value).bit_length()
+                )
         return result

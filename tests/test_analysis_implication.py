@@ -20,8 +20,8 @@ from repro.analysis import (
 )
 from repro.circuit import Circuit, GateType, c17
 from repro.circuit.iscas import BENCHMARKS
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import collapse_faults, full_fault_universe
+from repro.simulation.numpy_sim import NumpyFaultSimulator
 
 
 def all_vectors(circuit: Circuit) -> list[list[int]]:
@@ -146,7 +146,7 @@ def test_tied_input_pin_faults_flagged_and_truly_untestable():
                if f.gate == "m" and f.value == 1}
     assert pin_sa1 <= flagged
     # Exhaustive confirmation: nothing flagged is ever detected.
-    sim = FaultSimulator(ckt)
+    sim = NumpyFaultSimulator(ckt)
     detected = set(sim.run(all_vectors(ckt), faults=sorted(flagged, key=str)).detected)
     assert not detected
 
@@ -179,7 +179,7 @@ def test_constant_activation_conflict_flagged():
     # always differs — and must NOT be flagged.
     assert by_name.get("zero/sa0") == "activation"
     assert "zero/sa1" not in by_name
-    sim = FaultSimulator(ckt)
+    sim = NumpyFaultSimulator(ckt)
     detected = set(
         sim.run(all_vectors(ckt), faults=list(report.untestable)).detected
     )
@@ -194,7 +194,7 @@ def test_flagged_faults_never_detected_exhaustively(name):
     if not report.untestable:
         return
     assert len(circuit.primary_inputs) <= 17
-    sim = FaultSimulator(circuit)
+    sim = NumpyFaultSimulator(circuit)
     result = sim.run(all_vectors(circuit), faults=list(report.untestable))
     assert result.detected == []
 
@@ -212,7 +212,7 @@ def test_c432_flagged_faults_survive_random_attack():
     rng = random.Random(99)
     n_pi = len(circuit.primary_inputs)
     vectors = [[rng.randint(0, 1) for _ in range(n_pi)] for _ in range(1024)]
-    sim = FaultSimulator(circuit)
+    sim = NumpyFaultSimulator(circuit)
     assert sim.run(vectors, faults=list(report.untestable)).detected == []
 
 
@@ -259,7 +259,7 @@ def test_dominance_detection_bit_exact_on_shared_faults(name):
         rng = random.Random(5)
         n = len(circuit.primary_inputs)
         vectors = [[rng.randint(0, 1) for _ in range(n)] for _ in range(128)]
-    sim = FaultSimulator(circuit)
+    sim = NumpyFaultSimulator(circuit)
     eq_result = sim.run(vectors, faults=collapse_faults(circuit))
     dom = dominance_collapse(circuit)
     dom_result = sim.run(vectors, faults=dom.collapsed)
@@ -274,7 +274,7 @@ def test_dominance_drop_is_detection_preserving_on_c17():
     """A test set detecting every survivor detects every dropped class."""
     circuit = c17()
     vectors = all_vectors(circuit)
-    sim = FaultSimulator(circuit)
+    sim = NumpyFaultSimulator(circuit)
     dom = dominance_collapse(circuit)
     survivor_result = sim.run(vectors, faults=dom.collapsed)
     assert survivor_result.undetected == []  # c17 has no redundancy

@@ -40,9 +40,9 @@ from repro.circuit import Circuit, GateType
 from repro.circuit.iscas import BENCHMARKS
 from repro.circuit.levelize import levelize
 from repro.circuit.library import evaluate_gate
-from repro.simulation.fault_sim import FaultSimulator
 from repro.simulation.faults import collapse_faults, full_fault_universe
 from repro.simulation.numpy_sim import NumpyFaultSimulator
+from tests.fault_sim_oracle import FaultSimulator
 
 
 def all_vectors(circuit: Circuit) -> list[list[int]]:

@@ -1,7 +1,7 @@
 """Unit tests for static test-set compaction."""
 
 from repro.atpg import TestSet, compact_test_set, generate_random_tests
-from repro.simulation import FaultSimulator, collapse_faults
+from repro.simulation import NumpyFaultSimulator, collapse_faults
 
 
 def test_compaction_preserves_coverage(c17_circuit):
@@ -13,7 +13,7 @@ def test_compaction_preserves_coverage(c17_circuit):
     compacted = compact_test_set(c17_circuit, generated.test_set, faults)
     assert len(compacted) <= len(generated.test_set)
 
-    sim = FaultSimulator(c17_circuit)
+    sim = NumpyFaultSimulator(c17_circuit)
     result = sim.run(compacted.patterns, faults=faults)
     assert result.coverage == 1.0
 

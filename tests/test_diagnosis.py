@@ -6,7 +6,7 @@ from repro.atpg import random_patterns
 from repro.circuit.levelize import levelize
 from repro.circuit.library import evaluate_gate
 from repro.diagnosis import FaultDictionary, Syndrome
-from repro.simulation import StuckAtFault
+from repro.simulation import StuckAtFault, collapse_faults
 from repro.simulation.faults import FaultSite
 
 
@@ -60,6 +60,21 @@ def test_observe_matches_simulated_syndrome(dictionary, c17_circuit):
     responses = _faulty_responses(c17_circuit, dictionary.patterns, fault)
     observed = dictionary.observe(responses)
     assert observed.failures == dictionary.syndrome_of(fault).failures
+
+
+def test_every_syndrome_matches_scalar_reference(c17_circuit):
+    """All collapsed faults, over a sequence that spans three 64-bit words."""
+    patterns = random_patterns(5, 150, seed=31)
+    dictionary = FaultDictionary.build(c17_circuit, patterns)
+    assert dictionary.faults == collapse_faults(c17_circuit)
+    for fault in dictionary.faults:
+        responses = _faulty_responses(c17_circuit, patterns, fault)
+        expected = dictionary.observe(responses).failures
+        assert dictionary.syndrome_of(fault).failures == expected, str(fault)
+    assert any(
+        k > 128 for fault in dictionary.faults
+        for k in dictionary.syndrome_of(fault).failing_vectors
+    )
 
 
 def test_observe_length_check(dictionary):

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from repro.circuit.iscas import load_benchmark
 from repro.simulation import (
-    FaultSimulator,
     NumpyFaultSimulator,
     collapse_faults,
     pack_bitslice,
 )
 from repro.simulation.numpy_sim import DEFAULT_NUMPY_WIDTH
+from tests.fault_sim_oracle import FaultSimulator
 
 
 def _patterns(circuit, n, seed=7):

@@ -1,17 +1,17 @@
-"""Unit tests for the parallel-pattern stuck-at fault simulator."""
+"""Unit tests for the python stuck-at oracle against brute-force simulation."""
 
 import random
 
 
 from repro.circuit import Circuit, GateType
 from repro.simulation import (
-    FaultSimulator,
     FaultSite,
     LogicSimulator,
     StuckAtFault,
     collapse_faults,
     full_fault_universe,
 )
+from tests.fault_sim_oracle import FaultSimulator
 
 
 def brute_force_detects(circuit: Circuit, fault: StuckAtFault, vec: list[int]) -> bool:

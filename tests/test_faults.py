@@ -5,11 +5,12 @@ import pytest
 
 from repro.circuit import Circuit, GateType, c17
 from repro.simulation import (
-    FaultSimulator,
     FaultSite,
+    NumpyFaultSimulator,
     StuckAtFault,
     collapse_faults,
     full_fault_universe,
+    pack_bitslice,
 )
 
 
@@ -45,13 +46,12 @@ def test_fault_str():
 
 def _detection_signature(circuit: Circuit, fault: StuckAtFault) -> tuple:
     """Exhaustive detection signature of a fault (small circuits only)."""
-    sim = FaultSimulator(circuit)
+    sim = NumpyFaultSimulator(circuit)
     n = len(circuit.primary_inputs)
-    signature = []
-    for code in range(2**n):
-        vec = [(code >> i) & 1 for i in range(n)]
-        signature.append(sim.detects(fault, vec))
-    return tuple(signature)
+    vectors = [[(code >> i) & 1 for i in range(n)] for code in range(2**n)]
+    good = sim.good_block(pack_bitslice(vectors, n))
+    (words,) = sim.detection_words(good, len(vectors), [(fault,)])
+    return tuple(words.tolist())
 
 
 @pytest.mark.parametrize(
@@ -90,11 +90,13 @@ def _tiny_tree() -> Circuit:
 def test_collapse_all_classes_detectable_somewhere():
     """For an irredundant circuit, every representative is detectable."""
     circuit = _tiny_tree()
-    sim = FaultSimulator(circuit)
+    sim = NumpyFaultSimulator(circuit)
     n = len(circuit.primary_inputs)
     vectors = [[(code >> i) & 1 for i in range(n)] for code in range(2**n)]
-    for fault in collapse_faults(circuit):
-        assert sim.detects_any(fault, vectors), f"{fault} undetectable"
+    faults = collapse_faults(circuit)
+    result = sim.run(vectors, faults=faults)
+    for fault in faults:
+        assert fault in result.first_detection, f"{fault} undetectable"
 
 
 def test_po_stem_faults_kept():

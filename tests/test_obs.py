@@ -323,9 +323,9 @@ def test_config_hash_is_stable_and_sensitive():
 # ---------------------------------------------------------------------------
 def test_fault_sim_records_detection_counts(c17_circuit):
     from repro.atpg.patterns import random_patterns
-    from repro.simulation import FaultSimulator, collapse_faults
+    from repro.simulation import NumpyFaultSimulator, collapse_faults
 
-    sim = FaultSimulator(c17_circuit)
+    sim = NumpyFaultSimulator(c17_circuit)
     faults = collapse_faults(c17_circuit)
     patterns = random_patterns(len(c17_circuit.primary_inputs), 32, seed=3)
     result = sim.run(patterns, faults=faults, drop_detected=False)
@@ -357,10 +357,10 @@ def test_pipeline_increments_cache_counters():
 def test_profile_report_renders(c17_circuit):
     from repro.atpg.patterns import random_patterns
     from repro.experiments import ExperimentConfig, run_experiment
-    from repro.simulation import FaultSimulator, collapse_faults
+    from repro.simulation import NumpyFaultSimulator, collapse_faults
 
     collector, registry = obs.enable()
-    sim = FaultSimulator(c17_circuit)
+    sim = NumpyFaultSimulator(c17_circuit)
     patterns = random_patterns(len(c17_circuit.primary_inputs), 16, seed=1)
     sim.run(patterns, faults=collapse_faults(c17_circuit))
 

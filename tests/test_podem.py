@@ -2,7 +2,7 @@
 
 
 from repro.circuit import Circuit, GateType
-from repro.simulation import FaultSimulator, StuckAtFault, collapse_faults
+from repro.simulation import NumpyFaultSimulator, StuckAtFault, collapse_faults
 from repro.atpg import (
     AtpgStatus,
     PodemAtpg,
@@ -11,22 +11,26 @@ from repro.atpg import (
 )
 
 
+def detects(sim, fault, vector) -> bool:
+    return fault in sim.run([vector], faults=[fault]).first_detection
+
+
 def test_podem_covers_c17(c17_circuit):
     atpg = PodemAtpg(c17_circuit)
-    sim = FaultSimulator(c17_circuit)
+    sim = NumpyFaultSimulator(c17_circuit)
     for fault in collapse_faults(c17_circuit):
         outcome = atpg.generate(fault)
         assert outcome.status == AtpgStatus.TESTED, str(fault)
-        assert sim.detects(fault, outcome.pattern), str(fault)
+        assert detects(sim, fault, outcome.pattern), str(fault)
 
 
 def test_podem_covers_adder(rca4_circuit):
     atpg = PodemAtpg(rca4_circuit)
-    sim = FaultSimulator(rca4_circuit)
+    sim = NumpyFaultSimulator(rca4_circuit)
     for fault in collapse_faults(rca4_circuit):
         outcome = atpg.generate(fault)
         assert outcome.status == AtpgStatus.TESTED, str(fault)
-        assert sim.detects(fault, outcome.pattern), str(fault)
+        assert detects(sim, fault, outcome.pattern), str(fault)
 
 
 def test_podem_proves_redundancy():
@@ -47,7 +51,7 @@ def test_podem_redundancy_claims_sound(c432_circuit):
     import random
 
     atpg = PodemAtpg(c432_circuit, backtrack_limit=300)
-    sim = FaultSimulator(c432_circuit)
+    sim = NumpyFaultSimulator(c432_circuit)
     redundant = []
     for fault in collapse_faults(c432_circuit):
         outcome = atpg.generate(fault)
@@ -82,7 +86,7 @@ def test_deterministic_flow_drops_faults(c17_circuit):
     assert set(result.tested) == set(faults)
     # Fault dropping keeps the vector count below one-per-fault.
     assert len(result.test_set) < len(faults)
-    sim = FaultSimulator(c17_circuit)
+    sim = NumpyFaultSimulator(c17_circuit)
     check = sim.run(result.test_set.patterns, faults=faults)
     assert check.coverage == 1.0
 
@@ -123,7 +127,7 @@ def test_learned_implications_cut_backtracks_on_c432(c432_circuit):
     ]
     plain = PodemAtpg(c432_circuit, backtrack_limit=300)
     smart = PodemAtpg(c432_circuit, backtrack_limit=300, learned=learned)
-    sim = FaultSimulator(c432_circuit)
+    sim = NumpyFaultSimulator(c432_circuit)
     total_plain = total_smart = 0
     for fault in faults:
         a = plain.generate(fault)
@@ -133,7 +137,7 @@ def test_learned_implications_cut_backtracks_on_c432(c432_circuit):
         total_plain += a.backtracks
         total_smart += b.backtracks
         if b.status == AtpgStatus.TESTED:
-            assert sim.detects(fault, b.pattern), str(fault)
+            assert detects(sim, fault, b.pattern), str(fault)
     assert total_smart < total_plain
     assert smart.learned_conflicts > 0
     assert plain.learned_conflicts == plain.learned_prunes == 0
@@ -145,12 +149,12 @@ def test_learned_implications_preserve_outcomes(c17_circuit):
     learned = static_learning(c17_circuit)
     plain = PodemAtpg(c17_circuit)
     smart = PodemAtpg(c17_circuit, learned=learned)
-    sim = FaultSimulator(c17_circuit)
+    sim = NumpyFaultSimulator(c17_circuit)
     for fault in collapse_faults(c17_circuit):
         a = plain.generate(fault)
         b = smart.generate(fault)
         assert a.status == b.status == AtpgStatus.TESTED, str(fault)
-        assert sim.detects(fault, b.pattern), str(fault)
+        assert detects(sim, fault, b.pattern), str(fault)
 
 
 def test_deterministic_flow_reports_learned_stats(c432_circuit):

@@ -141,14 +141,21 @@ def test_packed_equals_scalar_on_random_circuits(ckt, code):
 @settings(max_examples=25, deadline=None)
 @given(ckt=random_circuits())
 def test_collapsing_never_loses_detection_sets(ckt):
-    from repro.simulation import FaultSimulator, collapse_faults, full_fault_universe
+    from repro.simulation import (
+        NumpyFaultSimulator,
+        collapse_faults,
+        full_fault_universe,
+        pack_bitslice,
+    )
 
-    sim = FaultSimulator(ckt)
+    sim = NumpyFaultSimulator(ckt)
     n = len(ckt.primary_inputs)
     vectors = [[(c >> i) & 1 for i in range(n)] for c in range(2**n)]
+    good = sim.good_block(pack_bitslice(vectors, n))
 
     def signature(fault):
-        return tuple(sim.detects(fault, v) for v in vectors)
+        (words,) = sim.detection_words(good, len(vectors), [(fault,)])
+        return tuple(words.tolist())
 
     collapsed_sigs = {signature(f) for f in collapse_faults(ckt)}
     for fault in full_fault_universe(ckt):
@@ -159,17 +166,20 @@ def test_collapsing_never_loses_detection_sets(ckt):
 @given(ckt=random_circuits())
 def test_podem_agrees_with_exhaustive_detectability(ckt):
     from repro.atpg import AtpgStatus, PodemAtpg
-    from repro.simulation import FaultSimulator, collapse_faults
+    from repro.simulation import NumpyFaultSimulator, collapse_faults
 
     atpg = PodemAtpg(ckt, backtrack_limit=4000)
-    sim = FaultSimulator(ckt)
+    sim = NumpyFaultSimulator(ckt)
     n = len(ckt.primary_inputs)
     vectors = [[(c >> i) & 1 for i in range(n)] for c in range(2**n)]
-    for fault in collapse_faults(ckt):
-        detectable = sim.detects_any(fault, vectors)
+    faults = collapse_faults(ckt)
+    exhaustive = sim.run(vectors, faults=faults).first_detection
+    for fault in faults:
+        detectable = fault in exhaustive
         outcome = atpg.generate(fault)
         if outcome.status == AtpgStatus.TESTED:
             assert detectable
-            assert sim.detects(fault, outcome.pattern)
+            check = sim.run([outcome.pattern], faults=[fault])
+            assert fault in check.first_detection
         elif outcome.status == AtpgStatus.REDUNDANT:
             assert not detectable, f"{fault} falsely proved redundant"

@@ -41,11 +41,11 @@ def test_vdd_gnd_bridge_always_detected(c17_sim):
 
 def test_rail_bridge_behaves_like_stuck_at(c17_design, c17_sim):
     """A signal-GND bridge is detected iff/when that net's sa0 is detected."""
-    from repro.simulation import FaultSimulator, StuckAtFault
+    from repro.simulation import NumpyFaultSimulator, StuckAtFault
 
     fault = BridgeFault(weight=1.0, net_a="G22", net_b=GND)
     det = c17_sim._dispatch(fault)
-    stuck = FaultSimulator(c17_design.mapped)
+    stuck = NumpyFaultSimulator(c17_design.mapped)
     result = stuck.run(c17_sim.patterns, faults=[StuckAtFault("G22", 0)])
     expected = result.first_detection.get(StuckAtFault("G22", 0))
     assert det.strict == expected

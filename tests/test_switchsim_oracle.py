@@ -25,39 +25,20 @@ from repro.circuit.iscas import load_benchmark
 from repro.defects import BridgeFault
 from repro.layout import build_layout
 from repro.layout.cells import GND, VDD
-from repro.simulation import FaultSimulator, LogicSimulator, NumpyFaultSimulator
+from repro.simulation import LogicSimulator, NumpyFaultSimulator
 from repro.simulation.faults import FaultSite, StuckAtFault
 from repro.simulation.logic_sim import pack_patterns
 from repro.simulation.numpy_sim import pack_bitslice
 from repro.switchsim import SwitchLevelFaultSimulator, solve_with_tap
 from repro.switchsim.simulator import Detection, _mask_bits, _Plan, retained_bits
+from tests.fault_sim_oracle import FaultSimulator
+from tests.strategies import small_circuits
 
 SLOW = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-@st.composite
-def small_circuits(draw):
-    kinds = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
-             GateType.XOR, GateType.NOT]
-    n_inputs = draw(st.integers(min_value=2, max_value=5))
-    n_gates = draw(st.integers(min_value=1, max_value=10))
-    ckt = Circuit(name="oracle")
-    nets = [ckt.add_input(f"i{k}") for k in range(n_inputs)]
-    for g in range(n_gates):
-        gt = draw(st.sampled_from(kinds))
-        fan = 1 if gt is GateType.NOT else draw(st.integers(2, 3))
-        sources = [nets[draw(st.integers(0, len(nets) - 1))] for _ in range(fan)]
-        ckt.add_gate(gt, sources, f"g{g}")
-        nets.append(f"g{g}")
-    ckt.add_output(nets[-1])
-    if n_gates > 2:
-        ckt.add_output(nets[n_inputs + n_gates // 2])
-    ckt.validate()
-    return ckt
 
 
 def simulator(ckt: Circuit, n_vectors: int, seed: int) -> SwitchLevelFaultSimulator:

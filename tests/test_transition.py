@@ -1,14 +1,21 @@
 """Unit tests for the transition (gate-delay) fault model."""
 
-import pytest
+import random
 
-from repro.circuit import Circuit, GateType
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.circuit import Circuit, GateType, c17
+from repro.circuit.levelize import levelize
+from repro.circuit.library import evaluate_gate
 from repro.simulation import LogicSimulator
 from repro.simulation.transition import (
     TransitionFault,
     TransitionFaultSimulator,
     transition_universe,
 )
+from tests.strategies import small_circuits
 
 
 def test_universe_size(c17_circuit):
@@ -81,12 +88,10 @@ def test_coverage_on_c17(c17_circuit):
 def test_transition_detection_cross_checked(c17_circuit):
     """Each reported detection satisfies the launch+capture definition."""
     from repro.atpg import random_patterns
-    from repro.simulation import FaultSimulator, StuckAtFault
 
     patterns = random_patterns(5, 100, seed=8)
     sim = TransitionFaultSimulator(c17_circuit)
     logic = LogicSimulator(c17_circuit)
-    stuck = FaultSimulator(c17_circuit)
     result = sim.run(patterns)
     for fault, k in result.first_detection.items():
         assert k >= 2
@@ -94,6 +99,78 @@ def test_transition_detection_cross_checked(c17_circuit):
         after = logic.simulate(patterns[k - 1])[fault.net]
         assert before == 1 - fault.slow_to
         assert after == fault.slow_to
-        assert stuck.detects(
-            StuckAtFault(fault.net, 1 - fault.slow_to), patterns[k - 1]
+        assert _scalar_detects(
+            c17_circuit, fault.net, 1 - fault.slow_to, patterns[k - 1]
         )
+
+
+def _scalar_detects(circuit, net, value, vector) -> bool:
+    """Does ``net`` stuck-at ``value`` flip an output on ``vector``?
+
+    Scalar reference: one gate at a time in level order, the stuck net
+    overwritten wherever it is produced.
+    """
+    good = dict(zip(circuit.primary_inputs, vector))
+    faulty = dict(good)
+    if net in faulty:
+        faulty[net] = value
+    for gate in levelize(circuit):
+        good[gate.output] = evaluate_gate(
+            gate.gate_type, [good[n] for n in gate.inputs]
+        )
+        faulty[gate.output] = (
+            value
+            if gate.output == net
+            else evaluate_gate(gate.gate_type, [faulty[n] for n in gate.inputs])
+        )
+    return any(good[po] != faulty[po] for po in circuit.primary_outputs)
+
+
+def _brute_force_first_detections(circuit, patterns) -> dict:
+    """Every transition fault's first capture vector, pair by pair."""
+    logic = LogicSimulator(circuit)
+    values = [logic.simulate(vector) for vector in patterns]
+    first = {}
+    for fault in transition_universe(circuit):
+        for k in range(1, len(patterns)):
+            launched = (
+                values[k - 1][fault.net] == 1 - fault.slow_to
+                and values[k][fault.net] == fault.slow_to
+            )
+            if launched and _scalar_detects(
+                circuit, fault.net, 1 - fault.slow_to, patterns[k]
+            ):
+                first[fault] = k + 1
+                break
+    return first
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    ckt=small_circuits(),
+    quiet=st.sampled_from([0, 1, 63, 64, 65, 1023, 1024]),
+    n_tail=st.integers(0, 140),
+    seed=st.integers(0, 2**16),
+)
+@example(ckt=c17(), quiet=64, n_tail=70, seed=1)
+@example(ckt=c17(), quiet=1024, n_tail=70, seed=2)
+def test_first_detections_match_brute_force(ckt, quiet, n_tail, seed):
+    """The exact first-detection map, against every consecutive pair.
+
+    A constant prefix of ``quiet`` vectors launches nothing, so the first
+    launches come from the pair that ends it: at ``quiet`` 64 that pair
+    straddles the first 64-vector word boundary, at 1024 the first
+    1024-vector block boundary.
+    """
+    rng = random.Random(seed)
+    n_inputs = len(ckt.primary_inputs)
+    patterns = [[rng.randint(0, 1) for _ in range(n_inputs)]] * quiet
+    patterns += [
+        [rng.randint(0, 1) for _ in range(n_inputs)] for _ in range(n_tail)
+    ]
+    result = TransitionFaultSimulator(ckt).run(patterns)
+    assert result.first_detection == _brute_force_first_detections(ckt, patterns)

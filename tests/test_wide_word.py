@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.circuit import Circuit, GateType, c17
 from repro.simulation import (
-    FaultSimulator,
     LogicSimulator,
     collapse_faults,
     pack_patterns,
     unpack_word,
 )
+from tests.fault_sim_oracle import FaultSimulator
 
 WIDTHS = [64, 256, 1024]
 
