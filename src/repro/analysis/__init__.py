@@ -208,7 +208,9 @@ def analyze_circuit(
         result._untestable_set = frozenset(result.untestable.untestable)
         return result
 
-    with obs.span("analysis.prover", circuit=circuit.name):
+    with obs.span(
+        "analysis.prover", circuit=circuit.name, n_screened=len(universe)
+    ):
         prover = RedundancyProver(circuit, constants=lint.constants)
         proved = prover.prove(universe)
         result.prover = proved

@@ -37,10 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import obs
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Circuit, Gate
 from repro.simulation.faults import FaultSite, StuckAtFault, full_fault_universe
 
+from .check import check_certificate
 from .implication import _NONCONTROLLING, ImplicationEngine
 
 __all__ = [
@@ -199,7 +201,9 @@ class RedundancyProver:
     closure of the premises (``fire``), then closure with the static learned
     base (``static_learning``).  Work is metered in :attr:`work` and wall
     seconds per phase (summed over :meth:`prove_fault` calls) in
-    :attr:`phase_wall_s`.
+    :attr:`phase_wall_s`.  Building the learned base, proving every fault
+    and checking the certificates run in the spans ``analysis.prover.learn``,
+    ``analysis.prover.faults`` and ``analysis.prover.check``.
     """
 
     def __init__(
@@ -215,7 +219,8 @@ class RedundancyProver:
         )
         self.circuit = self.engine.circuit
         self.nhash = netlist_hash(self.circuit)
-        self.learned = static_learning(self.circuit, self.engine.constants)
+        with obs.span("analysis.prover.learn", circuit=self.circuit.name):
+            self.learned = static_learning(self.circuit, self.engine.constants)
         self.work: dict[str, int] = {"closures": 0, "steps": 0}
         self.phase_wall_s: dict[str, float] = {"fire": 0.0, "static_learning": 0.0}
         self._topo_index: dict[str, int] = {
@@ -540,8 +545,6 @@ class RedundancyProver:
         self, faults: list[StuckAtFault] | None = None
     ) -> ProverResult:
         """Prove over ``faults`` (default: the full universe), checking certs."""
-        from .check import check_certificate
-
         if faults is None:
             faults = full_fault_universe(self.circuit)
         result = ProverResult(
@@ -549,20 +552,25 @@ class RedundancyProver:
             netlist_sha256=self.nhash,
             learned=self.learned,
         )
-        for fault in faults:
-            outcome = self.prove_fault(fault)
-            if outcome is None:
-                continue
-            cert, reason, method = outcome
-            verdict = check_certificate(self.circuit, cert)
-            if not verdict.ok:
-                result.certs_failed += 1
-                continue
-            result.proved.append(fault)
-            result.reasons[fault] = reason
-            result.methods[fault] = method
-            result.certificates.append(cert)
-            result.by_method[method] = result.by_method.get(method, 0) + 1
+        with obs.span("analysis.prover.faults", n_faults=len(faults)):
+            outcomes = [(fault, self.prove_fault(fault)) for fault in faults]
+        with obs.span("analysis.prover.check") as check_span:
+            for fault, outcome in outcomes:
+                if outcome is None:
+                    continue
+                cert, reason, method = outcome
+                verdict = check_certificate(self.circuit, cert)
+                if not verdict.ok:
+                    result.certs_failed += 1
+                    continue
+                result.proved.append(fault)
+                result.reasons[fault] = reason
+                result.methods[fault] = method
+                result.certificates.append(cert)
+                result.by_method[method] = result.by_method.get(method, 0) + 1
+            check_span.set(
+                n_certificates=len(result.proved) + result.certs_failed
+            )
         result.work = dict(self.work)
         result.work["engine_closures"] = self.engine.stats["closures"]
         result.work["engine_steps"] = self.engine.stats["steps"]

@@ -16,7 +16,12 @@ from repro.atpg.podem import (
     generate_deterministic_tests,
     scoap_controllability,
 )
-from repro.atpg.random_atpg import RandomAtpgResult, generate_random_tests
+from repro.atpg.random_atpg import (
+    RandomAtpgResult,
+    RandomStream,
+    generate_random_tests,
+    simulate_random_stream,
+)
 
 __all__ = [
     "AtpgOutcome",
@@ -27,6 +32,7 @@ __all__ = [
     "Lfsr",
     "PodemAtpg",
     "RandomAtpgResult",
+    "RandomStream",
     "TestSet",
     "build_bridge_miter",
     "compact_test_set",
@@ -35,4 +41,5 @@ __all__ = [
     "generate_random_tests",
     "random_patterns",
     "scoap_controllability",
+    "simulate_random_stream",
 ]

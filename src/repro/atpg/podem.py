@@ -3,8 +3,9 @@
 The paper tops off its random prefix with vectors "deterministically generated
 using the FAN algorithm"; this module plays that role with PODEM (Goel 1981),
 which shares FAN's objective/backtrace structure.  Implication is a two-channel
-(good/faulty) three-valued simulation, backtrace is guided by SCOAP
-controllability, and an X-path check prunes dead branches early.
+(good/faulty) three-valued simulation, event-driven from each decision's
+primary input and undone from a trail on backtrack; backtrace is guided by
+SCOAP controllability, and an X-path check prunes dead branches early.
 
 The public entry points are :class:`PodemAtpg` for a single fault and
 :func:`generate_deterministic_tests` to extend a test set over a fault list
@@ -13,15 +14,16 @@ with fault dropping.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from typing import Collection, Iterable, Mapping
 
 from repro import obs
 from repro.analysis.scoap import ScoapMeasures, compute_scoap
 from repro.atpg.patterns import TestSet
 from repro.circuit.levelize import levelize
 from repro.circuit.library import GateType
-from repro.circuit.netlist import Circuit, Gate
+from repro.circuit.netlist import Circuit
 from repro.obs.events import ProgressEvent
 from repro.simulation.faults import FaultSite, StuckAtFault
 from repro.simulation.numpy_sim import NumpyFaultSimulator
@@ -43,41 +45,33 @@ ZERO, ONE, X = 0, 1, 2
 #: fault-free circuit.
 LearnedImplications = Mapping[tuple[str, int], tuple[tuple[str, int], ...]]
 
-
-def _eval3(gate_type: GateType, values: list[int]) -> int:
-    """Three-valued gate evaluation over {0, 1, X}."""
-    if gate_type in (GateType.AND, GateType.NAND):
-        if any(v == ZERO for v in values):
-            core = ZERO
-        elif any(v == X for v in values):
-            core = X
-        else:
-            core = ONE
-        return _inv(core) if gate_type is GateType.NAND else core
-    if gate_type in (GateType.OR, GateType.NOR):
-        if any(v == ONE for v in values):
-            core = ONE
-        elif any(v == X for v in values):
-            core = X
-        else:
-            core = ZERO
-        return _inv(core) if gate_type is GateType.NOR else core
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        if any(v == X for v in values):
-            return X
-        core = 0
-        for v in values:
-            core ^= v
-        return _inv(core) if gate_type is GateType.XNOR else core
-    if gate_type is GateType.NOT:
-        return _inv(values[0])
-    if gate_type is GateType.BUF:
-        return values[0]
-    raise ValueError(f"unknown gate type {gate_type!r}")
+#: Gate evaluation kinds; every gate type is one of these, possibly inverted.
+_AND, _OR, _XOR, _BUF = range(4)
+_KIND: dict[GateType, tuple[int, bool]] = {
+    GateType.AND: (_AND, False),
+    GateType.NAND: (_AND, True),
+    GateType.OR: (_OR, False),
+    GateType.NOR: (_OR, True),
+    GateType.XOR: (_XOR, False),
+    GateType.XNOR: (_XOR, True),
+    GateType.BUF: (_BUF, False),
+    GateType.NOT: (_BUF, True),
+}
+#: Three-valued inversion, indexed by level.
+_INV = (ONE, ZERO, X)
 
 
-def _inv(value: int) -> int:
-    return X if value == X else 1 - value
+def _eval3(kind: int, inverted: bool, values: list[int]) -> int:
+    """Three-valued evaluation over {0, 1, X} of a gate of ``kind``."""
+    if kind == _AND:
+        core = ZERO if ZERO in values else X if X in values else ONE
+    elif kind == _OR:
+        core = ONE if ONE in values else X if X in values else ZERO
+    elif kind == _XOR:
+        core = X if X in values else sum(values) & 1
+    else:
+        core = values[0]
+    return _INV[core] if inverted else core
 
 
 def scoap_controllability(circuit: Circuit) -> dict[str, tuple[int, int]]:
@@ -109,7 +103,12 @@ class AtpgOutcome:
 
 
 class PodemAtpg:
-    """PODEM test generator bound to one circuit."""
+    """PODEM test generator bound to one circuit.
+
+    The search works on net indices: the primary inputs first, then the gate
+    outputs in :attr:`order` (topological) order, so a gate is identified by
+    its output's index and sorting indices sorts gates topologically.
+    """
 
     def __init__(
         self,
@@ -121,179 +120,99 @@ class PodemAtpg:
         circuit.validate()
         self.circuit = circuit
         self.order = levelize(circuit)
-        self.driver = {g.output: g for g in circuit.gates}
-        self.fanout = circuit.fanout_map()
         if scoap is None:
             scoap = compute_scoap(circuit)
-        self.cc = {
-            net: (scoap.cc0[net], scoap.cc1[net]) for net in scoap.cc0
-        }
         self.backtrack_limit = backtrack_limit
         self.learned: dict[tuple[str, int], tuple[tuple[str, int], ...]] = (
             dict(learned) if learned else {}
         )
         #: Cumulative counts over all :meth:`generate` calls: decision points
         #: failed early because learned implications pin the fault site to its
-        #: stuck value, and D-frontier gates pruned because a learned
-        #: implication pins a side input to the controlling value.
+        #: stuck value, D-frontier gates pruned because a learned implication
+        #: pins a side input to the controlling value, and gate evaluations
+        #: spent on implication.
         self.learned_conflicts = 0
         self.learned_prunes = 0
-        self._pi_index = {pi: i for i, pi in enumerate(circuit.primary_inputs)}
+        self.gate_evals = 0
+
+        self.n_inputs = len(circuit.primary_inputs)
+        self.nets = list(circuit.primary_inputs) + [g.output for g in self.order]
+        self.index = {net: i for i, net in enumerate(self.nets)}
+        index = self.index
         self._gate_by_name = {g.name: g for g in circuit.gates}
-        self._support_cache: dict[str, tuple[str, ...]] = {}
-        self._cone_cache: dict[str, frozenset[str]] = {}
-
-    # ------------------------------------------------------------------
-    # Two-channel implication
-    # ------------------------------------------------------------------
-    def _imply(
-        self, fault: StuckAtFault, assignment: dict[str, int]
-    ) -> tuple[dict[str, int], dict[str, int]]:
-        """Simulate good and faulty channels from a partial PI assignment."""
-        good: dict[str, int] = {}
-        faulty: dict[str, int] = {}
-        for pi in self.circuit.primary_inputs:
-            value = assignment.get(pi, X)
-            good[pi] = value
-            faulty[pi] = value
-        if fault.site is FaultSite.NET and fault.net in faulty:
-            faulty[fault.net] = fault.value
-
+        n = len(self.nets)
+        self._types: list[GateType | None] = [None] * n
+        self._kinds: list[tuple[int, bool]] = [(_BUF, False)] * n
+        self._ins: list[tuple[int, ...]] = [()] * n
+        readers: list[list[int]] = [[] for _ in range(n)]
         for gate in self.order:
-            g_ops = [good[n] for n in gate.inputs]
-            f_ops = []
-            for pin, net in enumerate(gate.inputs):
-                if (
-                    fault.site is FaultSite.GATE_INPUT
-                    and gate.name == fault.gate
-                    and pin == fault.pin
-                ):
-                    f_ops.append(fault.value)
-                else:
-                    f_ops.append(faulty[net])
-            good[gate.output] = _eval3(gate.gate_type, g_ops)
-            out_f = _eval3(gate.gate_type, f_ops)
-            if fault.site is FaultSite.NET and gate.output == fault.net:
-                out_f = fault.value
-            faulty[gate.output] = out_f
-        return good, faulty
+            out = index[gate.output]
+            self._types[out] = gate.gate_type
+            self._kinds[out] = _KIND[gate.gate_type]
+            self._ins[out] = tuple(index[net] for net in gate.inputs)
+            for net in dict.fromkeys(self._ins[out]):
+                readers[net].append(out)
+        self._readers = [tuple(r) for r in readers]
+        self._noncontrolling = [
+            None if t is None else _noncontrolling_value(t) for t in self._types
+        ]
+        self._cc0 = [scoap.cc0[net] for net in self.nets]
+        self._cc1 = [scoap.cc1[net] for net in self.nets]
+        self._pos = frozenset(index[po] for po in circuit.primary_outputs)
+        self._learned_idx: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
+            (index[net], value): tuple((index[c], cv) for c, cv in cons)
+            for (net, value), cons in self.learned.items()
+        }
+        self._support_cache: dict[str, tuple[int, ...]] = {}
+        self._cone_cache: dict[int, frozenset[int]] = {}
 
     # ------------------------------------------------------------------
     # Search support
     # ------------------------------------------------------------------
-    def _test_found(self, good: dict[str, int], faulty: dict[str, int]) -> bool:
-        return any(
-            good[po] != X and faulty[po] != X and good[po] != faulty[po]
-            for po in self.circuit.primary_outputs
-        )
-
-    def _d_frontier(
-        self,
-        fault: StuckAtFault,
-        good: dict[str, int],
-        faulty: dict[str, int],
-    ) -> list[Gate]:
-        frontier = []
-        for gate in self.order:
-            out_g, out_f = good[gate.output], faulty[gate.output]
-            if out_g != X and out_f != X:
-                continue
-            has_d = any(
-                good[n] != X
-                and faulty[n] != X
-                and good[n] != faulty[n]
-                for n in gate.inputs
-            )
-            # For a pin fault the discrepancy originates *inside* the faulted
-            # gate (the net itself is healthy), so the gate joins the frontier
-            # as soon as the pin's net carries the activating value.
-            if (
-                not has_d
-                and fault.site is FaultSite.GATE_INPUT
-                and gate.name == fault.gate
-                and good[fault.net] == 1 - fault.value
-            ):
-                has_d = True
-            if has_d:
-                frontier.append(gate)
-        return frontier
+    def _implication(self, fault: StuckAtFault) -> "_Implication":
+        """The implication state one search over ``fault`` runs on."""
+        return _Implication(self, fault)
 
     def _x_path_exists(
-        self,
-        frontier: list[Gate],
-        good: dict[str, int],
-        faulty: dict[str, int],
+        self, frontier: list[int], good: list[int], faulty: list[int]
     ) -> bool:
         """True when some D-frontier output can still reach a PO through X nets."""
-        po_set = set(self.circuit.primary_outputs)
-        seen: set[str] = set()
-        stack = [g.output for g in frontier]
+        pos, readers = self._pos, self._readers
+        seen: set[int] = set()
+        stack = list(frontier)
         while stack:
             net = stack.pop()
             if net in seen:
                 continue
             seen.add(net)
-            if net in po_set:
+            if net in pos:
                 return True
-            for reader in self.fanout.get(net, []):
-                out = reader.output
-                if out in seen:
-                    continue
-                if good[out] == X or faulty[out] == X:
+            for out in readers[net]:
+                if out not in seen and (good[out] == X or faulty[out] == X):
                     stack.append(out)
         return False
 
-    # ------------------------------------------------------------------
-    # Learned-implication support
-    # ------------------------------------------------------------------
-    def _learned_pins(self, good: dict[str, int]) -> dict[str, int]:
-        """Good-channel values pinned by closing under learned implications.
-
-        Every learned implication is a tautology of the fault-free circuit,
-        so if ``net=v`` is determined in the good channel, every completion
-        of the current partial assignment also satisfies the implication's
-        consequents — and everything those consequents force through the
-        gates.  The returned map extends ``good`` to a fixpoint of learned
-        consequents and three-valued forward evaluation; entries that are X
-        in ``good`` but definite here are values the current assignment
-        forces in *every* completion, which the search can fail against.
-        """
-        pins = dict(good)
-        stack = [(n, v) for n, v in pins.items() if v != X]
-        while stack:
-            net, value = stack.pop()
-            for c_net, c_value in self.learned.get((net, value), ()):
-                if pins.get(c_net, X) == X:
-                    pins[c_net] = c_value
-                    stack.append((c_net, c_value))
-            for gate in self.fanout.get(net, []):
-                if pins[gate.output] != X:
-                    continue
-                out = _eval3(
-                    gate.gate_type, [pins[n] for n in gate.inputs]
-                )
-                if out != X:
-                    pins[gate.output] = out
-                    stack.append((gate.output, out))
-        return pins
-
-    def _effect_cone(self, source: str) -> frozenset[str]:
+    def _effect_cone(self, source: int) -> frozenset[int]:
         """Nets downstream of the fault effect's origin (inclusive)."""
         cached = self._cone_cache.get(source)
         if cached is None:
-            from repro.circuit.levelize import output_cone
-
-            cached = frozenset(output_cone(self.circuit, source))
-            self._cone_cache[source] = cached
+            seen = {source}
+            stack = [source]
+            while stack:
+                for out in self._readers[stack.pop()]:
+                    if out not in seen:
+                        seen.add(out)
+                        stack.append(out)
+            cached = self._cone_cache[source] = frozenset(seen)
         return cached
 
     def _prune_frontier(
         self,
-        frontier: list[Gate],
-        good: dict[str, int],
-        pins: dict[str, int],
-        cone: frozenset[str],
-    ) -> list[Gate]:
+        frontier: list[int],
+        good: list[int],
+        pins: list[int],
+        cone: frozenset[int],
+    ) -> list[int]:
         """Drop frontier gates a learned pin provably blocks.
 
         A gate cannot propagate the effect when a side input outside the
@@ -303,10 +222,10 @@ class PodemAtpg:
         """
         kept = []
         for gate in frontier:
-            controlling = _controlling_value(gate.gate_type)
-            blocked = controlling is not None and any(
-                good[n] == X and n not in cone and pins.get(n) == controlling
-                for n in gate.inputs
+            noncontrolling = self._noncontrolling[gate]
+            blocked = noncontrolling is not None and any(
+                good[n] == X and n not in cone and pins[n] == 1 - noncontrolling
+                for n in self._ins[gate]
             )
             if blocked:
                 self.learned_prunes += 1
@@ -315,64 +234,61 @@ class PodemAtpg:
         return kept
 
     def _objective(
-        self,
-        fault: StuckAtFault,
-        good: dict[str, int],
-        faulty: dict[str, int],
-        frontier: list[Gate] | None = None,
-    ) -> tuple[str, int] | None:
-        site_value = good[fault.net]
-        if site_value == X:
-            return fault.net, 1 - fault.value
-        if frontier is None:
-            frontier = self._d_frontier(fault, good, faulty)
+        self, site: int, stuck: int, good: list[int], frontier: list[int]
+    ) -> tuple[int, int] | None:
+        if good[site] == X:
+            return site, 1 - stuck
         if not frontier:
             return None
-        frontier.sort(key=lambda g: self.cc[g.output][0] + self.cc[g.output][1])
+        cc0, cc1 = self._cc0, self._cc1
+        frontier.sort(key=lambda gate: cc0[gate] + cc1[gate])
         for gate in frontier:
-            noncontrolling = _noncontrolling_value(gate.gate_type)
-            for net in gate.inputs:
+            noncontrolling = self._noncontrolling[gate]
+            for net in self._ins[gate]:
                 if good[net] == X:
                     return net, noncontrolling if noncontrolling is not None else ZERO
         return None
 
     def _backtrace(
-        self, net: str, value: int, good: dict[str, int]
-    ) -> tuple[str, int] | None:
+        self, net: int, value: int, good: list[int]
+    ) -> tuple[int, int] | None:
         """Walk the objective back to an unassigned primary input."""
-        for _ in range(10 * (len(self.circuit.gates) + 1)):
-            gate = self.driver.get(net)
-            if gate is None:  # primary input
+        cc0, cc1 = self._cc0, self._cc1
+        for _ in range(10 * (len(self.order) + 1)):
+            gt = self._types[net]
+            if gt is None:  # primary input
                 return (net, value) if good[net] == X else None
-            gt = gate.gate_type
             inverted = gt in (GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR)
             core = value ^ 1 if inverted else value
-            x_inputs = [n for n in gate.inputs if good[n] == X]
+            ins = self._ins[net]
+            x_inputs = [n for n in ins if good[n] == X]
             if not x_inputs:
                 return None
             if gt in (GateType.NOT, GateType.BUF):
-                net, value = gate.inputs[0], core
+                net, value = ins[0], core
                 continue
-            controlling = ZERO if gt in (GateType.AND, GateType.NAND) else ONE
             if gt in (GateType.XOR, GateType.XNOR):
                 # Pick the easiest X input; target parity of core against the
                 # definite inputs, defaulting to core when others are X.
-                definite = [good[n] for n in gate.inputs if good[n] != X]
                 parity = 0
-                for v in definite:
-                    parity ^= v
+                for n in ins:
+                    if good[n] != X:
+                        parity ^= good[n]
                 target = core ^ parity if len(x_inputs) == 1 else core
-                chosen = min(x_inputs, key=lambda n: min(self.cc[n]))
-                net, value = chosen, target
+                net = min(x_inputs, key=lambda n: min(cc0[n], cc1[n]))
+                value = target
                 continue
+            controlling = ZERO if gt in (GateType.AND, GateType.NAND) else ONE
             if core == controlling:
                 # One input at the controlling value suffices: easiest first.
-                chosen = min(x_inputs, key=lambda n: self.cc[n][controlling])
-                net, value = chosen, controlling
+                cc = cc0 if controlling == ZERO else cc1
+                net = min(x_inputs, key=cc.__getitem__)
+                value = controlling
             else:
                 # All inputs must be non-controlling: hardest first.
-                chosen = max(x_inputs, key=lambda n: self.cc[n][1 - controlling])
-                net, value = chosen, 1 - controlling
+                cc = cc1 if controlling == ZERO else cc0
+                net = max(x_inputs, key=cc.__getitem__)
+                value = 1 - controlling
         return None
 
     # ------------------------------------------------------------------
@@ -396,39 +312,38 @@ class PodemAtpg:
             ``TESTED`` with a full vector, ``REDUNDANT`` when the search space
             is exhausted, or ``ABORTED`` at the backtrack limit.
         """
-        assignment: dict[str, int] = {}
-        decisions: list[tuple[str, int, bool]] = []  # (pi, value, tried_both)
+        state = self._implication(fault)
+        good, faulty, pins = state.good, state.faulty, state.pins
+        site = state.site
+        decisions: list[tuple[int, int, bool]] = []  # (pi, value, tried_both)
         backtracks = 0
-        effect_source = fault.net
-        if fault.site is FaultSite.GATE_INPUT and fault.gate is not None:
-            effect_source = self._gate_by_name[fault.gate].output
         cone = (
-            self._effect_cone(effect_source) if self.learned else frozenset()
+            self._effect_cone(state.pin_gate if state.pin_gate >= 0 else site)
+            if pins is not None
+            else frozenset()
         )
 
         while True:
-            good, faulty = self._imply(fault, assignment)
-            if self._test_found(good, faulty):
+            if not state.d_nets.isdisjoint(self._pos):
                 return AtpgOutcome(
                     AtpgStatus.TESTED,
-                    self._complete_pattern(assignment, fill),
+                    self._complete_pattern(state.assignment, fill),
                     backtracks,
                 )
-            pins = self._learned_pins(good) if self.learned else {}
 
             failed = False
-            frontier: list[Gate] | None = None
-            site_value = good[fault.net]
+            frontier: list[int] = []
+            site_value = good[site]
             if site_value != X and site_value == fault.value:
                 failed = True  # activation impossible under this assignment
-            elif site_value == X and pins.get(fault.net) == fault.value:
+            elif site_value == X and pins is not None and pins[site] == fault.value:
                 # Learned implications pin the site to its stuck value in
                 # every completion of this assignment: activation impossible.
                 self.learned_conflicts += 1
                 failed = True
             else:
-                frontier = self._d_frontier(fault, good, faulty)
-                if pins and frontier:
+                frontier = state.d_frontier()
+                if pins is not None and frontier:
                     frontier = self._prune_frontier(frontier, good, pins, cone)
                 activated = site_value != X
                 if activated and not frontier:
@@ -438,7 +353,7 @@ class PodemAtpg:
 
             if not failed:
                 step = None
-                objective = self._objective(fault, good, faulty, frontier)
+                objective = self._objective(site, fault.value, good, frontier)
                 if objective is not None:
                     step = self._backtrace(objective[0], objective[1], good)
                 if step is None:
@@ -447,12 +362,12 @@ class PodemAtpg:
                     # failure — fall back to deciding any unassigned primary
                     # input of the fault's support cone, keeping REDUNDANT
                     # verdicts sound.
-                    step = self._fallback_decision(fault, assignment)
+                    step = self._fallback_decision(fault, state.assignment)
                 if step is None:
                     failed = True  # support exhausted: genuinely dead
                 else:
                     pi, value = step
-                    assignment[pi] = value
+                    state.decide(pi, value)
                     decisions.append((pi, value, False))
                     continue
 
@@ -462,18 +377,18 @@ class PodemAtpg:
                 return AtpgOutcome(AtpgStatus.ABORTED, None, backtracks)
             while decisions:
                 pi, value, tried_both = decisions.pop()
+                state.undo()
                 if tried_both:
-                    del assignment[pi]
                     continue
-                assignment[pi] = 1 - value
+                state.decide(pi, 1 - value)
                 decisions.append((pi, 1 - value, True))
                 break
             else:
                 return AtpgOutcome(AtpgStatus.REDUNDANT, None, backtracks)
 
     def _fallback_decision(
-        self, fault: StuckAtFault, assignment: dict[str, int]
-    ) -> tuple[str, int] | None:
+        self, fault: StuckAtFault, assignment: dict[int, int]
+    ) -> tuple[int, int] | None:
         """Next unassigned PI in the fault's support cone, or None.
 
         The support cone — every PI that can influence the fault's activation
@@ -485,7 +400,7 @@ class PodemAtpg:
                 return pi, ZERO
         return None
 
-    def _support(self, net: str) -> tuple[str, ...]:
+    def _support(self, net: str) -> tuple[int, ...]:
         cached = self._support_cache.get(net)
         if cached is not None:
             return cached
@@ -496,19 +411,190 @@ class PodemAtpg:
         for downstream in output_cone(self.circuit, net):
             support.update(input_cone(self.circuit, downstream) & pis)
         ordered = tuple(
-            pi for pi in self.circuit.primary_inputs if pi in support
+            i for i, pi in enumerate(self.circuit.primary_inputs) if pi in support
         )
         self._support_cache[net] = ordered
         return ordered
 
     def _complete_pattern(
-        self, assignment: dict[str, int], fill: int | None
+        self, assignment: dict[int, int], fill: int | None
     ) -> list[int]:
         fill_value = 0 if fill is None else fill
-        return [
-            assignment.get(pi, fill_value)
-            for pi in self.circuit.primary_inputs
-        ]
+        return [assignment.get(pi, fill_value) for pi in range(self.n_inputs)]
+
+
+class _Implication:
+    """Good and faulty values of one search, kept current by events.
+
+    Each decision opens a level: the primary input's value is propagated
+    over its fanout in topological order, re-evaluating only gates whose
+    inputs changed, and every net it changes goes on a trail.  :meth:`undo`
+    pops the last level off the trail, restoring the values below it
+    exactly.  ``d_nets`` (nets whose good and faulty values are definite and
+    differ) and, with learned implications, ``pins`` (the good-channel
+    values every completion of the assignment forces) are kept the same way.
+    """
+
+    def __init__(self, atpg: PodemAtpg, fault: StuckAtFault) -> None:
+        self.atpg = atpg
+        n = len(atpg.nets)
+        self.good = [X] * n
+        self.faulty = [X] * n
+        self.pins: list[int] | None = [X] * n if atpg._learned_idx else None
+        self.assignment: dict[int, int] = {}
+        self.d_nets: set[int] = set()
+        self.site = atpg.index[fault.net]
+        self.stuck = fault.value
+        #: The faulted gate's output and pin for a pin fault, else -1.
+        self.pin_gate = self.pin = -1
+        #: The stuck net for a net fault, else -1.
+        self.net_site = -1
+        self._trail: list[tuple[int, int, int]] = []  # (net, old good, old faulty)
+        self._pin_trail: list[int] = []
+        self._levels: list[tuple[int, int, int]] = []  # (pi, trail, pin trail)
+        if fault.site is FaultSite.GATE_INPUT:
+            assert fault.gate is not None and fault.pin is not None
+            self.pin_gate = atpg.index[atpg._gate_by_name[fault.gate].output]
+            self.pin = fault.pin
+            self._propagate([self.pin_gate])
+        else:
+            self.net_site = self.site
+            self._set(self.site, X, fault.value)
+            self._propagate(atpg._readers[self.site])
+        self._trail.clear()  # the fault's own effects are never undone
+
+    def _set(self, net: int, good: int, faulty: int) -> None:
+        self._trail.append((net, self.good[net], self.faulty[net]))
+        self.good[net] = good
+        self.faulty[net] = faulty
+        if good ^ faulty == 1:  # both definite and different
+            self.d_nets.add(net)
+        else:
+            self.d_nets.discard(net)
+
+    def _propagate(self, seeds: Iterable[int]) -> None:
+        """Re-evaluate ``seeds`` and, in topological order, whatever changes."""
+        atpg = self.atpg
+        good, faulty = self.good, self.faulty
+        kinds, ins_of, readers = atpg._kinds, atpg._ins, atpg._readers
+        heap = list(seeds)
+        heapq.heapify(heap)
+        queued = set(heap)
+        evals = 0
+        while heap:
+            out = heapq.heappop(heap)
+            kind, inverted = kinds[out]
+            ins = ins_of[out]
+            g_vals = [good[n] for n in ins]
+            f_vals = [faulty[n] for n in ins]
+            if out == self.pin_gate:
+                f_vals[self.pin] = self.stuck
+            g_out = _eval3(kind, inverted, g_vals)
+            if out == self.net_site:
+                f_out = self.stuck
+            elif f_vals == g_vals:
+                f_out = g_out
+            else:
+                f_out = _eval3(kind, inverted, f_vals)
+            evals += 1
+            if g_out != good[out] or f_out != faulty[out]:
+                self._set(out, g_out, f_out)
+                for reader in readers[out]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        heapq.heappush(heap, reader)
+        atpg.gate_evals += evals
+
+    def decide(self, pi: int, value: int) -> None:
+        """Assign primary input ``pi`` and imply it, as a new level."""
+        mark = len(self._trail)
+        self._levels.append((pi, mark, len(self._pin_trail)))
+        self.assignment[pi] = value
+        self._set(pi, value, self.stuck if pi == self.net_site else value)
+        self._propagate(self.atpg._readers[pi])
+        if self.pins is not None:
+            # Within a level good values only go from X to definite.
+            self._close_pins([net for net, _, _ in self._trail[mark:]])
+
+    def undo(self) -> None:
+        """Retract the most recent decision and everything it implied."""
+        pi, mark, pin_mark = self._levels.pop()
+        del self.assignment[pi]
+        good, faulty, d_nets, trail = self.good, self.faulty, self.d_nets, self._trail
+        while len(trail) > mark:
+            net, g, f = trail.pop()
+            good[net] = g
+            faulty[net] = f
+            if g ^ f == 1:
+                d_nets.add(net)
+            else:
+                d_nets.discard(net)
+        if self.pins is not None:
+            pins, pin_trail = self.pins, self._pin_trail
+            while len(pin_trail) > pin_mark:
+                pins[pin_trail.pop()] = X
+
+    def _close_pins(self, changed: list[int]) -> None:
+        """Extend ``pins`` by newly definite good values, to a fixpoint.
+
+        Every learned implication is a tautology of the fault-free circuit,
+        so once ``net=v`` is determined in the good channel, every completion
+        of the assignment also satisfies its consequents, and everything
+        those force through the gates.  The fixpoint of learned consequents
+        and three-valued forward evaluation is unique, so extending the
+        previous level's pins by the new good values reaches the same
+        fixpoint as closing from scratch.
+        """
+        atpg = self.atpg
+        good, pins, trail = self.good, self.pins, self._pin_trail
+        assert pins is not None
+        learned, readers = atpg._learned_idx, atpg._readers
+        kinds, ins_of = atpg._kinds, atpg._ins
+        stack = []
+        for net in changed:
+            if good[net] != X and pins[net] == X:
+                pins[net] = good[net]
+                trail.append(net)
+                stack.append(net)
+        while stack:
+            net = stack.pop()
+            for c_net, c_value in learned.get((net, pins[net]), ()):
+                if pins[c_net] == X:
+                    pins[c_net] = c_value
+                    trail.append(c_net)
+                    stack.append(c_net)
+            for out in readers[net]:
+                if pins[out] != X:
+                    continue
+                kind, inverted = kinds[out]
+                value = _eval3(kind, inverted, [pins[n] for n in ins_of[out]])
+                if value != X:
+                    pins[out] = value
+                    trail.append(out)
+                    stack.append(out)
+
+    def d_frontier(self) -> list[int]:
+        """Gates with a fault effect on an input and X on their output.
+
+        For a pin fault the discrepancy originates *inside* the faulted gate
+        (the net itself is healthy), so the gate joins the frontier as soon
+        as the pin's net carries the activating value.
+        """
+        good, faulty, readers = self.good, self.faulty, self.atpg._readers
+        gates = {
+            out
+            for net in self.d_nets
+            for out in readers[net]
+            if good[out] == X or faulty[out] == X
+        }
+        gate = self.pin_gate
+        if (
+            gate >= 0
+            and good[self.site] == 1 - self.stuck
+            and (good[gate] == X or faulty[gate] == X)
+        ):
+            gates.add(gate)
+        return sorted(gates)
 
 
 def _noncontrolling_value(gate_type: GateType) -> int | None:
@@ -517,11 +603,6 @@ def _noncontrolling_value(gate_type: GateType) -> int | None:
     if gate_type in (GateType.OR, GateType.NOR):
         return ZERO
     return None  # XOR family and single-input gates have no controlling value
-
-
-def _controlling_value(gate_type: GateType) -> int | None:
-    noncontrolling = _noncontrolling_value(gate_type)
-    return None if noncontrolling is None else 1 - noncontrolling
 
 
 @dataclass
@@ -632,6 +713,7 @@ def generate_deterministic_tests(
         if atpg.learned:
             obs.inc("podem.learned_prunes", atpg.learned_prunes)
             obs.inc("podem.learned_conflicts", atpg.learned_conflicts)
+        obs.inc("podem.gate_evals", atpg.gate_evals)
         podem_span.set(
             n_vectors=len(result.test_set),
             n_redundant=len(result.redundant),

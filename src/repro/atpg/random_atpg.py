@@ -17,7 +17,12 @@ from repro.obs.events import ProgressEvent
 from repro.simulation.faults import StuckAtFault, collapse_faults
 from repro.simulation.numpy_sim import NumpyFaultSimulator
 
-__all__ = ["RandomAtpgResult", "generate_random_tests"]
+__all__ = [
+    "RandomAtpgResult",
+    "RandomStream",
+    "generate_random_tests",
+    "simulate_random_stream",
+]
 
 #: Vectors per generation batch; the stop rule is checked between batches.
 _BATCH = 64
@@ -46,6 +51,48 @@ class RandomAtpgResult:
     coverage: float
 
 
+@dataclass
+class RandomStream:
+    """The random prefix's whole vector stream and its first detections.
+
+    ``patterns`` holds every vector up to the cap, batch ``g`` drawn from
+    ``random_patterns(n_inputs, n, seed=seed + g * 64)``; ``first_detection``
+    maps each simulated fault a vector detects to that vector's 1-based
+    position.  A fault missing from it is detected by no vector of the
+    stream, which is what the pipeline's static analysis screens for.
+    """
+
+    seed: int
+    patterns: list[list[int]]
+    first_detection: dict[StuckAtFault, int]
+
+
+def simulate_random_stream(
+    circuit: Circuit,
+    faults: list[StuckAtFault],
+    max_patterns: int = 2048,
+    seed: int = 1234,
+) -> RandomStream:
+    """Build the random stream up to ``max_patterns`` and simulate it once.
+
+    The stream does not depend on the faults, so one simulation pass over
+    the whole stream serves every consumer: random ATPG replays its stop
+    rule from the first detections, and the pipeline's static analysis
+    proves only the faults no vector detects.
+    """
+    n_inputs = len(circuit.primary_inputs)
+    patterns: list[list[int]] = []
+    for start in range(0, max_patterns, _BATCH):
+        n_here = min(_BATCH, max_patterns - start)
+        patterns += random_patterns(n_inputs, n_here, seed=seed + start)
+    first_detection = (
+        NumpyFaultSimulator(circuit).run(patterns, faults=faults).first_detection
+        if patterns and faults
+        else {}
+    )
+    return RandomStream(seed, patterns, first_detection)
+
+
 def generate_random_tests(
     circuit: Circuit,
     faults: list[StuckAtFault] | None = None,
@@ -54,14 +101,16 @@ def generate_random_tests(
     patience: int = 256,
     seed: int = 1234,
     word_width: int | None = None,
+    stream: RandomStream | None = None,
 ) -> RandomAtpgResult:
     """Generate random vectors until coverage, patience, or cap is reached.
 
     Vectors come in batches of 64, batch ``g`` drawn from
     ``random_patterns(n_inputs, n, seed=seed + g * 64)``, and the stop rule
     is checked after each batch.  The stream does not depend on the faults,
-    so it is built up to ``max_patterns`` and fault-simulated in one pass;
-    the stop point then follows from each fault's first detection.
+    so it is built up to ``max_patterns`` and fault-simulated in one pass
+    (:func:`simulate_random_stream`); the stop point then follows from each
+    fault's first detection.
 
     Parameters
     ----------
@@ -80,6 +129,10 @@ def generate_random_tests(
         PRNG seed (results are fully reproducible).
     word_width:
         Retired and ignored; it never changed the generated sequence.
+    stream:
+        The stream already simulated by :func:`simulate_random_stream` with
+        the same ``max_patterns`` and ``seed``, over these faults or more;
+        the stop rule is replayed from it instead of simulating again.
     """
     if faults is None:
         faults = collapse_faults(circuit)
@@ -88,16 +141,15 @@ def generate_random_tests(
     with obs.span(
         "atpg.random", n_faults=total, target_coverage=target_coverage
     ) as random_span:
-        stream: list[list[int]] = []
-        if faults:
-            for start in range(0, max_patterns, _BATCH):
-                n_here = min(_BATCH, max_patterns - start)
-                stream += random_patterns(n_inputs, n_here, seed=seed + start)
-        first_detection = (
-            NumpyFaultSimulator(circuit).run(stream, faults=faults).first_detection
-            if stream
-            else {}
-        )
+        if stream is None:
+            stream = simulate_random_stream(circuit, faults, max_patterns, seed)
+        elif (stream.seed, len(stream.patterns)) != (seed, max_patterns):
+            raise ValueError(
+                f"stream of {len(stream.patterns)} vectors from seed "
+                f"{stream.seed} does not match max_patterns={max_patterns}, "
+                f"seed={seed}"
+            )
+        first_detection = stream.first_detection
         # Per batch: its newly detected faults in input order, and the
         # 1-based position of its last new detection.
         hits: dict[int, list[StuckAtFault]] = {}
@@ -149,7 +201,7 @@ def generate_random_tests(
     obs.inc("random_atpg.patterns_generated", generated)
     obs.inc("random_atpg.faults_detected", len(detected))
     test_set = TestSet(n_inputs=n_inputs)
-    test_set.extend(stream[:generated], "random")
+    test_set.extend(stream.patterns[:generated], "random")
     undetected = [
         f for f in faults if first_detection.get(f, generated + 1) > generated
     ]

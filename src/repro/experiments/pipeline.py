@@ -31,7 +31,11 @@ from typing import Callable
 from repro import obs
 from repro.analysis import AnalysisResult, analyze_circuit
 from repro.atpg.podem import generate_deterministic_tests
-from repro.atpg.random_atpg import generate_random_tests
+from repro.atpg.random_atpg import (
+    RandomStream,
+    generate_random_tests,
+    simulate_random_stream,
+)
 from repro.circuit.iscas import load_benchmark
 from repro.circuit.netlist import Circuit
 from repro.core.defect_level import weighted_defect_level
@@ -349,23 +353,38 @@ def _run_pipeline(
             circuit = load_benchmark(config.benchmark)
 
         # --- stuck-at universe and test sequence (paper section 3) ---
-        with obs.span("pipeline.collapse_faults"):
+        with obs.span("pipeline.collapse_faults") as collapse_span:
             collapsed = collapse_faults(circuit)
+            collapse_span.set(n_faults=len(collapsed))
 
         # Static analysis: provably-untestable faults leave the coverage
-        # denominator before any vector is generated — the same "redundant
-        # faults can be neglected" assumption the paper makes, applied where
-        # redundancy is provable without search.  SCOAP measures are reused
-        # by the PODEM backtrace.  Deterministic and cheap relative to the
-        # simulation stages, it is recomputed rather than checkpointed.
+        # denominator before ATPG — the same "redundant faults can be
+        # neglected" assumption the paper makes, applied where redundancy is
+        # provable without search.  A fault that any vector detects cannot be
+        # proved untestable, so the whole random stream is simulated first,
+        # once, and analysis sees only the faults it leaves undetected;
+        # random ATPG then replays its stop rule from the same simulation.
+        # SCOAP measures are reused by the PODEM backtrace.  Deterministic
+        # and cheap relative to the simulation stages, the screen and the
+        # analysis are recomputed rather than checkpointed.
         analysis: AnalysisResult | None = None
         static_untestable: list[StuckAtFault] = []
         screened = collapsed
+        stream: RandomStream | None = None
         if config.static_analysis:
+            with obs.span("pipeline.random_stream", n_faults=len(collapsed)):
+                stream = simulate_random_stream(
+                    circuit,
+                    collapsed,
+                    max_patterns=config.max_random_patterns,
+                    seed=config.seed,
+                )
             with obs.span("pipeline.static_analysis"):
                 analysis = analyze_circuit(
                     circuit,
-                    faults=collapsed,
+                    faults=[
+                        f for f in collapsed if f not in stream.first_detection
+                    ],
                     prove=config.prove_redundancy,
                 )
                 static_untestable = analysis.untestable_faults()
@@ -383,6 +402,7 @@ def _run_pipeline(
                 target_coverage=config.random_coverage_target,
                 max_patterns=config.max_random_patterns,
                 seed=config.seed,
+                stream=stream,
             )
             if config.deterministic_topoff:
                 deterministic = generate_deterministic_tests(

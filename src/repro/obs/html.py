@@ -716,8 +716,8 @@ def _analysis_panel(manifests: Sequence["RunManifest"]) -> str:
         body += f'<p class="note">proofs by method — {escape(methods)}</p>'
     caption = (
         f"latest run with prover records ({escape(manifest.benchmark or '?')})"
-        "; proved faults leave the coverage denominator before any vector "
-        "is generated, each carrying an independently checked certificate"
+        "; proved faults leave the coverage denominator before ATPG, each "
+        "carrying an independently checked certificate"
     )
     return _panel("panel-analysis", "Redundancy prover", body, caption)
 

@@ -3,9 +3,11 @@
 
 import pytest
 
+from repro.atpg import simulate_random_stream
 from repro.core import williams_brown
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.pipeline import scaled_weight_check
+from repro.simulation import collapse_faults
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +74,21 @@ def test_static_analysis_attached_to_result(small_experiment):
     # c17 is fully testable: the implication screen proves nothing redundant.
     assert small_experiment.static_untestable == []
     assert analysis.untestable is not None
-    assert analysis.untestable.n_screened > 0
+    # Analysis sees only the faults the random stream leaves undetected,
+    # and on c17 the stream detects every collapsed fault.
+    stream = simulate_random_stream(
+        small_experiment.circuit,
+        collapse_faults(small_experiment.circuit),
+        max_patterns=128,
+        seed=7,
+    )
+    left = [
+        f
+        for f in collapse_faults(small_experiment.circuit)
+        if f not in stream.first_detection
+    ]
+    assert left == []
+    assert analysis.untestable.n_screened == analysis.prover.n_screened == 0
 
 
 def test_static_analysis_can_be_disabled(small_experiment):
@@ -156,5 +172,5 @@ def test_podem_stats_recorded_on_topoff_run():
     assert prover is not None
     assert len(prover.proved) == 4
     # The proved faults are exactly the statically-excluded ones: they
-    # leave the coverage denominator before any vector is generated.
+    # leave the coverage denominator before ATPG.
     assert set(prover.proved) <= set(result.static_untestable)
