@@ -30,6 +30,7 @@ from repro.defects.fault_types import (
 from repro.defects.statistics import LAYER_MECHANISMS
 from repro.layout.cells import Transistor
 from repro.layout.geometry import Layer, Rect
+from repro.layout.sweep import ShapeColumns
 
 _DIFF_LAYERS = (Layer.NDIFF, Layer.PDIFF)
 
@@ -57,7 +58,7 @@ def reference_bridges(design, stats: DefectStatistics) -> list:
         sd_pair.setdefault(key, t.name)
     shapes = design.shapes
     by_key: dict = {}
-    columns, _ = facing_pairs(shapes, stats.size.x_max)
+    columns, _ = facing_pairs(ShapeColumns.of(shapes), stats.size.x_max)
     for ia, ib, spacing, run in zip(*(column.tolist() for column in columns)):
         a, b = shapes[ia], shapes[ib]
         mech = LAYER_MECHANISMS[a.layer][0]

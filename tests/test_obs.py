@@ -397,6 +397,7 @@ def test_extraction_counters_where_the_cost_is(c17_design):
     from repro.defects import DefectStatistics, extract_faults
     from repro.defects.extraction import facing_pairs
     from repro.layout.geometry import Layer
+    from repro.layout.sweep import ShapeColumns
 
     # Off: a registry left over from an earlier run receives nothing.
     _, stale = obs.enable()
@@ -407,7 +408,9 @@ def test_extraction_counters_where_the_cost_is(c17_design):
     collector, registry = obs.enable()
     extract_faults(c17_design)
     counters = registry.snapshot()["counters"]
-    (a, *_), examined = facing_pairs(c17_design.shapes, DefectStatistics().size.x_max)
+    (a, *_), examined = facing_pairs(
+        ShapeColumns.of(c17_design.shapes), DefectStatistics().size.x_max
+    )
     conductors = [layer.value for layer in Layer if layer.is_conductor]
     for layer in conductors:
         assert counters[f"extraction.pairs_examined.{layer}"] == examined[layer]
