@@ -219,10 +219,15 @@ class FaultList:
             raise ValueError("cannot scale an empty fault list")
         factor = -log(target_yield) / current
         scaled = FaultList()
-        for fault in self:
-            clone = type(fault)(**{**fault.__dict__})
-            clone.weight = fault.weight * factor
-            scaled.add(clone)
+        for key, fault in self._by_key.items():
+            weight = fault.weight * factor
+            if weight > 0:
+                # A shallow copy under the same key: every field but the
+                # weight is shared (all are immutable).
+                clone = object.__new__(type(fault))
+                clone.__dict__.update(fault.__dict__)
+                clone.weight = weight
+                scaled._by_key[key] = clone
         return scaled
 
     def weights(self) -> list[float]:

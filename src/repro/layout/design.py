@@ -10,8 +10,9 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.layout.cells import (
     CELL_HEIGHT,
@@ -102,9 +103,12 @@ def build_layout(circuit: Circuit, pre_mapped: bool = False) -> LayoutDesign:
         Set True when ``circuit`` is already restricted to the physical
         library (skips tech mapping).
     """
-    mapped = circuit if pre_mapped else techmap(circuit)
-    placement = place(mapped)
-    plan = route(placement)
+    with obs.span("layout.techmap"):
+        mapped = circuit if pre_mapped else techmap(circuit)
+    with obs.span("layout.place"):
+        placement = place(mapped)
+    with obs.span("layout.route"):
+        plan = route(placement)
 
     design = LayoutDesign(
         name=circuit.name,
@@ -113,17 +117,18 @@ def build_layout(circuit: Circuit, pre_mapped: bool = False) -> LayoutDesign:
         placement=placement,
         plan=plan,
     )
+    with obs.span("layout.emit") as emit_span:
+        # Row bases from channel heights (channel r sits below row r).
+        y = 0.0
+        for r in range(placement.n_rows):
+            y += plan.channel_height(r)
+            design.row_base.append(y)
+            y += CELL_HEIGHT
 
-    # Row bases from channel heights (channel r sits below row r).
-    y = 0.0
-    for r in range(placement.n_rows):
-        y += plan.channel_height(r)
-        design.row_base.append(y)
-        y += CELL_HEIGHT
-
-    _emit_cells(design)
-    _emit_rails_and_straps(design)
-    _emit_routing(design)
+        _emit_cells(design)
+        _emit_rails_and_straps(design)
+        _emit_routing(design)
+        emit_span.set(n_shapes=len(design.shapes))
     return design
 
 
@@ -131,15 +136,28 @@ def build_layout(circuit: Circuit, pre_mapped: bool = False) -> LayoutDesign:
 # Emission passes
 # ----------------------------------------------------------------------
 def _emit_cells(design: LayoutDesign) -> None:
+    """Every cell's shapes and devices, moved into place and owned by it."""
+    shapes, transistors = design.shapes, design.transistors
     for placed in design.placement.cells:
-        base = design.row_base[placed.row]
-        for shape in placed.cell.shapes:
-            if shape.purpose == "rail":
+        x, y = placed.x, design.row_base[placed.row]
+        owner = placed.cell.instance
+        for s in placed.cell.shapes:
+            if s.purpose == "rail":
                 continue  # replaced by the continuous per-row rails
-            moved = shape.translated(placed.x, base)
-            design.shapes.append(replace(moved, owner=placed.cell.instance))
+            shapes.append(
+                Rect(
+                    s.layer,
+                    s.llx + x,
+                    s.lly + y,
+                    s.urx + x,
+                    s.ury + y,
+                    s.net,
+                    s.purpose,
+                    owner,
+                )
+            )
         for t in placed.cell.transistors:
-            design.transistors.append(
+            transistors.append(
                 Transistor(
                     t.name,
                     t.polarity,
@@ -148,7 +166,7 @@ def _emit_cells(design: LayoutDesign) -> None:
                     t.drain,
                     t.width,
                     t.length,
-                    t.channel.translated(placed.x, base),
+                    t.channel.translated(x, y),
                 )
             )
         design.cell_of_net[placed.cell.output_net] = placed.cell

@@ -122,8 +122,15 @@ class Rect:
 
     def translated(self, dx: float, dy: float) -> Rect:
         """A copy shifted by (dx, dy)."""
-        return replace(
-            self, llx=self.llx + dx, lly=self.lly + dy, urx=self.urx + dx, ury=self.ury + dy
+        return Rect(
+            self.layer,
+            self.llx + dx,
+            self.lly + dy,
+            self.urx + dx,
+            self.ury + dy,
+            self.net,
+            self.purpose,
+            self.owner,
         )
 
     def renamed(self, net: str) -> Rect:
