@@ -1,10 +1,11 @@
 """Guard: campaign telemetry is cheap when on, free when off.
 
 The campaign observatory's contract: running a sweep with full telemetry —
-event bus enabled, every campaign event mirrored to a ``--events`` JSONL
-sink and to the ``--progress`` totals printer, a fresh metrics registry per
-job for the ``counters`` events — must cost under **2%** wall-clock
-overhead against the identical sweep with telemetry off.
+an ``on_record`` callback that mirrors every journalled record to a
+``--events`` JSONL writer and to the ``--progress`` totals line, with a
+fresh metrics registry per job for the ``counters`` records — must cost
+under **2%** wall-clock overhead against the identical sweep with
+telemetry off.
 
 The measurement interleaves pairs with alternating order to cancel
 first-mover bias, and the bound is ``ceiling + noise`` where ``noise`` is
@@ -30,11 +31,11 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.campaign import CampaignSpec, CampaignSupervisor
-from repro.campaign.cli import _progress_printer
+from repro.campaign import CampaignSpec, CampaignSupervisor, Journal
+from repro.campaign.cli import _progress_line
 from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import _run_cached
-from repro.obs.events import JsonlEventSink
+from repro.obs.events import JsonlWriter
 
 QUICK = bool(os.environ.get("CAMPAIGN_OBS_BENCH_QUICK"))
 BENCH_PATH = (
@@ -62,28 +63,38 @@ def _timed_sweep(root: Path, telemetry: bool) -> float:
     directory = root / ("on" if telemetry else "off")
     shutil.rmtree(directory, ignore_errors=True)
     _run_cached.cache_clear()  # every job recomputes: real work, not memo
-    bus = obs.enable_events() if telemetry else None
-    sink = None
-    if bus is not None:
-        sink = JsonlEventSink(str(root / "events.jsonl"), bus)
+    writer = JsonlWriter(str(root / "events.jsonl")) if telemetry else None
+    progress = io.StringIO()
+    counters: dict[str, dict] = {}
+
+    def on_record(record: dict) -> None:
+        assert writer is not None
+        writer(record)
+        if record["type"] == "counters":
+            counters[record["job"]] = record["counters"]
+        else:
+            print(_progress_line(record, supervisor.state), file=progress)
+
     try:
-        supervisor = CampaignSupervisor(directory, max_workers=0)
-        if bus is not None:
-            bus.subscribe(_progress_printer(supervisor.state, io.StringIO()))
+        supervisor = CampaignSupervisor(
+            directory,
+            max_workers=0,
+            on_record=on_record if telemetry else None,
+        )
         supervisor.submit(_spec())
         t0 = time.perf_counter()
         report = supervisor.run()
         seconds = time.perf_counter() - t0
         assert report.jobs_computed == len(SEEDS), report
     finally:
-        if sink is not None:
-            sink.close()
-        obs.disable_events()
+        if writer is not None:
+            writer.close()
+    if telemetry:
+        assert len(counters) == len(SEEDS) and all(counters.values())
     return seconds
 
 
 def test_campaign_telemetry_overhead_under_ceiling():
-    obs.disable_events()
     obs.disable()
     with tempfile.TemporaryDirectory(prefix="campaign-obs-bench-") as tmp:
         root = Path(tmp)
@@ -134,7 +145,6 @@ def test_campaign_telemetry_overhead_under_ceiling():
 
 
 def test_telemetry_off_publishes_nothing():
-    obs.disable_events()
     obs.disable()
     with tempfile.TemporaryDirectory(prefix="campaign-obs-off-") as tmp:
         _run_cached.cache_clear()
@@ -149,5 +159,7 @@ def test_telemetry_off_publishes_nothing():
             )
         )
         supervisor.run()
-    assert obs.event_bus() is None
-    assert not obs.events_enabled()
+        records = Journal(Path(tmp) / "camp", readonly=True).replay()[0]
+    assert supervisor.on_record is None
+    assert all(r["type"] != "counters" for r in records)
+    assert not obs.is_enabled()

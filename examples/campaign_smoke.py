@@ -13,8 +13,8 @@ and finishes the sweep, and the script asserts:
 * jobs completed before the kill were not recomputed (no second lease);
 * a fresh campaign sharing the result store serves **all** jobs from cache
   with zero simulation — its journal holds cached completions only;
-* the campaign-event stream (``--events``) of the killed-then-resumed
-  campaign carries per-job counters **bit-identical** to the reference
+* the record stream (``--events``) of the killed-then-resumed campaign
+  carries per-job ``counters`` records **bit-identical** to the reference
   stream;
 * ``campaign trace`` rebuilds a Chrome trace from the journal alone:
   one process group per job plus the reclaimed-lease marker;
@@ -80,6 +80,11 @@ def reference_records(spec_path: Path) -> dict[str, dict]:
     store = ResultStore(HOME / "reference" / "results")
     reference = {job_id: store.load(job_id) for job_id in store.job_ids()}
     assert len(reference) == len(SEEDS), sorted(reference)
+    # Apart from its counters records, the stream is the journal itself.
+    with open(HOME / "reference_events.jsonl", encoding="utf-8") as handle:
+        streamed = [json.loads(line) for line in handle]
+    journalled = Journal(HOME / "reference", readonly=True).replay()[0]
+    assert [r for r in streamed if r["type"] != "counters"] == journalled
     return reference
 
 
@@ -165,7 +170,7 @@ def kill_mid_flight(spec_path: Path) -> int:
 def resume_and_verify(reference: dict[str, dict], done_before: int) -> None:
     camp = HOME / "camp"
     # The resumed supervisor appends to the same --events stream: the file
-    # ends up holding the campaign events of both lives of the campaign.
+    # ends up holding the records of both lives of the campaign.
     run_campaign(
         "resume", "--dir", str(camp), "--workers", "0",
         "--events", str(HOME / "camp_events.jsonl"),
@@ -219,7 +224,7 @@ def verify_cache_serving(reference: dict[str, dict]) -> None:
 
 
 def _counters_by_job(events_path: Path) -> dict[str, dict]:
-    """Per-job counters snapshots from a --events campaign-event stream."""
+    """Per-job counters snapshots from a --events campaign record stream."""
     counters: dict[str, dict] = {}
     with open(events_path, encoding="utf-8") as handle:
         for line in handle:
@@ -230,11 +235,8 @@ def _counters_by_job(events_path: Path) -> dict[str, dict]:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue  # torn tail of the SIGKILLed writer
-            if (
-                record.get("type") == "CampaignEvent"
-                and record.get("action") == "counters"
-            ):
-                counters[record["job"]] = record["data"]["counters"]
+            if record.get("type") == "counters":
+                counters[record["job"]] = record["counters"]
     return counters
 
 

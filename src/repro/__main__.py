@@ -19,9 +19,9 @@ per-stage timing tree and a metric table after the run; ``--trace FILE``
 appends a JSON-lines run manifest (config hash, stage durations, metrics,
 fitted parameters) to ``FILE``, or — with ``--trace-format chrome`` —
 writes a Chrome/Perfetto trace instead (load it in ``chrome://tracing`` or
-https://ui.perfetto.dev).  ``--progress`` renders live progress on stderr
-(patterns applied, faults remaining, detection rate, ETA) and ``--events
-FILE`` streams every pipeline event to FILE as JSON lines.
+https://ui.perfetto.dev).  ``--progress`` prints one stderr line per
+finished pipeline stage with its wall time, and ``--events FILE`` streams
+one JSON line per finished span to FILE, ending on ``pipeline.run``.
 ``--checkpoint-dir DIR``
 persists every completed pipeline stage under ``DIR`` (keyed by
 configuration hash) and ``--resume`` restores the stages a previous,
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro import obs
 from repro.circuit.iscas import BENCHMARKS
@@ -143,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="render live progress (ETA, detection rate) on stderr",
+        help="print each pipeline stage and its wall time on stderr as it ends",
     )
     parser.add_argument(
         "--events",
         metavar="FILE",
-        help="stream pipeline events to FILE as JSON lines (tailable)",
+        help="stream one JSON line per finished span to FILE (tailable)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -386,6 +387,31 @@ def _build_curves(result, fit) -> dict[str, object]:
     }
 
 
+def _span_consumer(
+    writer: obs.JsonlWriter | None, progress: bool
+) -> Callable[[obs.Span, int], None] | None:
+    """The collector's ``on_end`` behind ``--events`` and ``--progress``.
+
+    ``--events`` gets one :func:`~repro.obs.span_record` line per finished
+    span; ``--progress`` gets one stderr line per finished stage, i.e. per
+    direct child of ``pipeline.run``.
+    """
+    if writer is None and not progress:
+        return None
+
+    def on_end(span: obs.Span, depth: int) -> None:
+        if writer is not None:
+            writer(obs.span_record(span, depth))
+        if progress and depth == 1:
+            print(
+                f"[{span.name}] done in {span.wall_time:.2f}s",
+                file=sys.stderr,
+                flush=True,
+            )
+
+    return on_end
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -410,45 +436,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.trace:
-        # Fail fast on an unwritable sink rather than after a full run.
-        try:
-            with open(args.trace, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write trace file {args.trace}: {exc}", file=sys.stderr)
-            return 2
-
-    instrumented = args.profile or args.trace
-    if instrumented:
-        collector, metrics = obs.enable()
-
-    # The event bus runs whenever any consumer wants live events: the
-    # progress renderer, the JSONL event stream, or the Chrome exporter
-    # (which places retry/checkpoint instant markers on the timeline).
-    chrome = bool(args.trace) and args.trace_format == "chrome"
-    streaming = args.progress or bool(args.events) or chrome
-    renderer = event_sink = marker_sink = None
-    if streaming:
-        bus = obs.enable_events()
-        if args.progress:
-            renderer = obs.ProgressRenderer()
-            bus.subscribe(renderer)
-        if args.events:
-            try:
-                event_sink = obs.JsonlEventSink(args.events, bus)
-            except OSError as exc:
-                print(
-                    f"error: cannot write events file {args.events}: {exc}",
-                    file=sys.stderr,
-                )
-                obs.disable_events()
-                if instrumented:
-                    obs.disable()
-                return 2
-        if chrome:
-            marker_sink = obs.ListSink(bus)
-
     try:
         config = ExperimentConfig(
             benchmark=args.benchmark,
@@ -460,18 +447,49 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    print(f"running pipeline on {args.benchmark} (Y = {args.target_yield})...")
-    hits_before = cache_info().hits
-    def close_consumers() -> None:
-        if streaming:
-            if renderer is not None:
-                renderer.close()
-            if event_sink is not None:
-                event_sink.close()
-            obs.disable_events()
-        if instrumented:
+    if args.trace:
+        # Fail fast on an unwritable sink rather than after a full run.
+        try:
+            with open(args.trace, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"error: cannot write trace file {args.trace}: {exc}", file=sys.stderr)
+            return 2
+    writer = None
+    if args.events:
+        try:
+            writer = obs.JsonlWriter(args.events)
+        except OSError as exc:
+            print(
+                f"error: cannot write events file {args.events}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
+
+    collector = metrics = None
+    if args.profile or args.trace or args.progress or writer is not None:
+        collector, metrics = obs.enable(
+            obs.TraceCollector(on_end=_span_consumer(writer, args.progress))
+        )
+    try:
+        return _run_main(args, config, collector, metrics, writer)
+    finally:
+        if writer is not None:
+            writer.close()
+        if collector is not None:
             obs.disable()
 
+
+def _run_main(
+    args: argparse.Namespace,
+    config: ExperimentConfig,
+    collector: obs.TraceCollector | None,
+    metrics: obs.MetricsRegistry | None,
+    writer: obs.JsonlWriter | None,
+) -> int:
+    """Run the experiment and print its tables, manifest and trace."""
+    print(f"running pipeline on {args.benchmark} (Y = {args.target_yield})...")
+    hits_before = cache_info().hits
     try:
         result = run_experiment(
             config,
@@ -484,7 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     except CheckpointError as exc:
         print(f"error: checkpoint failure: {exc}", file=sys.stderr)
-        close_consumers()
         return 2
     except KeyboardInterrupt:
         # Completed stages are already checkpointed (each stage flushes at
@@ -495,8 +512,8 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 manifest = obs.RunManifest.from_run(
                     config,
-                    collector=collector if instrumented else None,
-                    registry=metrics if instrumented else None,
+                    collector=collector,
+                    registry=metrics,
                     results={"interrupted": True},
                 )
                 manifest.write(args.trace)
@@ -522,8 +539,15 @@ def main(argv: list[str] | None = None) -> int:
                 "runs resumable (--resume)",
                 file=sys.stderr,
             )
-        close_consumers()
         return 130
+    chrome = args.trace_format == "chrome"
+    if collector is not None:
+        # The span stream and the Chrome trace cover the experiment run, so
+        # the stream ends on ``pipeline.run``; the span of the fit below
+        # still reaches --profile and the manifest.
+        collector.on_end = None
+        if chrome:
+            n_events = obs.write_chrome_trace(args.trace, collector)
     if args.checkpoint_dir:
         restored = ", ".join(result.stages_restored) or "none"
         recomputed = ", ".join(result.stages_recomputed) or "none"
@@ -579,26 +603,13 @@ def main(argv: list[str] | None = None) -> int:
         f"{ppm(final_dl):.0f} ppm"
     )
 
-    if streaming:
-        # Close the live consumers before the post-run reports print.
-        if renderer is not None:
-            renderer.close()
-        if event_sink is not None:
-            event_sink.close()
-            print(
-                f"{event_sink.written} events streamed to {args.events}"
-            )
-        obs.disable_events()
+    if writer is not None:
+        print(f"{writer.written} span records streamed to {args.events}")
 
     if args.profile:
         print("\n" + obs.render_profile(collector, metrics, engine=result.engine))
 
     if chrome:
-        n_events = obs.write_chrome_trace(
-            args.trace,
-            collector,
-            marker_sink.events if marker_sink is not None else None,
-        )
         print(
             f"\nchrome trace ({n_events} events) written to {args.trace}; "
             "load it in chrome://tracing or https://ui.perfetto.dev"
@@ -629,9 +640,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         n_records = manifest.write(args.trace)
         print(f"\nmanifest ({n_records} records) appended to {args.trace}")
-
-    if instrumented:
-        obs.disable()
     return 0
 
 

@@ -24,7 +24,6 @@ from repro.atpg.patterns import TestSet
 from repro.circuit.levelize import levelize
 from repro.circuit.library import GateType
 from repro.circuit.netlist import Circuit
-from repro.obs.events import ProgressEvent
 from repro.simulation.faults import FaultSite, StuckAtFault
 from repro.simulation.numpy_sim import NumpyFaultSimulator
 
@@ -663,31 +662,10 @@ def generate_deterministic_tests(
             remaining.append(fault)
     if result.skipped_untestable:
         obs.inc("podem.skipped_untestable", len(result.skipped_untestable))
-    n_targets = len(remaining)
-    targets_done = 0
-    with obs.span("atpg.podem", n_targets=n_targets) as podem_span:
+    with obs.span("atpg.podem", n_targets=len(remaining)) as podem_span:
         while remaining:
             target = remaining.pop(0)
             outcome = atpg.generate(target, fill=fill)
-            targets_done += 1
-            # Retired targets (dropped by simulation below) also count, so
-            # report progress as targets *resolved*, not searches run.
-            if obs.events_enabled() and (
-                targets_done % 16 == 0 or len(remaining) <= 1
-            ):
-                obs.emit(
-                    ProgressEvent(
-                        stage="podem",
-                        completed=n_targets - len(remaining) - 1,
-                        total=n_targets,
-                        unit="targets",
-                        data={
-                            "faults_remaining": len(remaining),
-                            "vectors": len(result.test_set),
-                            "aborted": len(result.aborted),
-                        },
-                    )
-                )
             obs.inc("podem.backtracks", outcome.backtracks)
             result.backtracks += outcome.backtracks
             if outcome.status == AtpgStatus.REDUNDANT:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.atpg.patterns import TestSet, random_patterns
 from repro.circuit.netlist import Circuit
-from repro.obs.events import ProgressEvent
 from repro.simulation.faults import StuckAtFault, collapse_faults
 from repro.simulation.numpy_sim import NumpyFaultSimulator
 
@@ -179,22 +178,6 @@ def generate_random_tests(
                 detected.extend(hits[batch])
             else:
                 useless_run += n_here
-            if obs.events_enabled():
-                obs.emit(
-                    ProgressEvent(
-                        stage="random_atpg",
-                        completed=generated,
-                        total=max_patterns,
-                        unit="patterns",
-                        data={
-                            "faults_remaining": total - len(detected),
-                            "detection_rate": (
-                                len(detected) / total if total else 1.0
-                            ),
-                            "useless_run": useless_run,
-                        },
-                    )
-                )
 
         coverage = 1.0 if total == 0 else len(detected) / total
         random_span.set(n_patterns=generated, coverage=round(coverage, 4))

@@ -30,9 +30,7 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Callable, TextIO
 
-from repro import obs
 from repro.campaign.journal import (
     JOURNAL_NAME,
     Journal,
@@ -43,7 +41,7 @@ from repro.campaign.spec import CampaignSpecError, load_spec
 from repro.campaign.state import DONE, LEASED, PENDING, QUARANTINED, CampaignState
 from repro.campaign.store import ResultStore, dir_size_bytes
 from repro.campaign.supervisor import DEFAULT_LEASE_TIMEOUT, CampaignSupervisor
-from repro.obs.events import CampaignEvent, Event
+from repro.obs.events import JsonlWriter
 from repro.resilience.checkpoint import CheckpointStore
 
 __all__ = ["campaign_main", "build_campaign_parser"]
@@ -103,9 +101,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
             "--events",
             metavar="FILE",
             help=(
-                "stream campaign events (job transitions and per-job "
-                "counters) to FILE as JSON lines (tailable; appends across "
-                "resumes)"
+                "stream the journalled records (job transitions) plus one "
+                "counters record per computed job to FILE as JSON lines "
+                "(tailable; appends across resumes)"
             ),
         )
 
@@ -317,18 +315,26 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
             print(f"error: invalid campaign spec: {exc}", file=sys.stderr)
             return 2
 
-    event_sink = None
-    bus = obs.enable_events() if args.progress or args.events else None
-    if bus is not None and args.events:
+    writer = None
+    if args.events:
         try:
-            event_sink = obs.JsonlEventSink(args.events, bus)
+            writer = JsonlWriter(args.events)
         except OSError as exc:
             print(
                 f"error: cannot write events file {args.events}: {exc}",
                 file=sys.stderr,
             )
-            obs.disable_events()
             return 2
+
+    def on_record(record: dict) -> None:
+        if writer is not None:
+            writer(record)
+        if args.progress and record["type"] != "counters":
+            print(
+                _progress_line(record, supervisor.state),
+                file=sys.stderr,
+                flush=True,
+            )
 
     try:
         try:
@@ -337,12 +343,11 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
                 max_workers=args.workers,
                 lease_timeout=args.lease_timeout,
                 results_dir=args.results_dir,
+                on_record=on_record if args.events or args.progress else None,
             )
         except (JournalError, OSError, ValueError) as exc:
             print(f"error: cannot open campaign: {exc}", file=sys.stderr)
             return 2
-        if bus is not None and args.progress:
-            bus.subscribe(_progress_printer(supervisor.state, sys.stderr))
         if spec is not None:
             try:
                 new = supervisor.submit(spec)
@@ -363,10 +368,8 @@ def _run_or_resume(args: argparse.Namespace, spec_path: str | None) -> int:
         if args.progress:
             print("\n".join(_render_status(supervisor.state)), file=sys.stderr)
     finally:
-        if event_sink is not None:
-            event_sink.close()
-        if bus is not None:
-            obs.disable_events()
+        if writer is not None:
+            writer.close()
 
     counts = report.counts
     print(
@@ -437,26 +440,14 @@ def _totals_line(state: CampaignState) -> str:
     )
 
 
-def _progress_printer(
-    state: CampaignState, stream: TextIO
-) -> Callable[[Event], None]:
-    """Bus subscriber behind ``--progress``: one totals line per transition.
+def _progress_line(record: dict, state: CampaignState) -> str:
+    """The ``--progress`` line for one journalled record.
 
-    ``state`` is the live supervisor's state, which every
-    :class:`CampaignEvent` follows (the record is journalled first), so the
-    line reads the same counts ``campaign status`` would.
+    ``state`` is the live supervisor's state, which has already folded the
+    record in, so the line reads the same counts ``campaign status`` would.
     """
-
-    def print_totals(event: Event) -> None:
-        if isinstance(event, CampaignEvent) and event.action != "counters":
-            print(
-                f"[campaign] {event.action} {event.job[:12]}  "
-                f"{_totals_line(state)}",
-                file=stream,
-                flush=True,
-            )
-
-    return print_totals
+    job = str(record.get("job", "-"))
+    return f"[campaign] {record['type']} {job[:12]}  {_totals_line(state)}"
 
 
 def _status(args: argparse.Namespace) -> int:

@@ -9,7 +9,7 @@ One :class:`CampaignSupervisor` owns a campaign directory::
     <dir>/leases/           worker heartbeat files, one per active lease
 
 Scheduling discipline (the DAVOS ``Multicore`` shape — ``maxproc``,
-``retry_attempts`` — rebuilt on this repo's journal/result-store/event-bus
+``retry_attempts`` — rebuilt on this repo's journal/result-store
 substrate):
 
 * Every transition is journalled **before** it is acted on (lease before
@@ -28,8 +28,8 @@ substrate):
   the deterministic :class:`~repro.resilience.retry.RetryPolicy` backoff
   until the job's ``max_attempts`` budget is spent; fatal failures (and
   spent budgets) quarantine the job immediately.  Nothing is silent —
-  counters, warnings, and :class:`~repro.obs.events.CampaignEvent` /
-  :class:`~repro.obs.events.RetryEvent` records on the live bus.
+  counters, warnings, and a journal record per transition, which an
+  ``on_record`` callback sees as it is written.
 * A broken pool degrades the worker count (never below one) rather than
   failing the campaign; SIGINT/SIGTERM journal a clean ``stop`` record so a
   later ``campaign resume`` continues exactly where the run stopped.
@@ -57,7 +57,6 @@ from repro.campaign.spec import CampaignSpec, config_from_dict
 from repro.campaign.state import DONE, CampaignState, campaign_record
 from repro.campaign.store import ResultStore, result_record
 from repro.experiments import run_experiment
-from repro.obs.events import CampaignEvent, RetryEvent
 from repro.obs.manifest import RunManifest
 from repro.resilience import chaos
 from repro.resilience.errors import FailureKind, classify_failure
@@ -106,13 +105,11 @@ def _run_campaign_job(
     starts, so an injected ``sleep`` models the worst hang — a worker that
     never reports liveness at all.
 
-    The job runs with the event bus suspended, inline or in a pool worker
-    alike: jobs publish nothing, and the supervisor's bus carries only its
-    own scheduling narration.  ``telemetry`` runs the job under a fresh
-    metrics registry and returns its counter snapshot in the payload
-    (``"counters"``).  The module-level obs state is restored afterwards,
-    so the inline mode (``max_workers=0``, sharing the supervisor's
-    process) never clobbers the parent's bus or collectors.
+    ``telemetry`` runs the job under a fresh metrics registry and returns
+    its counter snapshot in the payload (``"counters"``).  The module-level
+    obs state is restored afterwards, so the inline mode (``max_workers=0``,
+    sharing the supervisor's process) never clobbers the parent's
+    collectors.
     """
     chaos.maybe_inject("campaign.job", key=job_id, attempt=attempt)
     stop = threading.Event()
@@ -128,9 +125,7 @@ def _run_campaign_job(
             daemon=True,
         )
         thread.start()
-    prev_bus = obs.event_bus()
     prev_collector, prev_registry = obs.collector(), obs.registry()
-    obs.disable_events()
     fresh_registry = obs.enable()[1] if telemetry else None
     try:
         config = config_from_dict(dict(config_dict))
@@ -149,8 +144,6 @@ def _run_campaign_job(
         stop.set()
         if thread is not None:
             thread.join(timeout=1.0)
-        if prev_bus is not None:
-            obs.enable_events(prev_bus)
         if fresh_registry is not None:
             if prev_collector is not None and prev_registry is not None:
                 obs.enable(prev_collector, prev_registry)
@@ -220,6 +213,11 @@ class CampaignSupervisor:
     results_dir:
         Result-store root; defaults to ``<directory>/results``.  Point
         several campaigns at one store to share their cache.
+    on_record:
+        Called with each record right after it is journalled.  While one
+        is attached, each job also runs under a fresh metrics registry and
+        every computed job adds one ``{"type": "counters", "job",
+        "counters"}`` record, which is passed on but not journalled.
     """
 
     def __init__(
@@ -231,6 +229,7 @@ class CampaignSupervisor:
         results_dir: str | Path | None = None,
         manifest_path: str | Path | None = None,
         poll_interval: float = 0.05,
+        on_record: Callable[[dict], None] | None = None,
     ) -> None:
         self.dir = Path(directory)
         self.journal = Journal(self.dir)
@@ -252,6 +251,7 @@ class CampaignSupervisor:
         self.lease_timeout = lease_timeout
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.poll_interval = poll_interval
+        self.on_record = on_record
         self._pool: "ProcessPoolExecutor | None" = None
         self._pool_workers = max(1, self.max_workers)
         self._stop_signal: str | None = None
@@ -283,6 +283,8 @@ class CampaignSupervisor:
         seq = self.journal.append(record)
         self.state.apply(record)
         self.state.last_seq = seq
+        if self.on_record is not None:
+            self.on_record(record)
 
     # -- the run loop --------------------------------------------------
     def run(self) -> CampaignReport:
@@ -304,7 +306,6 @@ class CampaignSupervisor:
                     "reason": "supervisor restart: lease holder is gone",
                 }
             )
-            self._emit_campaign(job_id, "reclaim", reason="supervisor restart")
 
         backoff_until: dict[str, float] = {}
         in_flight: dict["Future", _Lease] = {}
@@ -412,7 +413,6 @@ class CampaignSupervisor:
         obs.inc("pipeline.cache_hit")
         obs.inc("campaign.jobs_cached")
         self._report.jobs_cached += 1
-        self._emit_campaign(job_id, "cached", result_sha=sha)
         return True
 
     # -- job execution --------------------------------------------------
@@ -435,7 +435,6 @@ class CampaignSupervisor:
             }
         )
         obs.inc("pipeline.cache_miss")
-        self._emit_campaign(job_id, "lease", attempt=attempt)
         interval = (
             max(0.02, min(1.0, self.lease_timeout / 4.0))
             if self.lease_timeout is not None
@@ -450,7 +449,7 @@ class CampaignSupervisor:
                 attempt,
                 str(hb_path),
                 interval,
-                obs.events_enabled(),
+                self.on_record is not None,
             )
         except Exception as exc:  # pool broke at submission
             self._handle_failure(job_id, attempt, exc, {})
@@ -480,7 +479,6 @@ class CampaignSupervisor:
             }
         )
         obs.inc("pipeline.cache_miss")
-        self._emit_campaign(job_id, "lease", attempt=attempt)
         try:
             payload = _run_campaign_job(
                 job_id,
@@ -488,7 +486,7 @@ class CampaignSupervisor:
                 attempt,
                 None,
                 1.0,
-                telemetry=obs.events_enabled(),
+                telemetry=self.on_record is not None,
             )
         except Exception as exc:
             self._handle_failure(job_id, attempt, exc, backoff_until)
@@ -534,20 +532,15 @@ class CampaignSupervisor:
         self._write_manifest(job_id, record, cache="miss")
         obs.inc("campaign.jobs_done")
         self._report.jobs_computed += 1
-        self._emit_campaign(
-            job_id,
-            "done",
-            result_sha=sha,
-            wall_s=wall_s,
-            worker_pid=payload.get("worker_pid"),
-        )
         counters = payload.get("counters")
-        if isinstance(counters, dict) and counters:
+        if self.on_record is not None and isinstance(counters, dict) and counters:
             # The job's own counter snapshot, from the fresh per-job
             # registry: deterministic for a deterministic config, so a
-            # resumed campaign's event stream carries counters
-            # bit-identical to an uninterrupted run's.
-            self._emit_campaign(job_id, "counters", counters=counters)
+            # resumed campaign's stream carries counters bit-identical to
+            # an uninterrupted run's.
+            self.on_record(
+                {"type": "counters", "job": job_id, "counters": counters}
+            )
 
     # -- failure handling -----------------------------------------------
     def _handle_failure(
@@ -585,16 +578,6 @@ class CampaignSupervisor:
         backoff_until[job_id] = time.monotonic() + delay
         obs.inc("campaign.jobs_retried")
         self._report.jobs_retried += 1
-        if obs.events_enabled():
-            obs.emit(
-                RetryEvent(
-                    point="campaign.job",
-                    key=job_id,
-                    attempt=job.attempts,
-                    reason=failure.reason,
-                    delay_s=delay,
-                )
-            )
         warnings.warn(
             f"campaign job {job_id} failed transiently "
             f"({failure.reason}); retrying in {delay:.2f}s "
@@ -609,7 +592,6 @@ class CampaignSupervisor:
         )
         obs.inc("campaign.jobs_quarantined")
         self._report.jobs_quarantined += 1
-        self._emit_campaign(job_id, "quarantine", reason=reason)
         warnings.warn(
             f"campaign job {job_id} quarantined: {reason}",
             RuntimeWarning,
@@ -674,7 +656,6 @@ class CampaignSupervisor:
             )
             obs.inc("campaign.leases_reclaimed")
             self._report.leases_reclaimed += 1
-            self._emit_campaign(lease.job_id, "reclaim", reason=reason)
             lease.hb_path.unlink(missing_ok=True)
             job = self.state.jobs[lease.job_id]
             if job.attempts >= job.max_attempts:
@@ -713,9 +694,6 @@ class CampaignSupervisor:
         if self._pool_workers > 1:
             self._pool_workers -= 1
             obs.inc("campaign.workers_degraded")
-            self._emit_campaign(
-                "-", "degrade", workers=self._pool_workers, reason=reason
-            )
             warnings.warn(
                 f"campaign pool degraded to {self._pool_workers} worker(s): "
                 f"{reason}",
@@ -739,7 +717,6 @@ class CampaignSupervisor:
     def _record_stop(self, reason: str) -> None:
         self._append({"type": "stop", "reason": reason})
         obs.inc("campaign.stops")
-        self._emit_campaign("-", "stop", reason=reason)
 
     # -- backoff waiting --------------------------------------------------
     def _wait_for_backoff(self, backoff_until: dict[str, float]) -> bool:
@@ -791,12 +768,6 @@ class CampaignSupervisor:
                 f"cannot append campaign manifest {self.manifest_path}: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
-            )
-
-    def _emit_campaign(self, job_id: str, action: str, **data: object) -> None:
-        if obs.events_enabled():
-            obs.emit(
-                CampaignEvent(job=job_id, action=action, data=dict(data))
             )
 
     # -- maintenance ------------------------------------------------------

@@ -22,7 +22,6 @@ Results are memoised per configuration: every figure bench shares one run.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +43,6 @@ from repro.defects.extraction import extract_faults
 from repro.defects.fault_types import FaultList
 from repro.defects.statistics import DefectStatistics
 from repro.layout.design import LayoutDesign, build_layout
-from repro.obs.events import CheckpointEvent, StageEvent
 from repro.obs.manifest import RETIRED_FIELDS, config_hash
 from repro.resilience import chaos
 from repro.resilience.checkpoint import CheckpointStore
@@ -247,10 +245,6 @@ def _make_stage_runner(
         encode: Callable | None = None,
         decode: Callable | None = None,
     ) -> object:
-        emit_events = obs.events_enabled()
-        stage_t0 = time.perf_counter()
-        if emit_events:
-            obs.emit(StageEvent(stage=name, status="start"))
         if store is not None and resume:
             payload = store.load(name)
             if payload is not None:
@@ -272,56 +266,15 @@ def _make_stage_runner(
                         stacklevel=3,
                     )
                     obs.inc("resilience.checkpoints_corrupt")
-                    if emit_events:
-                        obs.emit(
-                            CheckpointEvent(
-                                stage=name,
-                                action="corrupt",
-                                path=str(store.path_for(name)),
-                            )
-                        )
                 else:
                     restored.append(name)
                     obs.inc("resilience.stages_restored")
-                    if emit_events:
-                        obs.emit(
-                            CheckpointEvent(
-                                stage=name,
-                                action="restore",
-                                path=str(store.path_for(name)),
-                            )
-                        )
-                        obs.emit(
-                            StageEvent(
-                                stage=name,
-                                status="end",
-                                wall_s=time.perf_counter() - stage_t0,
-                                data={"source": "checkpoint"},
-                            )
-                        )
                     return value
         value = compute()
         if store is not None:
-            saved_path = store.save(
-                name, encode(value) if encode is not None else value
-            )
-            if emit_events:
-                obs.emit(
-                    CheckpointEvent(
-                        stage=name, action="save", path=str(saved_path)
-                    )
-                )
+            store.save(name, encode(value) if encode is not None else value)
         recomputed.append(name)
         obs.inc("resilience.stages_recomputed")
-        if emit_events:
-            obs.emit(
-                StageEvent(
-                    stage=name,
-                    status="end",
-                    wall_s=time.perf_counter() - stage_t0,
-                    data={"source": "computed"},
-                )
-            )
         chaos.maybe_inject("pipeline.stage", key=name)
         return value
 
@@ -337,15 +290,6 @@ def _run_pipeline(
     recomputed: list[str] = []
     run_stage = _make_stage_runner(store, resume, restored, recomputed)
 
-    pipeline_t0 = time.perf_counter()
-    if obs.events_enabled():
-        obs.emit(
-            StageEvent(
-                stage="pipeline",
-                status="start",
-                data={"benchmark": config.benchmark, "seed": config.seed},
-            )
-        )
     with obs.span(
         "pipeline.run", benchmark=config.benchmark, seed=config.seed
     ):
@@ -504,19 +448,6 @@ def _run_pipeline(
         obs.set_gauge("pipeline.theta_max", coverage.theta_max)
         obs.set_gauge("pipeline.final_T", stuck_result.coverage)
 
-    if obs.events_enabled():
-        obs.emit(
-            StageEvent(
-                stage="pipeline",
-                status="end",
-                wall_s=time.perf_counter() - pipeline_t0,
-                data={
-                    "benchmark": config.benchmark,
-                    "coverage": round(stuck_result.coverage, 4),
-                    "n_patterns": len(patterns),
-                },
-            )
-        )
     return ExperimentResult(
         config=config,
         circuit=circuit,

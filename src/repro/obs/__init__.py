@@ -15,7 +15,7 @@ shared no-op context manager; the metric helpers early-return), so the
 default pipeline timings do not regress.  ``obs.enable()`` installs a
 thread-safe :class:`~repro.obs.trace.TraceCollector` and
 :class:`~repro.obs.metrics.MetricsRegistry`; the CLI enables collection for
-``--profile`` and ``--trace`` runs.
+``--profile``, ``--trace``, ``--progress`` and ``--events`` runs.
 
 Naming scheme (see ``docs/OBSERVABILITY.md``): dotted lower-case
 ``<stage>.<quantity>`` — e.g. ``podem.backtracks``, ``pipeline.cache_hit``,
@@ -24,19 +24,7 @@ Naming scheme (see ``docs/OBSERVABILITY.md``): dotted lower-case
 
 from __future__ import annotations
 
-from repro.obs.events import (
-    CampaignEvent,
-    CheckpointEvent,
-    Event,
-    EventBus,
-    JsonlEventSink,
-    ListSink,
-    ProgressEvent,
-    ProgressRenderer,
-    RetryEvent,
-    StageEvent,
-    event_from_record,
-)
+from repro.obs.events import JsonlWriter, span_record
 from repro.obs.export import (
     campaign_chrome_trace,
     chrome_trace,
@@ -81,22 +69,8 @@ __all__ = [
     "render_metrics",
     "render_profile",
     "NULL_SPAN",
-    "enable_events",
-    "disable_events",
-    "events_enabled",
-    "event_bus",
-    "emit",
-    "Event",
-    "EventBus",
-    "ProgressEvent",
-    "StageEvent",
-    "RetryEvent",
-    "CheckpointEvent",
-    "CampaignEvent",
-    "JsonlEventSink",
-    "ListSink",
-    "ProgressRenderer",
-    "event_from_record",
+    "JsonlWriter",
+    "span_record",
     "chrome_trace",
     "write_chrome_trace",
     "campaign_chrome_trace",
@@ -105,7 +79,6 @@ __all__ = [
 
 _collector: TraceCollector | None = None
 _registry: MetricsRegistry | None = None
-_bus: EventBus | None = None
 
 
 def enable(
@@ -168,43 +141,3 @@ def set_gauge(name: str, value: float) -> None:
         return
     _registry.gauge(name).set(value)
 
-
-# ---------------------------------------------------------------------------
-# Event bus (live progress / streaming events; see repro.obs.events)
-# ---------------------------------------------------------------------------
-def enable_events(bus: EventBus | None = None) -> EventBus:
-    """Install (fresh or given) event bus; returns it.
-
-    Independent of :func:`enable`: a run can stream events without paying
-    for span/metric collection, and vice versa.
-    """
-    global _bus
-    _bus = bus or EventBus()
-    return _bus
-
-
-def disable_events() -> None:
-    """Return event emission to the zero-overhead no-op state."""
-    global _bus
-    _bus = None
-
-
-def events_enabled() -> bool:
-    """True while an event bus is installed.
-
-    Call sites inside loops guard event *construction* behind this, so the
-    disabled path never allocates an event object.
-    """
-    return _bus is not None
-
-
-def event_bus() -> EventBus | None:
-    """The active event bus, or None when disabled."""
-    return _bus
-
-
-def emit(event: Event) -> None:
-    """Publish ``event`` to the active bus (no-op while disabled)."""
-    if _bus is None:
-        return
-    _bus.publish(event)

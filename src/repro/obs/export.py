@@ -1,4 +1,4 @@
-"""Chrome/Perfetto trace-event export of collected spans and events.
+"""Chrome/Perfetto trace-event export of collected spans.
 
 Converts a :class:`~repro.obs.trace.TraceCollector`'s span forest into the
 Chrome trace-event JSON format (the ``{"traceEvents": [...]}`` object form),
@@ -8,14 +8,11 @@ Layout:
 
 * one **process lane**: the pipeline runs in one process.  Spans nest by
   time, which the viewers render correctly;
-* spans become complete events (``"ph": "X"``) with microsecond timestamps;
-* retry/checkpoint events from the event bus become instant events
-  (``"ph": "i"``), globally scoped so they draw as full-height markers.
+* spans become complete events (``"ph": "X"``) with microsecond timestamps.
 
-Spans and events share one timebase (``time.perf_counter()``); timestamps
-are rebased to the earliest span so traces start at t=0.  Campaign traces
-(:func:`campaign_chrome_trace`) are built from the journal instead, one
-process group per job.
+Timestamps are rebased to the earliest span so traces start at t=0.
+Campaign traces (:func:`campaign_chrome_trace`) are built from the journal
+instead, one process group per job.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import json
 import os
 from typing import Iterable, Sequence
 
-from repro.obs.events import CheckpointEvent, Event, RetryEvent
 from repro.obs.trace import Span, TraceCollector
 
 __all__ = [
@@ -76,15 +72,11 @@ def _earliest_start(spans: Iterable[Span]) -> float | None:
 
 def chrome_trace(
     collector: TraceCollector,
-    events: Sequence[Event] | None = None,
     main_pid: int | None = None,
 ) -> dict:
     """Build the Chrome trace-event object for a collector's span forest.
 
-    ``events`` (optional) adds instant markers for
-    :class:`~repro.obs.events.RetryEvent` and
-    :class:`~repro.obs.events.CheckpointEvent`; other event types are
-    ignored.  ``main_pid`` labels the parent lane (default: this process).
+    ``main_pid`` labels the parent lane (default: this process).
     """
     pid = main_pid if main_pid is not None else os.getpid()
     roots = list(collector.roots)
@@ -113,42 +105,12 @@ def chrome_trace(
             "args": {"sort_index": 0},
         }
     )
-
-    for event in events or ():
-        if isinstance(event, RetryEvent):
-            name = f"retry {event.point} key={event.key}"
-        elif isinstance(event, CheckpointEvent):
-            name = f"checkpoint {event.action} {event.stage}"
-        else:
-            continue
-        trace_events.append(
-            {
-                "name": name,
-                "ph": "i",
-                "s": "g",  # global scope: full-height marker
-                "ts": round(1e6 * (event.ts_mono - base), 3),
-                "pid": pid,
-                "tid": pid,
-                "args": _jsonable_args(
-                    {
-                        k: v
-                        for k, v in event.__dict__.items()
-                        if k not in ("ts", "ts_mono")
-                    }
-                ),
-            }
-        )
-
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    path: str,
-    collector: TraceCollector,
-    events: Sequence[Event] | None = None,
-) -> int:
+def write_chrome_trace(path: str, collector: TraceCollector) -> int:
     """Write the Chrome trace JSON to ``path``; returns the event count."""
-    trace = chrome_trace(collector, events)
+    trace = chrome_trace(collector)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle, sort_keys=True)
         handle.write("\n")

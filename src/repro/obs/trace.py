@@ -15,7 +15,7 @@ By default no collector is installed and :func:`span` returns a shared no-op
 context manager: the disabled path is a single attribute check plus a
 dictionary-free return, so instrumented code costs nothing in production
 runs.  Enable collection with :func:`repro.obs.enable` (the CLI does it for
-``--profile``/``--trace``).
+``--profile``/``--trace``/``--progress``/``--events``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = ["Span", "TraceCollector", "NULL_SPAN"]
 
@@ -64,21 +65,24 @@ class Span:
         for child in self.children:
             yield from child.iter_tree()
 
-    def to_record(self) -> dict:
+    def to_record(self, children: bool = True) -> dict:
         """JSON-able representation (children recursively included).
 
         ``t0``/``t1`` are the raw ``time.perf_counter()`` endpoints, which
         the dashboard's pipeline waterfall lays out on a timeline.
+        ``children=False`` leaves the ``children`` key out.
         """
-        return {
+        record = {
             "name": self.name,
             "attributes": dict(self.attributes),
             "wall_s": round(self.wall_time, 6),
             "cpu_s": round(self.cpu_time, 6),
             "t0": self.start_wall,
             "t1": self.end_wall,
-            "children": [c.to_record() for c in self.children],
         }
+        if children:
+            record["children"] = [c.to_record() for c in self.children]
+        return record
 
 
 class _NullSpan:
@@ -138,10 +142,15 @@ class TraceCollector:
     """Thread-safe in-process span collector.
 
     Per-thread active stacks provide nesting; completed top-level spans land
-    in :attr:`roots` (shared, lock-protected).
+    in :attr:`roots` (shared, lock-protected).  ``on_end(span, depth)``, when
+    given, is called as each span finishes, with its nesting depth (0 for a
+    root), so a consumer sees the span tree in post-order while it grows.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, on_end: Callable[[Span, int], None] | None = None
+    ) -> None:
+        self.on_end = on_end
         self.roots: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -175,6 +184,8 @@ class TraceCollector:
         if not stack:
             with self._lock:
                 self.roots.append(span)
+        if self.on_end is not None:
+            self.on_end(span, len(stack))
 
     # -- queries ------------------------------------------------------------
     def all_spans(self) -> list[Span]:

@@ -37,7 +37,6 @@ import warnings
 from pathlib import Path
 
 from repro import obs
-from repro.obs.events import CheckpointEvent
 from repro.obs.manifest import config_hash, config_to_dict
 from repro.resilience import chaos
 from repro.resilience.errors import CheckpointCorruptError, CheckpointError
@@ -206,12 +205,6 @@ class CheckpointStore:
                 stacklevel=2,
             )
             obs.inc("resilience.checkpoints_corrupt")
-            if obs.events_enabled():
-                obs.emit(
-                    CheckpointEvent(
-                        stage=stage, action="corrupt", path=str(path)
-                    )
-                )
             return None
 
     def _decode(self, stage: str, data: bytes) -> object:

@@ -597,7 +597,6 @@ class NumpyFaultSimulator:
         width = self.width
         words_per_block = self.words_per_block
         n_words_total = packed.shape[0]
-        emit_progress = obs.events_enabled()
         with obs.span(
             "fault_sim.run",
             n_patterns=n_patterns,
@@ -641,7 +640,6 @@ class NumpyFaultSimulator:
                 word_hi = min(word_lo + words_per_block, n_words_total)
                 n_words = word_hi - word_lo
                 base = block_index * width
-                n_here = min(width, n_patterns - base)
                 good = self.good_block(packed[word_lo:word_hi])
                 last_block = word_hi == n_words_total
                 for batch_index, prog in enumerate(programs):
@@ -679,21 +677,4 @@ class NumpyFaultSimulator:
                             lane_alive[lane] = False
                             batch_alive[batch_index] -= 1
                             remaining -= 1
-                if emit_progress and faults:
-                    faults_remaining = (
-                        remaining if drop_detected else len(faults)
-                    )
-                    obs.emit(
-                        obs.ProgressEvent(
-                            stage="fault_sim",
-                            completed=base + n_here,
-                            total=n_patterns,
-                            unit="patterns",
-                            data={
-                                "faults_remaining": faults_remaining,
-                                "detection_rate": len(first_detection)
-                                / len(faults),
-                            },
-                        )
-                    )
         return first_detection, detection_counts

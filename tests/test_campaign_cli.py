@@ -15,10 +15,8 @@ from repro.resilience.checkpoint import CheckpointStore
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
-    obs.disable_events()
     yield
     obs.disable()
-    obs.disable_events()
 
 
 def _write_spec(tmp_path, seeds=(1, 2), name="cli-sweep") -> str:
@@ -194,11 +192,12 @@ def test_campaign_events_stream(capsys, tmp_path):
     )
     assert code == 0
     lines = [json.loads(line) for line in events.read_text().splitlines()]
-    actions = [
-        e.get("action") for e in lines if e.get("type") == "CampaignEvent"
+    journalled = [r for r in lines if r["type"] != "counters"]
+    records, _ = Journal(tmp_path / "camp", readonly=True).replay()
+    assert journalled == json.loads(json.dumps(records))
+    assert [r["type"] for r in lines] == [
+        "campaign", "lease", "done", "counters", "end"
     ]
-    assert "lease" in actions
-    assert "done" in actions
 
 
 def test_campaign_run_progress_counts_every_submitted_job(capsys, tmp_path):

@@ -25,10 +25,8 @@ from repro.obs.export import campaign_chrome_trace, write_campaign_trace
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
-    obs.disable_events()
     yield
     obs.disable()
-    obs.disable_events()
 
 
 def _synthetic_records(with_ts=True) -> list[dict]:

@@ -1,7 +1,6 @@
-"""Campaign telemetry: the ``CampaignEvent`` stream a supervisor publishes.
+"""Campaign telemetry: the record stream a supervisor's ``on_record`` sees.
 
-Jobs run with the event bus suspended, so a campaign's stream holds only
-the supervisor's own scheduling narration plus one ``counters`` snapshot
+The stream is the journal, record for record, plus one ``counters`` record
 per computed job — the same records whether jobs run inline or on a pool.
 """
 
@@ -10,10 +9,11 @@ import json
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignSpec, CampaignSupervisor
+from repro.campaign import CampaignSpec, CampaignSupervisor, Journal
 from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import _run_cached
-from repro.obs.events import CampaignEvent, ListSink, RetryEvent
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPlan, ChaosRule
 from repro.resilience.retry import RetryPolicy
 
 FAST_RETRY = RetryPolicy(
@@ -22,12 +22,10 @@ FAST_RETRY = RetryPolicy(
 
 
 @pytest.fixture(autouse=True)
-def _clean_events_state():
-    obs.disable_events()
+def _clean_obs_state():
     obs.disable()
     _run_cached.cache_clear()
     yield
-    obs.disable_events()
     obs.disable()
     _run_cached.cache_clear()
 
@@ -40,44 +38,78 @@ def _spec() -> CampaignSpec:
     )
 
 
-def _run_campaign(directory, max_workers=0) -> ListSink:
-    """Run a fresh campaign with the event bus on; return the sink."""
-    bus = obs.enable_events()
-    sink = ListSink(bus)
+def _run_campaign(directory, max_workers=0) -> list[dict]:
+    """Run a fresh campaign with a record callback; return what it saw."""
+    seen: list[dict] = []
     sup = CampaignSupervisor(
-        directory, max_workers=max_workers, retry=FAST_RETRY
+        directory, max_workers=max_workers, retry=FAST_RETRY,
+        on_record=seen.append,
     )
     sup.submit(_spec())
     report = sup.run()
     assert report.finished
-    assert obs.event_bus() is bus  # every job restored the supervisor's bus
-    obs.disable_events()
+    assert not obs.is_enabled()  # every job restored the obs state
     _run_cached.cache_clear()  # the next run must recompute, not memo-hit
-    return sink
+    return seen
 
 
-def _counters_by_job(sink: ListSink) -> dict[str, dict]:
-    return {
-        e.job: e.data["counters"]
-        for e in sink.events
-        if isinstance(e, CampaignEvent) and e.action == "counters"
-    }
+def _counters_by_job(records: list[dict]) -> dict[str, dict]:
+    return {r["job"]: r["counters"] for r in records if r["type"] == "counters"}
+
+
+def _journal(directory) -> list[dict]:
+    return Journal(directory, readonly=True).replay()[0]
+
+
+@pytest.mark.parametrize("max_workers", [0, 2])
+def test_on_record_stream_is_the_journal(tmp_path, max_workers):
+    """Oracle: apart from ``counters``, the stream is the journal replay."""
+    seen = _run_campaign(tmp_path / "camp", max_workers=max_workers)
+    journalled = [r for r in seen if r["type"] != "counters"]
+    assert journalled == _journal(tmp_path / "camp")
+    types = [r["type"] for r in journalled]
+    assert types.count("lease") == types.count("done") == 2
+    assert types[-1] == "end"
+
+
+def test_on_record_stream_carries_failures_and_retries(tmp_path):
+    plan = ChaosPlan(
+        rules=(
+            ChaosRule(point="campaign.job", kind="exception", attempts={0}),
+        )
+    )
+    seen: list[dict] = []
+    sup = CampaignSupervisor(
+        tmp_path / "camp", max_workers=0, retry=FAST_RETRY,
+        on_record=seen.append,
+    )
+    sup.submit(_spec())
+    with chaos.active(plan):
+        with pytest.warns(RuntimeWarning, match="retrying"):
+            sup.run()
+    journalled = [r for r in seen if r["type"] != "counters"]
+    assert journalled == _journal(tmp_path / "camp")
+    assert [r["type"] for r in journalled].count("fail") == 2
+
+
+def test_no_callback_no_counters(tmp_path):
+    sup = CampaignSupervisor(tmp_path / "camp", max_workers=0)
+    sup.submit(_spec())
+    sup.run()
+    # Without a callback jobs run without a registry of their own.
+    assert all(r["type"] != "counters" for r in _journal(tmp_path / "camp"))
+    assert not obs.is_enabled()
 
 
 def test_per_job_counters_bit_identical_across_fresh_campaigns(tmp_path):
     """Acceptance core: per-job counters are stable across runs and modes."""
-    sinks = [
+    streams = [
         _run_campaign(tmp_path / "a"),
         _run_campaign(tmp_path / "b"),
         _run_campaign(tmp_path / "c", max_workers=2),
     ]
     job_ids = {j.job_id for j in _spec().expand()}
-    for sink in sinks:
-        # Inline or pooled, jobs publish nothing of their own.
-        assert {type(e) for e in sink.events} <= {CampaignEvent, RetryEvent}
-        actions = [e.action for e in sink.events]
-        assert actions.count("lease") == actions.count("done") == 2
-    first, second, pooled = (_counters_by_job(sink) for sink in sinks)
+    first, second, pooled = (_counters_by_job(seen) for seen in streams)
     # One non-empty counters snapshot per *computed* job, keyed by job id.
     assert set(first) == job_ids
     assert all(first.values())

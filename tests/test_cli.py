@@ -9,10 +9,8 @@ from repro.__main__ import main
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
-    obs.disable_events()
     yield
     obs.disable()
-    obs.disable_events()
 
 
 def test_cli_runs_small_benchmark(capsys, tmp_path):
@@ -84,42 +82,43 @@ def test_cli_events_stream_ends_with_terminal_stage_events(capsys, tmp_path):
     events_file = tmp_path / "events.jsonl"
     code = main(["c17", "--seed", "555", "--events", str(events_file)])
     assert code == 0
-    assert "events streamed to" in capsys.readouterr().out
+    assert "span records streamed to" in capsys.readouterr().out
     records = [
         json.loads(line) for line in events_file.read_text().splitlines()
     ]
     assert records, "event stream is empty"
-    # Every record parses and carries the discriminator + both clocks.
+    # Every record is a finished span without children, plus its depth.
     for record in records:
-        assert record["type"] in (
-            "ProgressEvent",
-            "StageEvent",
-            "RetryEvent",
-            "CheckpointEvent",
-        )
-        assert record["ts"] > 0 and record["ts_mono"] > 0
-    # Each pipeline stage ends with a terminal StageEvent, and the stream
-    # itself terminates on the whole-pipeline one.
-    ends = {
-        r["stage"]
-        for r in records
-        if r["type"] == "StageEvent" and r["status"] == "end"
-    }
-    for stage in ("atpg", "stuck_sim", "extraction", "switch_sim", "pipeline"):
-        assert stage in ends
-    assert records[-1]["type"] == "StageEvent"
-    assert records[-1]["stage"] == "pipeline"
-    assert records[-1]["status"] == "end"
-    assert not obs.events_enabled()
+        assert set(record) == {
+            "name", "attributes", "wall_s", "cpu_s", "t0", "t1", "depth"
+        }
+    # Each pipeline stage is a direct child of pipeline.run, and the stream
+    # terminates on pipeline.run itself.
+    stages = {r["name"] for r in records if r["depth"] == 1}
+    for stage in (
+        "atpg.random",
+        "pipeline.stuck_fault_sim",
+        "defects.extract",
+        "switch_sim.run",
+    ):
+        assert stage in stages
+    assert records[-1]["name"] == "pipeline.run"
+    assert records[-1]["depth"] == 0
+    assert not obs.is_enabled()
 
 
 def test_cli_progress_renders_to_stderr(capsys):
     code = main(["c17", "--seed", "666", "--progress"])
     assert code == 0
     err = capsys.readouterr().err
-    assert "[pipeline] started" in err
-    assert "[atpg] done" in err
-    assert "% detected" in err
+    lines = err.splitlines()
+    assert "[pipeline.load_benchmark] done in" in lines[0]
+    assert any(line.startswith("[atpg.random] done in ") for line in lines)
+    assert "[pipeline.build_coverage] done in" in lines[-1]
+    # Only direct children of pipeline.run get a line.
+    assert "[pipeline.run]" not in err
+    assert "[fault_sim.run]" not in err
+    assert not obs.is_enabled()
 
 
 def test_cli_trace_format_chrome_writes_valid_trace(capsys, tmp_path):
@@ -277,6 +276,57 @@ def test_cli_invalid_config_value_exits_nonzero(capsys):
     err = capsys.readouterr().err
     assert "invalid configuration" in err
     assert "target_yield" in err
+
+
+def _record_writers(monkeypatch) -> list:
+    """Capture every --events writer main() opens."""
+    opened = []
+    real = obs.JsonlWriter
+
+    def recording(path):
+        writer = real(path)
+        opened.append(writer)
+        return writer
+
+    monkeypatch.setattr(obs, "JsonlWriter", recording)
+    return opened
+
+
+def test_cli_invalid_config_leaves_nothing_enabled_or_open(
+    capsys, tmp_path, monkeypatch
+):
+    opened = _record_writers(monkeypatch)
+    events = tmp_path / "events.jsonl"
+    code = main(
+        [
+            "c17", "--profile", "--progress", "--yield", "2",
+            "--events", str(events),
+        ]
+    )
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not obs.is_enabled()
+    assert opened == []
+    assert not events.exists()
+
+
+def test_cli_checkpoint_error_leaves_nothing_enabled_or_open(
+    capsys, tmp_path, monkeypatch
+):
+    opened = _record_writers(monkeypatch)
+    blocker = tmp_path / "occupied"
+    blocker.write_text("not a directory")
+    code = main(
+        [
+            "c17", "--progress", "--events", str(tmp_path / "events.jsonl"),
+            "--checkpoint-dir", str(blocker / "sub"),
+        ]
+    )
+    assert code == 2
+    assert "checkpoint failure" in capsys.readouterr().err
+    assert not obs.is_enabled()
+    assert len(opened) == 1
+    assert opened[0]._handle is None
 
 
 def test_cli_trace_writes_manifest(capsys, tmp_path):

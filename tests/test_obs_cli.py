@@ -11,10 +11,8 @@ from repro.__main__ import main
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
-    obs.disable_events()
     yield
     obs.disable()
-    obs.disable_events()
 
 
 @pytest.fixture()

@@ -1,11 +1,10 @@
-"""Chrome/Perfetto trace export: one lane, rebasing, metadata, instant events."""
+"""Chrome/Perfetto trace export: one lane, rebasing, metadata."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs.events import CheckpointEvent, RetryEvent, StageEvent
 from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.trace import TraceCollector
 
@@ -13,10 +12,8 @@ from repro.obs.trace import TraceCollector
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
-    obs.disable_events()
     yield
     obs.disable()
-    obs.disable_events()
 
 
 def _collector_with_work():
@@ -38,32 +35,6 @@ def test_spans_become_complete_events_rebased_to_zero():
     assert min(e["ts"] for e in complete) == 0.0
     assert all(e["dur"] >= 0 for e in complete)
     assert trace["displayTimeUnit"] == "ms"
-
-
-def test_retry_and_checkpoint_events_become_instant_markers():
-    collector = _collector_with_work()
-    base = collector.roots[0].start_wall
-    events = [
-        RetryEvent(
-            point="campaign.job",
-            key=1,
-            attempt=1,
-            reason="boom",
-            ts_mono=base + 0.25,
-        ),
-        CheckpointEvent(stage="atpg", action="save", ts_mono=base + 0.5),
-        StageEvent(stage="atpg"),  # not a marker type: ignored
-    ]
-    trace = chrome_trace(collector, events=events)
-    instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-    assert len(instants) == 2
-    retry, checkpoint = instants
-    assert retry["name"] == "retry campaign.job key=1"
-    assert retry["s"] == "g"
-    assert retry["ts"] == pytest.approx(250_000, abs=1000)
-    assert retry["args"]["reason"] == "boom"
-    assert "ts_mono" not in retry["args"]
-    assert checkpoint["name"] == "checkpoint save atpg"
 
 
 def test_empty_collector_still_produces_valid_trace():

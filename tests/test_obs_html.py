@@ -21,10 +21,8 @@ from repro.obs.manifest import RunManifest, read_manifests
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
-    obs.disable_events()
     yield
     obs.disable()
-    obs.disable_events()
 
 
 def _manifest(seed=1, **overrides):
