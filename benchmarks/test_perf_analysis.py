@@ -1,9 +1,9 @@
 """Performance guards for the static-analysis subsystem.
 
-The implication screen is the only super-linear piece of the analysis
+The redundancy prover is the only super-linear piece of the analysis
 pass, so these benches pin its work counters (closures computed, queue
-steps taken) on the largest built-in circuit and time the full
-``analyze_circuit`` facade.  The dominance-collapsing guard is a pure
+steps taken) on the largest built-in circuit and on c432, and time the
+full ``analyze_circuit`` facade.  The dominance-collapsing guard is a pure
 invariant: layering dominance on top of equivalence must never grow the
 collapsed fault list.
 """
@@ -11,11 +11,9 @@ collapsed fault list.
 import pytest
 
 from repro.analysis import (
-    ImplicationEngine,
     analyze_circuit,
     compute_scoap,
     dominance_collapse,
-    find_untestable_faults,
     prove_untestable,
     static_learning,
 )
@@ -24,10 +22,11 @@ from repro.circuit import BENCHMARKS, load_benchmark
 from repro.circuit.iscas import c880_like
 from repro.simulation import StuckAtFault, collapse_faults
 
-# Measured on c880_like: ~1.9k closures / ~203k queue steps.  The bounds
-# leave ~2.5x headroom so refactors fail loudly only on real regressions.
-MAX_CLOSURES = 5_000
-MAX_QUEUE_STEPS = 1_000_000
+# Prover budget on c880_like.  Measured: 3,176 traced closures and 378,802
+# closure steps.  The bounds leave ~2.5x headroom so refactors fail loudly
+# only on real regressions.
+MAX_C880_PROVER_CLOSURES = 8_000
+MAX_C880_PROVER_STEPS = 950_000
 
 # Prover budget on c432_like (see test_perf_prover_c432 for the measured
 # values the caps derive from).
@@ -45,23 +44,28 @@ def test_perf_scoap_c880(benchmark, c880):
     assert len(measures.cc0) == len(c880.nets)
 
 
-def test_perf_implication_screen_c880(benchmark, c880):
-    def screen():
-        engine = ImplicationEngine(c880)
-        return find_untestable_faults(c880, engine=engine), engine
-
-    report, engine = benchmark.pedantic(screen, rounds=2, iterations=1)
-    # Work-bound guard: the screen must stay within a fixed budget even
-    # as heuristics evolve, or the pre-simulation pass stops being cheap.
-    assert engine.stats["closures"] <= MAX_CLOSURES
-    assert engine.stats["steps"] <= MAX_QUEUE_STEPS
-    assert report.n_screened > 0
+def test_perf_prover_c880(benchmark, c880):
+    # Work-bound guard: the prover must stay within a fixed budget even as
+    # heuristics evolve, or static analysis stops being cheap next to the
+    # simulation stages.  All 8 proofs come from the fire phase.
+    result = benchmark.pedantic(
+        prove_untestable, args=(c880,), rounds=1, iterations=1
+    )
+    assert result.n_screened > 0
+    assert result.by_method == {"fire": 8}
+    assert result.certs_failed == 0
+    assert result.work["closures"] <= MAX_C880_PROVER_CLOSURES
+    assert result.work["steps"] <= MAX_C880_PROVER_STEPS
 
 
 def test_perf_analyze_facade_c880(benchmark, c880):
     result = benchmark.pedantic(analyze_circuit, args=(c880,), rounds=2, iterations=1)
     assert result.ok
+    assert result.prover is not None
+    assert len(result.prover.proved) == 8
+    assert result.prover.certs_failed == 0
     assert result.untestable is not None
+    assert result.untestable.untestable == result.prover.proved
 
 
 def test_perf_prover_c432(benchmark):

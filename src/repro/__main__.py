@@ -8,7 +8,7 @@ Usage::
                     [--progress] [--events events.jsonl]
                     [--checkpoint-dir DIR] [--resume]
     python -m repro analyze [circuit ...] [--quick] [--json FILE]
-                    [--fail-on-error]
+                    [--certificates FILE] [--fail-on-error]
     python -m repro obs {list,diff,check-bench,html} ...
     python -m repro campaign {run,resume,status,trace,report,gc,compact} ...
 
@@ -28,12 +28,12 @@ configuration hash) and ``--resume`` restores the stages a previous,
 interrupted run already completed; a corrupt checkpoint exits non-zero
 with a one-line message.
 
-``analyze`` runs the static-analysis subsystem (lint, SCOAP testability,
-implication-based untestable-fault screening) over one or more built-in
-circuits without simulating anything; ``--quick`` skips the implication
-screen, ``--json FILE`` writes the machine-readable report, and
-``--fail-on-error`` exits non-zero when any circuit has ERROR-severity
-findings (the CI gate).
+``analyze`` runs the static-analysis subsystem (lint, SCOAP testability and
+the certified redundancy prover) over one or more built-in circuits without
+simulating anything; ``--quick`` skips the prover, ``--json FILE`` writes
+the machine-readable report, ``--certificates FILE`` writes every checked
+proof certificate, and ``--fail-on-error`` exits non-zero when any circuit
+has ERROR-severity findings (the CI gate).
 
 ``obs`` inspects recorded history (see :mod:`repro.obs.cli`): ``list``
 tabulates the runs in trace files, ``diff`` compares two runs field by
@@ -181,7 +181,9 @@ _ANALYZE_SCHEMA_VERSION = 4
 def build_analyze_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro analyze",
-        description="Static netlist analysis: lint, SCOAP, untestable faults.",
+        description=(
+            "Static netlist analysis: lint, SCOAP, certified untestable faults."
+        ),
     )
     parser.add_argument(
         "circuits",
@@ -192,21 +194,16 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="skip the implication-based untestable-fault screen",
-    )
-    parser.add_argument(
-        "--prove",
-        action="store_true",
         help=(
-            "run the proof-carrying redundancy prover in place of the screen "
-            "(implications + static learning; every verdict carries a "
-            "certificate re-verified by the independent checker)"
+            "lint and SCOAP only: skip the redundancy prover (implications + "
+            "static learning, every verdict re-verified by the independent "
+            "checker)"
         ),
     )
     parser.add_argument(
         "--certificates",
         metavar="FILE",
-        help="with --prove, write every checked certificate to FILE as JSON",
+        help="write every checked certificate to FILE as JSON (not with --quick)",
     )
     parser.add_argument(
         "--json",
@@ -239,8 +236,12 @@ def analyze_main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.certificates and not args.prove:
-        print("error: --certificates requires --prove", file=sys.stderr)
+    if args.certificates and args.quick:
+        print(
+            "error: --certificates cannot be combined with --quick "
+            "(--quick skips the prover that writes them)",
+            file=sys.stderr,
+        )
         return 2
 
     reports = []
@@ -248,7 +249,7 @@ def analyze_main(argv: list[str] | None = None) -> int:
     any_errors = False
     for name in names:
         circuit = load_benchmark(name)
-        result = analyze_circuit(circuit, quick=args.quick, prove=args.prove)
+        result = analyze_circuit(circuit, quick=args.quick)
         reports.append(result.to_dict())
         if result.prover is not None:
             certificates[name] = list(result.prover.certificates)
@@ -323,10 +324,9 @@ def _prover_summary(result) -> dict[str, object] | None:
     Alongside the proved counts this records the PODEM search statistics so
     the manifest shows what the learned implications bought the ATPG stage.
     """
-    analysis = result.analysis
-    if analysis is None or analysis.prover is None:
+    prover = result.analysis.prover
+    if prover is None:
         return None
-    prover = analysis.prover
     return {
         "n_proved": len(prover.proved),
         "n_screened": prover.n_screened,

@@ -1,4 +1,4 @@
-"""Static netlist analysis: lint, SCOAP testability, implication screening.
+"""Static netlist analysis: lint, SCOAP testability, redundancy proofs.
 
 The analysis subsystem runs *before* any simulation or ATPG, over structure
 alone:
@@ -6,8 +6,8 @@ alone:
 * :mod:`repro.analysis.lint` — structural linter with typed findings
   (cycles, undriven/multi-driven nets, dangling logic, constants, fanout).
 * :mod:`repro.analysis.scoap` — SCOAP CC0/CC1/CO testability measures.
-* :mod:`repro.analysis.implication` — direct-implication closure and
-  fault-independent identification of provably-untestable stuck-at faults.
+* :mod:`repro.analysis.implication` — constant propagation,
+  direct-implication closure and dominator observation requirements.
 * :mod:`repro.analysis.prover` — proof-carrying redundancy prover (direct
   implications, static learning, unique sensitization) whose verdicts carry
   JSON certificates, each re-verified by the independent checker in
@@ -18,7 +18,7 @@ alone:
 :func:`analyze_circuit` bundles the passes into one :class:`AnalysisResult`
 and is what the experiment pipeline and the ``python -m repro analyze`` CLI
 call.  Each pass runs inside an observability span (``analysis.lint``,
-``analysis.scoap``, then ``analysis.implications`` or ``analysis.prover``)
+``analysis.scoap``, then ``analysis.prover``)
 with counters for findings and untestable faults, so analysis cost shows up
 in ``--profile`` output next to simulation and ATPG.
 """
@@ -32,7 +32,6 @@ from repro.analysis.collapse import DominanceResult, dominance_collapse
 from repro.analysis.implication import (
     ImplicationEngine,
     UntestabilityReport,
-    find_untestable_faults,
     propagate_constants,
 )
 from repro.analysis.lint import (
@@ -69,7 +68,6 @@ __all__ = [
     # implications
     "ImplicationEngine",
     "UntestabilityReport",
-    "find_untestable_faults",
     "propagate_constants",
     # prover
     "ProverResult",
@@ -97,10 +95,11 @@ class AnalysisResult:
         SCOAP measures, or None when the circuit has ERROR findings (no
         topological order exists to compute them over).
     untestable:
-        Implication-screening report, or None in quick mode / on broken
-        circuits.  With the prover on, this is the prover's ``fire`` phase.
+        The faults the prover's ``fire`` phase (direct implications) proved
+        untestable, or None in quick mode / on broken circuits.
     prover:
-        The redundancy prover's result, or None unless ``prove=True``.
+        The redundancy prover's result, or None in quick mode / on broken
+        circuits.
     """
 
     circuit: str
@@ -118,12 +117,11 @@ class AnalysisResult:
         return not self.lint.errors
 
     def untestable_faults(self) -> list[StuckAtFault]:
-        """Faults proved untestable (screen plus prover, input order)."""
-        screen = list(self.untestable.untestable) if self.untestable else []
-        if self.prover is None:
-            return screen
-        seen = set(screen)
-        return screen + [f for f in self.prover.proved if f not in seen]
+        """Faults proved untestable: the fire phase first, then the rest."""
+        if self.untestable is None or self.prover is None:
+            return []
+        fired = list(self.untestable.untestable)
+        return fired + [f for f in self.prover.proved if f not in self.untestable]
 
     def screen(self, faults: list[StuckAtFault]) -> list[StuckAtFault]:
         """``faults`` minus the statically-proved-untestable ones."""
@@ -163,27 +161,27 @@ def analyze_circuit(
     circuit: Circuit,
     faults: list[StuckAtFault] | None = None,
     quick: bool = False,
-    prove: bool = False,
+    prove: bool = True,
     prover_depth: int | None = None,
 ) -> AnalysisResult:
     """Run the static-analysis passes over ``circuit``.
 
-    Lint always runs and never raises.  SCOAP and implication screening need
+    Lint always runs and never raises.  SCOAP and the redundancy prover need
     a structurally valid circuit and are skipped (left ``None``) when lint
-    reports ERROR findings.  ``quick=True`` also skips the implication
-    screen — the most expensive pass — which is what CI's smoke run uses.
-    ``faults`` limits the screened universe (default: the full universe).
+    reports ERROR findings.  ``quick=True`` also skips the prover — the most
+    expensive pass — which is what CI's lint step uses.  ``faults`` limits
+    the screened universe (default: the full universe).
 
-    ``prove=True`` runs the proof-carrying redundancy prover instead of the
-    bare screen: direct implications (the screen, reported as
-    ``result.untestable``), then static learning, with every verdict
-    certified and re-checked by :mod:`repro.analysis.check`.  The proved set
-    feeds :meth:`AnalysisResult.screen`, and the learned implications in
+    The proof-carrying redundancy prover runs direct implications (its
+    ``fire`` phase, reported as ``result.untestable``), then static
+    learning, with every verdict certified and re-checked by
+    :mod:`repro.analysis.check`.  The proved set feeds
+    :meth:`AnalysisResult.screen`, and the learned implications in
     ``result.prover.learned`` are ready to hand to PODEM.
 
-    ``prover_depth`` is ignored.  It bounded the recursive learning the
-    prover no longer has, and stays accepted so older callers such as
-    ``perfbench/pick_seeds.py`` keep working.
+    ``prove`` and ``prover_depth`` are ignored.  The prover always runs
+    now, and has no recursive learning left to bound; both stay accepted
+    so older callers such as ``perfbench/pick_seeds.py`` keep working.
     """
     with obs.span("analysis.lint", circuit=circuit.name):
         lint = lint_circuit(circuit)
@@ -200,14 +198,6 @@ def analyze_circuit(
         return result
 
     universe = faults if faults is not None else full_fault_universe(circuit)
-    if not prove:
-        with obs.span("analysis.implications", circuit=circuit.name):
-            engine = ImplicationEngine(circuit, constants=lint.constants)
-            result.untestable = find_untestable_faults(circuit, universe, engine)
-            obs.inc("analysis.untestable_faults", len(result.untestable.untestable))
-        result._untestable_set = frozenset(result.untestable.untestable)
-        return result
-
     with obs.span(
         "analysis.prover", circuit=circuit.name, n_screened=len(universe)
     ):

@@ -1,28 +1,22 @@
-"""Static implication engine and fault-independent untestability screening.
+"""Static implication engine: constants, implication closure, dominators.
 
-Identifies provably-untestable stuck-at faults from circuit structure alone —
-no test vectors, no search — in the spirit of FIRE (Iyer & Abramovici 1996):
-a fault is untestable when a *necessary condition* for detecting it is
-unsatisfiable.  Two necessary-condition families are used:
+The machinery the redundancy prover (:mod:`repro.analysis.prover`) builds
+its FIRE-style proofs on (Iyer & Abramovici 1996): a stuck-at fault is
+untestable when a *necessary condition* for detecting it is unsatisfiable.
 
-* **Activation** — detecting ``net/sa-v`` requires the good value of ``net``
-  to be ``1-v``.  If asserting ``net = 1-v`` and closing direct implications
-  reaches a contradiction (e.g. the net is provably constant ``v``), the
-  fault is untestable.
-* **Observation** — every sensitized path from the fault site to any primary
-  output passes through the site's *dominator* gates; each dominator's side
-  inputs that lie outside the fault's output cone must carry the gate's
-  non-controlling value.  For pin faults the faulted gate's own side pins
-  join the requirement (which is how tied-input pin faults are caught).
-  The union of all required literals is closed under implication; any
-  conflict proves untestability.  Nets with no structural path to a primary
-  output are untestable outright.
+* :func:`propagate_constants` finds nets that are constant under every
+  input assignment; detecting ``net/sa-v`` needs the good value ``1-v``, so
+  a net constant at ``v`` cannot be activated.
+* :meth:`ImplicationEngine.closure` asserts net/value literals and closes
+  every *sound* direct implication, reporting a contradiction as ``None``.
+* :meth:`ImplicationEngine.observation_details` lists the side inputs of
+  the dominator gates every path from a net to a primary output passes
+  through; each must carry its gate's non-controlling value for a change
+  on the net to be observed.  A net with no path to a primary output is
+  unobservable outright.
 
-All implications are *sound* (necessary consequences), so every flagged
-fault is genuinely undetectable by any vector — the property the ATPG and
-coverage-ceiling (``theta_max``) integrations rely on, and which
-``tests/test_analysis_implication.py`` cross-checks against exhaustive
-simulation and PODEM.
+All implications are necessary consequences, so a conflict among the
+literals a fault requires proves that no vector detects it.
 """
 
 from __future__ import annotations
@@ -33,13 +27,12 @@ from typing import Callable, Iterable
 from repro.circuit.levelize import levelize
 from repro.circuit.library import GateType, evaluate_gate_packed
 from repro.circuit.netlist import Circuit, Gate
-from repro.simulation.faults import FaultSite, StuckAtFault, full_fault_universe
+from repro.simulation.faults import StuckAtFault
 
 __all__ = [
     "propagate_constants",
     "ImplicationEngine",
     "UntestabilityReport",
-    "find_untestable_faults",
 ]
 
 #: Bound on distinct unknown inputs enumerated when proving a gate constant.
@@ -141,7 +134,7 @@ def propagate_constants(circuit: Circuit) -> dict[str, int]:
 
 @dataclass
 class UntestabilityReport:
-    """Outcome of one static untestable-fault screen.
+    """Faults the prover's ``fire`` phase proved untestable.
 
     Attributes
     ----------
@@ -153,7 +146,7 @@ class UntestabilityReport:
     n_screened:
         Number of faults examined.
     work:
-        Implication-engine work counters at the end of the screen.
+        Implication-engine work counters at the end of the proof run.
     """
 
     untestable: list[StuckAtFault] = field(default_factory=list)
@@ -190,7 +183,6 @@ class ImplicationEngine:
         )
         self.stats: dict[str, int] = {"closures": 0, "steps": 0}
         self._unit_cache: dict[tuple[str, int], dict[str, int] | None] = {}
-        self._obs_cache: dict[str, tuple[bool, frozenset[tuple[str, int]]]] = {}
         self._obs_detail_cache: dict[
             str, tuple[bool, tuple[tuple[str, str, int], ...]]
         ] = {}
@@ -219,10 +211,6 @@ class ImplicationEngine:
         if key not in self._unit_cache:
             self._unit_cache[key] = self.closure([key])
         return self._unit_cache[key]
-
-    def is_justifiable(self, net: str, value: int) -> bool:
-        """Whether ``net = value`` survives implication closure."""
-        return self.unit_closure(net, value) is not None
 
     def _propagate(
         self, values: dict[str, int], queue: list[str]
@@ -328,36 +316,18 @@ class ImplicationEngine:
     # ------------------------------------------------------------------
     # Observation requirements (dominators)
     # ------------------------------------------------------------------
-    def observation_requirements(
-        self, net: str
-    ) -> tuple[bool, frozenset[tuple[str, int]]]:
-        """Necessary side-input literals for observing a change on ``net``.
-
-        Returns ``(reachable, literals)``: ``reachable`` is False when no
-        primary output lies in the net's output cone (any fault there is
-        untestable); ``literals`` are ``(side_net, non_controlling)`` pairs
-        over the dominator gates strictly downstream of ``net``.
-        """
-        cached = self._obs_cache.get(net)
-        if cached is not None:
-            return cached
-        reachable, details = self.observation_details(net)
-        result = (
-            reachable,
-            frozenset((side, nc) for _dom, side, nc in details),
-        )
-        self._obs_cache[net] = result
-        return result
-
     def observation_details(
         self, net: str
     ) -> tuple[bool, tuple[tuple[str, str, int], ...]]:
-        """Like :meth:`observation_requirements`, keeping dominator provenance.
+        """Necessary side-input literals for observing a change on ``net``.
 
-        Returns ``(reachable, details)`` where each detail is
-        ``(dominator_net, side_net, non_controlling_value)`` — the shape the
-        prover's certificates need so the independent checker can re-verify
-        each dominator claim structurally.
+        Returns ``(reachable, details)``: ``reachable`` is False when no
+        primary output lies in the net's output cone (any fault there is
+        untestable).  Each detail is ``(dominator_net, side_net,
+        non_controlling_value)`` over the dominator gates strictly
+        downstream of ``net`` — the shape the prover's certificates need so
+        the independent checker can re-verify each dominator claim
+        structurally.
         """
         cached = self._obs_detail_cache.get(net)
         if cached is not None:
@@ -416,73 +386,3 @@ class ImplicationEngine:
                 cone.add(gate.output)
         order = [net] + [g.output for g in self.order if g.output in cone and g.output != net]
         return cone, order
-
-
-def find_untestable_faults(
-    circuit: Circuit,
-    faults: list[StuckAtFault] | None = None,
-    engine: ImplicationEngine | None = None,
-) -> UntestabilityReport:
-    """Screen ``faults`` (default: the full universe) for provable untestability.
-
-    Every returned fault carries a proof sketch in ``reasons``; soundness is
-    the contract — a flagged fault is undetectable by *any* input vector.
-    """
-    if faults is None:
-        faults = full_fault_universe(circuit)
-    if engine is None:
-        engine = ImplicationEngine(circuit)
-
-    report = UntestabilityReport(n_screened=len(faults))
-    gate_by_name = {g.name: g for g in circuit.gates}
-
-    def flag(fault: StuckAtFault, reason: str) -> None:
-        report.untestable.append(fault)
-        report.reasons[fault] = reason
-
-    for fault in faults:
-        # --- activation: the site must be drivable to the opposite value ---
-        activation = (fault.net, 1 - fault.value)
-        if not engine.is_justifiable(*activation):
-            flag(fault, "activation")
-            continue
-
-        # --- observation: dominator side inputs + own-gate side pins -------
-        required: set[tuple[str, int]] = {activation}
-        if fault.site is FaultSite.GATE_INPUT:
-            assert fault.gate is not None and fault.pin is not None
-            gate = gate_by_name[fault.gate]
-            nc = _NONCONTROLLING.get(gate.gate_type)
-            if nc is not None:
-                for pin, side in enumerate(gate.inputs):
-                    if pin != fault.pin:
-                        required.add((side, nc))
-            source = gate.output
-        else:
-            source = fault.net
-        reachable, side_literals = engine.observation_requirements(source)
-        if not reachable:
-            flag(fault, "unobservable")
-            continue
-        required |= side_literals
-
-        conflict = False
-        merged: dict[str, int] = {}
-        for literal in required:
-            unit = engine.unit_closure(*literal)
-            if unit is None:
-                conflict = True
-                break
-            for net, value in unit.items():
-                if merged.setdefault(net, value) != value:
-                    conflict = True
-                    break
-            if conflict:
-                break
-        if not conflict and len(required) > 1:
-            conflict = engine.closure(sorted(required)) is None
-        if conflict:
-            flag(fault, "observation-conflict")
-
-    report.work = dict(engine.stats)
-    return report

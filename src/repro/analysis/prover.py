@@ -5,9 +5,9 @@ faults untestable before any simulation and emits a machine-checkable
 certificate for every verdict.  Each fault's premises are refuted in two
 phases of increasing power:
 
-* **Fire**: direct implication closure of the premises, the FIRE-style
-  screen of :func:`repro.analysis.implication.find_untestable_faults`.  The
-  pipeline takes its untestability screen from this phase.
+* **Fire**: direct implication closure of the premises, a FIRE-style
+  screen (``tests/analysis_oracle.py`` keeps an uncertified reference of
+  it).  The pipeline takes its untestability screen from this phase.
 * **Static learning** (SOCRATES-style): for every net literal ``a=v`` whose
   implication closure contains ``b=w``, the contrapositive ``b=1-w -> a=1-v``
   holds.  When the contrapositive is *not* already derivable by direct

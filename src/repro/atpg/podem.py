@@ -638,7 +638,7 @@ def generate_deterministic_tests(
     Each generated vector is fault-simulated against the remaining targets so
     one vector can retire several faults, matching the classic flow the paper
     uses after its random prefix.  Faults listed in ``untestable`` — proved
-    undetectable by the static implication screen — are recorded in
+    undetectable by the redundancy prover — are recorded in
     ``skipped_untestable`` without spending any search on them; ``scoap``
     passes precomputed testability measures to the backtrace; ``learned``
     hands the prover's static learned implications to the search, where they

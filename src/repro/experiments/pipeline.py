@@ -31,7 +31,6 @@ from repro import obs
 from repro.analysis import AnalysisResult, analyze_circuit
 from repro.atpg.podem import generate_deterministic_tests
 from repro.atpg.random_atpg import (
-    RandomStream,
     generate_random_tests,
     simulate_random_stream,
 )
@@ -71,18 +70,6 @@ class ExperimentConfig:
     #: When False, the paper's deterministic (PODEM) top-off is skipped and
     #: only the random prefix is applied (vector-source ablation).
     deterministic_topoff: bool = True
-    #: When True (default), the static-analysis pass runs before ATPG:
-    #: provably-untestable faults are excluded from the coverage denominator
-    #: up front (alongside PODEM-proven redundancies) and SCOAP measures are
-    #: shared with the PODEM backtrace.  False is the ablation switch.
-    static_analysis: bool = True
-    #: When True (default, and only meaningful with ``static_analysis``), the
-    #: proof-carrying redundancy prover runs on top of the implication
-    #: screen: every extra fault it removes from the denominator carries a
-    #: certificate validated by the independent checker, and its static
-    #: learned implications are handed to the PODEM search.  False falls
-    #: back to the bare screen (ablation switch).
-    prove_redundancy: bool = True
 
     def __post_init__(self) -> None:
         """Reject invalid knobs at construction, not mid-pipeline."""
@@ -143,7 +130,7 @@ class ExperimentResult:
     stuck_faults: list[StuckAtFault]
     redundant_faults: list[StuckAtFault]
     static_untestable: list[StuckAtFault]
-    analysis: AnalysisResult | None
+    analysis: AnalysisResult
     stuck_result: FaultSimResult
     realistic_faults: FaultList
     switch_result: SwitchSimResult
@@ -303,41 +290,30 @@ def _run_pipeline(
 
         # Static analysis: provably-untestable faults leave the coverage
         # denominator before ATPG — the same "redundant faults can be
-        # neglected" assumption the paper makes, applied where redundancy is
-        # provable without search.  A fault that any vector detects cannot be
-        # proved untestable, so the whole random stream is simulated first,
-        # once, and analysis sees only the faults it leaves undetected;
-        # random ATPG then replays its stop rule from the same simulation.
-        # SCOAP measures are reused by the PODEM backtrace.  Deterministic
-        # and cheap relative to the simulation stages, the screen and the
-        # analysis are recomputed rather than checkpointed.
-        analysis: AnalysisResult | None = None
-        static_untestable: list[StuckAtFault] = []
-        screened = collapsed
-        stream: RandomStream | None = None
-        if config.static_analysis:
-            with obs.span("pipeline.random_stream", n_faults=len(collapsed)):
-                stream = simulate_random_stream(
-                    circuit,
-                    collapsed,
-                    max_patterns=config.max_random_patterns,
-                    seed=config.seed,
-                )
-            with obs.span("pipeline.static_analysis"):
-                analysis = analyze_circuit(
-                    circuit,
-                    faults=[
-                        f for f in collapsed if f not in stream.first_detection
-                    ],
-                    prove=config.prove_redundancy,
-                )
-                static_untestable = analysis.untestable_faults()
-                screened = analysis.screen(collapsed)
-        learned = (
-            analysis.prover.learned
-            if analysis is not None and analysis.prover is not None
-            else None
-        )
+        # neglected" assumption the paper makes, applied where the
+        # certified redundancy prover can show it without search.  A fault
+        # that any vector detects cannot be proved untestable, so the whole
+        # random stream is simulated first, once, and analysis sees only the
+        # faults it leaves undetected; random ATPG then replays its stop
+        # rule from the same simulation.  SCOAP measures and the prover's
+        # learned implications are reused by PODEM.  Deterministic and cheap
+        # relative to the simulation stages, the stream and the analysis are
+        # recomputed rather than checkpointed.
+        with obs.span("pipeline.random_stream", n_faults=len(collapsed)):
+            stream = simulate_random_stream(
+                circuit,
+                collapsed,
+                max_patterns=config.max_random_patterns,
+                seed=config.seed,
+            )
+        with obs.span("pipeline.static_analysis"):
+            analysis = analyze_circuit(
+                circuit,
+                faults=[f for f in collapsed if f not in stream.first_detection],
+            )
+            static_untestable = analysis.untestable_faults()
+            screened = analysis.screen(collapsed)
+        learned = analysis.prover.learned if analysis.prover is not None else None
 
         def compute_atpg() -> dict[str, object]:
             random_result = generate_random_tests(
@@ -354,7 +330,7 @@ def _run_pipeline(
                     random_result.undetected,
                     backtrack_limit=config.backtrack_limit,
                     untestable=static_untestable,
-                    scoap=analysis.scoap if analysis is not None else None,
+                    scoap=analysis.scoap,
                     learned=learned,
                 )
                 # The paper assumes "redundant faults can be neglected, so
@@ -396,10 +372,8 @@ def _run_pipeline(
         obs.set_gauge("pipeline.n_patterns", len(patterns))
         obs.set_gauge("pipeline.n_stuck_faults", len(testable))
         obs.set_gauge("pipeline.n_untestable_static", len(static_untestable))
-        if analysis is not None and analysis.prover is not None:
-            obs.set_gauge(
-                "pipeline.n_proved", len(analysis.prover.proved)
-            )
+        if analysis.prover is not None:
+            obs.set_gauge("pipeline.n_proved", len(analysis.prover.proved))
 
         def compute_stuck() -> dict[str, object]:
             with obs.span("pipeline.stuck_fault_sim", n_patterns=len(patterns)):

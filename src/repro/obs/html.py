@@ -674,9 +674,10 @@ def _waterfall_panel(manifests: Sequence["RunManifest"]) -> str:
 def _analysis_panel(manifests: Sequence["RunManifest"]) -> str:
     """Redundancy-prover summary of the latest run that recorded one.
 
-    Manifests written before the prover existed (or runs with the prover
-    ablated) carry no ``results["prover"]`` record; the panel degrades to a
-    note instead of failing, so old histories still render.
+    Manifests written before the prover existed, or before it became the
+    only static analysis, may carry no ``results["prover"]`` record; the
+    panel degrades to a note instead of failing, so old histories still
+    render.
     """
     manifest = _latest_with(
         manifests, lambda m: isinstance(m.results.get("prover"), dict)
@@ -686,8 +687,8 @@ def _analysis_panel(manifests: Sequence["RunManifest"]) -> str:
             "panel-analysis",
             "Redundancy prover",
             _note(
-                "no prover records in this history — runs predate the "
-                "prover or ran with prove_redundancy disabled"
+                "no prover records in this history — the runs predate the "
+                "always-on redundancy prover"
             ),
         )
     prover = manifest.results["prover"]

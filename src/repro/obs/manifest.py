@@ -15,6 +15,7 @@ instrument snapshot.  Line-oriented records make trace files appendable
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import subprocess
@@ -59,6 +60,10 @@ RETIRED_FIELDS: Mapping[str, Mapping[str, object]] = MappingProxyType(
                 "fault_sim_workers": None,
                 "fault_sim_retries": None,
                 "chunk_timeout": None,
+                # The certified redundancy prover is the only static
+                # analysis; the screen-only and analysis-off paths are gone.
+                "static_analysis": True,
+                "prove_redundancy": True,
             }
         ),
     }
@@ -105,8 +110,14 @@ def config_hash(config: object) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+@functools.cache
 def git_describe(cwd: str | None = None) -> str | None:
-    """``git describe --always --dirty`` of the working tree, or None."""
+    """``git describe --always --dirty`` of the working tree, or None.
+
+    Resolved once per process and directory: the value describes the code
+    the process imported, and every manifest (one per campaign job) would
+    otherwise start a ``git`` subprocess of its own.
+    """
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

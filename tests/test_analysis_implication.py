@@ -1,10 +1,10 @@
-"""Tests for the implication engine, untestability screen, and dominance.
+"""Tests for the implication engine, the prover's fire phase, and dominance.
 
-The load-bearing property throughout: soundness.  Every fault the static
-screen flags must be undetectable by *any* vector (checked exhaustively
-where the input space allows), and the dominance-collapsed universe must
-preserve detection — a test set covering the survivors covers the dropped
-classes too.
+The load-bearing property throughout: soundness.  Every fault the
+redundancy prover's ``fire`` phase (direct implications) proves must be
+undetectable by *any* vector (checked exhaustively where the input space
+allows), and the dominance-collapsed universe must preserve detection — a
+test set covering the survivors covers the dropped classes too.
 """
 
 from itertools import product
@@ -15,8 +15,8 @@ from repro.analysis import (
     ImplicationEngine,
     analyze_circuit,
     dominance_collapse,
-    find_untestable_faults,
     propagate_constants,
+    prove_untestable,
 )
 from repro.circuit import Circuit, GateType, c17
 from repro.circuit.iscas import BENCHMARKS
@@ -27,6 +27,13 @@ from repro.simulation.numpy_sim import NumpyFaultSimulator
 def all_vectors(circuit: Circuit) -> list[list[int]]:
     n = len(circuit.primary_inputs)
     return [list(bits) for bits in product((0, 1), repeat=n)]
+
+
+def fire_verdicts(circuit: Circuit) -> dict:
+    """Fault -> reason tag for every fault the prover's fire phase proves."""
+    result = prove_untestable(circuit)
+    assert result.certs_failed == 0
+    return {f: result.reasons[f] for f in result.proved if result.methods[f] == "fire"}
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +124,8 @@ def test_constant_net_not_justifiable_to_other_value():
     ckt.add_gate(GateType.XOR, ["a", "a"], "z")
     ckt.add_output("z")
     engine = ImplicationEngine(ckt)
-    assert not engine.is_justifiable("z", 1)
-    assert engine.is_justifiable("z", 0)
+    assert engine.unit_closure("z", 1) is None
+    assert engine.unit_closure("z", 0) is not None
 
 
 def test_work_counters_accumulate():
@@ -129,7 +136,7 @@ def test_work_counters_accumulate():
 
 
 # ---------------------------------------------------------------------------
-# Untestability screening: soundness
+# The prover's fire phase: soundness
 # ---------------------------------------------------------------------------
 def test_tied_input_pin_faults_flagged_and_truly_untestable():
     ckt = Circuit(name="tied")
@@ -138,8 +145,7 @@ def test_tied_input_pin_faults_flagged_and_truly_untestable():
     ckt.add_gate(GateType.AND, ["a", "a"], "m")
     ckt.add_gate(GateType.OR, ["m", "b"], "z")
     ckt.add_output("z")
-    report = find_untestable_faults(ckt)
-    flagged = set(report.untestable)
+    flagged = set(fire_verdicts(ckt))
     # AND(a, a): forcing one pin to 1 while the tied sibling reads a = 0
     # never changes the output, so both pin s-a-1 faults are untestable.
     pin_sa1 = {f for f in full_fault_universe(ckt)
@@ -159,8 +165,7 @@ def test_unreachable_logic_faults_flagged():
     ckt.add_gate(GateType.NOT, ["a"], "n1")
     ckt.add_gate(GateType.NOT, ["n1"], "n2")
     ckt.add_output("z")
-    report = find_untestable_faults(ckt)
-    reasons = {str(f): r for f, r in report.reasons.items()}
+    reasons = {str(f): r for f, r in fire_verdicts(ckt).items()}
     assert reasons["n1/sa0"] == "unobservable"
     assert reasons["n2/sa1"] == "unobservable"
 
@@ -172,17 +177,16 @@ def test_constant_activation_conflict_flagged():
     ckt.add_gate(GateType.XOR, ["a", "a"], "zero")
     ckt.add_gate(GateType.OR, ["zero", "b"], "z")
     ckt.add_output("z")
-    report = find_untestable_faults(ckt)
-    by_name = {str(f): r for f, r in report.reasons.items()}
+    result = prove_untestable(ckt)
+    by_name = {str(f): r for f, r in result.reasons.items()}
     # 'zero' is constant 0: stuck-at-0 has no activating vector (the good
     # value can never be 1).  Stuck-at-1 is testable — the faulty value
-    # always differs — and must NOT be flagged.
+    # always differs — and must NOT be proved by any phase.
     assert by_name.get("zero/sa0") == "activation"
+    assert {str(f): m for f, m in result.methods.items()}["zero/sa0"] == "fire"
     assert "zero/sa1" not in by_name
     sim = NumpyFaultSimulator(ckt)
-    detected = set(
-        sim.run(all_vectors(ckt), faults=list(report.untestable)).detected
-    )
+    detected = set(sim.run(all_vectors(ckt), faults=result.proved).detected)
     assert not detected
 
 
@@ -190,12 +194,12 @@ def test_constant_activation_conflict_flagged():
 def test_flagged_faults_never_detected_exhaustively(name):
     """Soundness on every built-in with an enumerable input space."""
     circuit = BENCHMARKS[name]()
-    report = find_untestable_faults(circuit)
-    if not report.untestable:
+    flagged = list(fire_verdicts(circuit))
+    if not flagged:
         return
     assert len(circuit.primary_inputs) <= 17
     sim = NumpyFaultSimulator(circuit)
-    result = sim.run(all_vectors(circuit), faults=list(report.untestable))
+    result = sim.run(all_vectors(circuit), faults=flagged)
     assert result.detected == []
 
 
@@ -207,22 +211,22 @@ def test_c432_flagged_faults_survive_random_attack():
     import random
 
     circuit = BENCHMARKS["c432_like"]()
-    report = find_untestable_faults(circuit)
-    assert report.untestable, "screen should find c432's redundant faults"
+    flagged = list(fire_verdicts(circuit))
+    assert flagged, "the fire phase should find c432's redundant faults"
     rng = random.Random(99)
     n_pi = len(circuit.primary_inputs)
     vectors = [[rng.randint(0, 1) for _ in range(n_pi)] for _ in range(1024)]
     sim = NumpyFaultSimulator(circuit)
-    assert sim.run(vectors, faults=list(report.untestable)).detected == []
+    assert sim.run(vectors, faults=flagged).detected == []
 
 
 def test_screen_subset_of_universe():
     circuit = BENCHMARKS["alu4"]()
     universe = full_fault_universe(circuit)
-    report = find_untestable_faults(circuit, universe)
-    assert report.n_screened == len(universe)
-    assert set(report.untestable) <= set(universe)
-    assert all(f in report for f in report.untestable)
+    result = prove_untestable(circuit, universe)
+    assert result.n_screened == len(universe)
+    assert set(result.proved) <= set(universe)
+    assert all(f in result for f in result.proved)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +307,7 @@ def test_analyze_circuit_quick_skips_implications():
     assert result.ok
     assert result.scoap is not None
     assert result.untestable is None
+    assert result.prover is None
     assert result.untestable_faults() == []
 
 
@@ -325,6 +330,7 @@ def test_analyze_circuit_on_broken_circuit_skips_downstream():
     assert not result.ok
     assert result.scoap is None
     assert result.untestable is None
+    assert result.prover is None
 
 
 def test_analyze_to_dict_shape():

@@ -7,9 +7,9 @@ Three load-bearing contracts:
   builtins and on hypothesis-generated random circuits, under both the
   python and numpy simulation engines, and cross-checked against PODEM at a
   20k backtrack budget on the c432/c880-class benchmarks.
-* **Strict superset** — the prover subsumes the implication screen on
-  every builtin, and on c432 proves strictly more (static learning earns
-  its keep).
+* **Strict superset** — the prover subsumes the uncertified implication
+  screen (the oracle in ``tests/analysis_oracle.py``) on every builtin, and
+  on c432 proves strictly more (static learning earns its keep).
 * **Certificates** — every proved fault carries a certificate the
   *independent* checker validates, and the checker rejects tampered
   certificates (premises, steps, conflicts, and split cases alike).
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import analyze_circuit, find_untestable_faults
+from repro.analysis import analyze_circuit
 from repro.analysis.check import (
     CertificateChecker,
     check_certificate,
@@ -42,6 +42,7 @@ from repro.circuit.levelize import levelize
 from repro.circuit.library import evaluate_gate
 from repro.simulation.faults import collapse_faults, full_fault_universe
 from repro.simulation.numpy_sim import NumpyFaultSimulator
+from tests.analysis_oracle import find_untestable_faults
 from tests.fault_sim_oracle import FaultSimulator
 
 
@@ -430,7 +431,7 @@ def test_checker_is_independent_of_prover_state(c432_proof):
 # ---------------------------------------------------------------------------
 def test_analyze_circuit_prove_populates_prover():
     circuit = BENCHMARKS["alu4"]()
-    analysis = analyze_circuit(circuit, prove=True)
+    analysis = analyze_circuit(circuit)
     assert analysis.prover is not None
     assert len(analysis.prover.proved) == 4
     # Proved faults flow into the untestable set used by the pipeline.
@@ -448,24 +449,17 @@ REGISTERED = sorted(
 
 @pytest.mark.parametrize("name", REGISTERED)
 def test_prover_fire_phase_reproduces_the_screen(name):
-    # With prove=True the bare screen no longer runs: the prover's fire
-    # phase stands in for it, so it must flag exactly the screen's faults
-    # for the same reasons, and the pipeline's untestable list must stay
-    # the screen followed by the prover's extras.
+    # The prover's fire phase is the pipeline's untestability screen, so it
+    # must flag exactly the oracle screen's faults for the same reasons,
+    # and the pipeline's untestable list must stay the screen followed by
+    # the prover's extras.
     circuit = BENCHMARKS[name]()
     faults = collapse_faults(circuit)
     screen = find_untestable_faults(circuit, faults)
-    analysis = analyze_circuit(circuit, faults=faults, prove=True)
+    analysis = analyze_circuit(circuit, faults=faults)
     assert analysis.untestable is not None and analysis.prover is not None
     assert analysis.untestable.untestable == screen.untestable
     assert analysis.untestable.reasons == screen.reasons
     assert analysis.untestable.n_screened == screen.n_screened
     extras = [f for f in analysis.prover.proved if f not in screen]
     assert analysis.untestable_faults() == screen.untestable + extras
-
-
-def test_analyze_circuit_without_prove_has_no_prover():
-    circuit = BENCHMARKS["c17"]()
-    analysis = analyze_circuit(circuit)
-    assert analysis.prover is None
-    assert "prover" not in analysis.to_dict()

@@ -99,6 +99,30 @@ def test_manifests_written_per_job(tmp_path):
     }
 
 
+def test_manifests_resolve_git_once_per_process(tmp_path, monkeypatch):
+    import subprocess
+
+    from repro.obs.manifest import git_describe, read_manifests
+
+    git_calls = []
+    real_run = subprocess.run
+
+    def spy(cmd, *args, **kwargs):
+        if cmd[0] == "git":
+            git_calls.append(cmd)
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    git_describe.cache_clear()
+    sup = _inline(tmp_path)
+    sup.submit(_spec(seeds=(1, 2, 3)))
+    sup.run()
+    manifests = read_manifests(str(tmp_path / "camp" / "manifests.jsonl"))
+    assert len(manifests) == 3
+    assert len(git_calls) == 1
+    assert len({m.git for m in manifests}) == 1
+
+
 # ---------------------------------------------------------------------------
 # cache serving: zero recomputation on re-submission
 # ---------------------------------------------------------------------------

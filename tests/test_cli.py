@@ -168,6 +168,7 @@ def test_cli_analyze_quick_skips_implications(capsys):
     out = capsys.readouterr().out
     assert "scoap: hardest nets" in out
     assert "untestable" not in out
+    assert "prover" not in out
 
 
 def test_cli_analyze_finds_redundancy(capsys):
@@ -357,7 +358,7 @@ def test_cli_trace_writes_manifest(capsys, tmp_path):
 
 
 def test_cli_analyze_prove_prints_prover_summary(capsys):
-    code = main(["analyze", "alu4", "--prove"])
+    code = main(["analyze", "alu4"])
     assert code == 0
     out = capsys.readouterr().out
     assert "prover: 4 of 440 faults proved untestable (fire=4)" in out
@@ -372,7 +373,7 @@ def test_cli_analyze_certificates_file(capsys, tmp_path):
 
     certs_file = tmp_path / "certs.json"
     code = main(
-        ["analyze", "alu4", "--prove", "--certificates", str(certs_file)]
+        ["analyze", "alu4", "--certificates", str(certs_file)]
     )
     assert code == 0
     assert "4 certificates written to" in capsys.readouterr().out
@@ -403,7 +404,7 @@ def test_cli_analyze_json_includes_prover_block(tmp_path):
     import json
 
     report = tmp_path / "analysis.json"
-    code = main(["analyze", "alu4", "--prove", "--json", str(report)])
+    code = main(["analyze", "alu4", "--json", str(report)])
     assert code == 0
     (entry,) = json.loads(report.read_text())["circuits"]
     prover = entry["prover"]
@@ -417,8 +418,15 @@ def test_cli_analyze_json_includes_prover_block(tmp_path):
 
 def test_cli_analyze_rejects_the_retired_depth_flag(capsys):
     with pytest.raises(SystemExit):
-        main(["analyze", "c17", "--prove", "--depth", "2"])
+        main(["analyze", "c17", "--depth", "2"])
     assert "--depth" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_the_retired_prove_flag(capsys):
+    # The certified prover always runs; only --quick turns it off.
+    with pytest.raises(SystemExit):
+        main(["analyze", "c17", "--prove"])
+    assert "--prove" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -432,12 +440,14 @@ def test_cli_rejects_the_retired_flag(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
-def test_cli_analyze_certificates_requires_prove(capsys, tmp_path):
+def test_cli_analyze_certificates_rejected_with_quick(capsys, tmp_path):
+    # --quick stops before the prover, so there would be no certificates.
     code = main(
-        ["analyze", "c17", "--certificates", str(tmp_path / "c.json")]
+        ["analyze", "c17", "--quick", "--certificates", str(tmp_path / "c.json")]
     )
     assert code == 2
-    assert "--certificates requires --prove" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--certificates" in err and "--quick" in err
     assert not (tmp_path / "c.json").exists()
 
 

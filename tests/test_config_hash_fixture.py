@@ -44,7 +44,6 @@ DELTA_HASHES = [
     ({"detection": "voltage-strict"}, "6dbe28fbf4b71128"),
     ({"seed": 1}, "67ce0cae62275e78"),
     ({"seed": 2}, "08c33bd25a09f69b"),
-    ({"prove_redundancy": False}, "d0ca44186927d2c4"),
     ({"benchmark": "c17", "detection": "iddq", "seed": 2}, "5efca566755f76e8"),
 ]
 
@@ -85,6 +84,8 @@ RETIRED = {
     "fault_sim_workers": (None, 2),
     "fault_sim_retries": (None, 3),
     "chunk_timeout": (None, 30.0),
+    "static_analysis": (True, False),
+    "prove_redundancy": (True, False),
 }
 
 

@@ -488,11 +488,11 @@ def test_prover_counters_by_method_work_and_phase():
     # Off: a registry left over from an earlier run receives nothing.
     _, stale = obs.enable()
     obs.disable()
-    analyze_circuit(alu4_circuit, prove=True)
+    analyze_circuit(alu4_circuit)
     assert not stale.snapshot()["counters"]
 
     collector, registry = obs.enable()
-    analysis = analyze_circuit(alu4_circuit, prove=True)
+    analysis = analyze_circuit(alu4_circuit)
     snapshot = registry.snapshot()
     counters, gauges = snapshot["counters"], snapshot["gauges"]
     prover = analysis.prover

@@ -414,7 +414,8 @@ def test_analysis_panel_flags_failed_certificates():
 
 def test_analysis_panel_degrades_on_pre_prover_manifests():
     # Histories recorded before the prover existed carry no
-    # results["prover"]; ablated runs record None.  Both degrade to a note.
+    # results["prover"]; runs from when it could be switched off recorded
+    # None.  Both degrade to a note.
     old = _manifest(43)
     ablated = _manifest(44)
     ablated.results["prover"] = None

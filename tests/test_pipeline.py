@@ -71,7 +71,7 @@ def test_static_analysis_attached_to_result(small_experiment):
     analysis = small_experiment.analysis
     assert analysis is not None
     assert analysis.ok
-    # c17 is fully testable: the implication screen proves nothing redundant.
+    # c17 is fully testable: the prover proves nothing redundant.
     assert small_experiment.static_untestable == []
     assert analysis.untestable is not None
     # Analysis sees only the faults the random stream leaves undetected,
@@ -91,27 +91,6 @@ def test_static_analysis_attached_to_result(small_experiment):
     assert analysis.untestable.n_screened == analysis.prover.n_screened == 0
 
 
-def test_static_analysis_can_be_disabled(small_experiment):
-    plain = run_experiment(
-        ExperimentConfig(
-            benchmark="c17", max_random_patterns=128, seed=7, static_analysis=False
-        )
-    )
-    # A distinct config keys a distinct (non-memoised) run...
-    assert plain is not small_experiment
-    assert plain.analysis is None
-    assert plain.static_untestable == []
-    # ...but the physics is untouched: identical coverage trajectory.
-    assert plain.series() == small_experiment.series()
-
-
-def test_static_analysis_config_hashes_distinctly():
-    on = ExperimentConfig(benchmark="c17", static_analysis=True)
-    off = ExperimentConfig(benchmark="c17", static_analysis=False)
-    assert hash(on) != hash(off)
-    assert on != off
-
-
 def test_detection_technique_config():
     strict = run_experiment(
         ExperimentConfig(
@@ -125,35 +104,13 @@ def test_detection_technique_config():
 
 
 def test_prover_attached_by_default(small_experiment):
-    # prove_redundancy defaults on: the analysis carries a prover result
-    # even when (as on the fully-testable c17) it proves nothing.
+    # The prover always runs: the analysis carries a prover result even
+    # when (as on the fully-testable c17) it proves nothing.
     analysis = small_experiment.analysis
     assert analysis is not None
     assert analysis.prover is not None
     assert analysis.prover.proved == []
     assert analysis.prover.certs_failed == 0
-
-
-def test_prove_redundancy_can_be_disabled(small_experiment):
-    plain = run_experiment(
-        ExperimentConfig(
-            benchmark="c17",
-            max_random_patterns=128,
-            seed=7,
-            prove_redundancy=False,
-        )
-    )
-    assert plain is not small_experiment
-    assert plain.analysis is not None
-    assert plain.analysis.prover is None
-    # Nothing provable on c17, so the physics is untouched either way.
-    assert plain.series() == small_experiment.series()
-
-
-def test_prover_config_hashes_distinctly():
-    base = ExperimentConfig(benchmark="c17")
-    no_prove = ExperimentConfig(benchmark="c17", prove_redundancy=False)
-    assert hash(base) != hash(no_prove) and base != no_prove
 
 
 def test_podem_stats_recorded_on_topoff_run():

@@ -161,7 +161,7 @@ def test_c432_default_prefix_is_704_vectors():
     config = ExperimentConfig(benchmark="c432")
     ckt = load_benchmark("c432")
     collapsed = collapse_faults(ckt)
-    screened = analyze_circuit(ckt, faults=collapsed, prove=True).screen(collapsed)
+    screened = analyze_circuit(ckt, faults=collapsed).screen(collapsed)
     kwargs = dict(
         target_coverage=config.random_coverage_target,
         max_patterns=config.max_random_patterns,
