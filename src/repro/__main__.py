@@ -263,17 +263,6 @@ def analyze_main(argv: list[str] | None = None) -> int:
                 for net, score in result.scoap.hardest_nets(3)
             )
             print(f"  scoap: hardest nets {hardest}")
-        if result.untestable is not None:
-            n_flagged = len(result.untestable.untestable)
-            print(
-                f"  untestable: {n_flagged} of "
-                f"{result.untestable.n_screened} faults proved untestable"
-            )
-            for fault in result.untestable.untestable[:10]:
-                reason = result.untestable.reasons[fault]
-                print(f"    {fault}  [{reason}]")
-            if n_flagged > 10:
-                print(f"    ... and {n_flagged - 10} more")
         if result.prover is not None:
             prover = result.prover
             methods = ", ".join(
@@ -286,6 +275,14 @@ def analyze_main(argv: list[str] | None = None) -> int:
                 f"{len(prover.certificates)} certificates checked, "
                 f"{prover.certs_failed} failed"
             )
+        if result.untestable is not None and result.untestable.untestable:
+            # The fire phase's share of the proofs, with its reasons.
+            fired = result.untestable.untestable
+            print(f"  fire phase: {len(fired)} of those proofs, by reason:")
+            for fault in fired[:10]:
+                print(f"    {fault}  [{result.untestable.reasons[fault]}]")
+            if len(fired) > 10:
+                print(f"    ... and {len(fired) - 10} more")
 
     if args.certificates:
         with open(args.certificates, "w", encoding="utf-8") as sink:

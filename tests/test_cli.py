@@ -159,7 +159,8 @@ def test_cli_analyze_clean_circuit(capsys):
     out = capsys.readouterr().out
     assert "c17" in out
     assert "scoap: hardest nets" in out
-    assert "untestable: 0 of" in out
+    assert "prover: 0 of" in out
+    assert "fire phase" not in out
 
 
 def test_cli_analyze_quick_skips_implications(capsys):
@@ -177,7 +178,10 @@ def test_cli_analyze_finds_redundancy(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "dangling-output" in out
-    assert "untestable: 48 of" in out
+    # One proved count; the fire phase's reasons follow as its share.
+    assert "prover: 49 of 820 faults proved untestable" in out
+    assert "fire phase: 48 of those proofs, by reason:" in out
+    assert "untestable:" not in out
     assert "[observation-conflict]" in out or "[activation]" in out
 
 
