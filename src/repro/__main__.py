@@ -9,8 +9,8 @@ Usage::
                     [--checkpoint-dir DIR] [--resume]
     python -m repro analyze [circuit ...] [--quick] [--json FILE]
                     [--certificates FILE] [--fail-on-error]
-    python -m repro obs {list,diff,check-bench,html} ...
-    python -m repro campaign {run,resume,status,trace,report,gc,compact} ...
+    python -m repro obs {list,diff,check-bench} ...
+    python -m repro campaign {run,resume,status,trace,gc,compact} ...
 
 The default command prints the coverage-growth table (fig. 4), the
 defect-level comparison (fig. 5) and the fitted eq.-11 parameters;
@@ -46,10 +46,8 @@ jobs, a write-ahead journal makes ``kill -9`` recoverable via ``campaign
 resume``, and completed configurations are served from the result cache
 with zero recomputation.  ``campaign run --progress`` prints the status
 totals after each job transition, ``status --follow`` watches a campaign
-read-only from another terminal, ``trace`` exports a Chrome/Perfetto trace built from the
-journal alone (one lane group per job), and ``report`` renders a
-self-contained HTML sweep report with gantt, sweep-axis, cache-economics
-and regression panels.
+read-only from another terminal, and ``trace`` exports a Chrome/Perfetto
+trace built from the journal alone (one lane group per job).
 
 A single run interrupted with Ctrl-C exits ``130`` after flushing its
 stage checkpoints (when ``--checkpoint-dir`` is active) and appending an
@@ -334,56 +332,6 @@ def _prover_summary(result) -> dict[str, object] | None:
     }
 
 
-#: n-detection depths beyond this collapse into one ">= cap" bin.
-_N_DETECTION_CAP = 16
-
-
-def _build_curves(result, fit) -> dict[str, object]:
-    """Sampled per-run curves for the manifest (dashboard source data).
-
-    The dashboard renderer (:mod:`repro.obs.html`) is stdlib-only and must
-    not import :mod:`repro.core` (numpy/scipy), so the fitted eq.-11 DL(T)
-    curve is sampled *here*, where the fit object already exists, and stored
-    as plain points.
-    """
-    y = result.config.target_yield
-    ks: list[int] = []
-    t_series: list[float] = []
-    theta_series: list[float] = []
-    dl_series: list[float] = []
-    for k, t, theta, _gamma, dl in result.series():
-        ks.append(k)
-        t_series.append(round(t, 6))
-        theta_series.append(round(theta, 6))
-        dl_series.append(round(dl, 9))
-    t_lo = min(t_series) if t_series else 0.0
-    fit_t = [t_lo + (1.0 - t_lo) * i / 40.0 for i in range(41)]
-    fit_dl = [round(float(fit.predict(y, t)), 9) for t in fit_t]
-    # n-detection depth histogram (Pomeranz/Reddy): how many faults the
-    # sequence detected exactly d times; depth 0 is the undetected set.
-    stuck = result.stuck_result
-    depth_counts = [0] * (_N_DETECTION_CAP + 1)
-    for count in stuck.detection_counts.values():
-        depth_counts[min(count, _N_DETECTION_CAP)] += 1
-    depth_counts[0] += len(stuck.faults) - len(stuck.detection_counts)
-    return {
-        "k": ks,
-        "T": t_series,
-        "theta": theta_series,
-        "DL": dl_series,
-        "fit_T": [round(t, 6) for t in fit_t],
-        "fit_DL": fit_dl,
-        "n_detection": {
-            "depth_cap": _N_DETECTION_CAP,
-            "counts": depth_counts,
-            "coverage_ge": [
-                round(stuck.n_detection_coverage(n), 6)
-                for n in range(1, 11)
-            ],
-        },
-    }
-
-
 def _span_consumer(
     writer: obs.JsonlWriter | None, progress: bool
 ) -> Callable[[obs.Span, int], None] | None:
@@ -619,7 +567,6 @@ def _run_main(
             cache=cache_status,
             engine=result.engine,
             resilience=result.resilience_info(),
-            curves=_build_curves(result, fit),
             results={
                 "R": fit.susceptibility_ratio,
                 "theta_max_fit": fit.theta_max,

@@ -15,7 +15,7 @@ One campaign = one directory = one write-ahead journal.  The package treats
 * :mod:`repro.campaign.supervisor` — the leased, heartbeat-monitored
   process-pool scheduler (:class:`CampaignSupervisor`);
 * :mod:`repro.campaign.cli` — ``python -m repro campaign run|resume|status|
-  trace|report|gc|compact``.
+  trace|gc|compact``.
 
 See ``docs/CAMPAIGN.md`` for the design rationale and crash matrix.
 """

@@ -7,13 +7,12 @@ Subcommands::
     campaign status --dir DIR        job table + counts (read-only)
     campaign status --dir DIR --follow   live-updating table (read-only)
     campaign trace --dir DIR         Chrome trace from the journal alone
-    campaign report --dir DIR        self-contained HTML sweep report
     campaign gc --dir DIR            prune results/checkpoints not in history
     campaign compact --dir DIR       fold the journal into a snapshot
 
-``status --follow``, ``trace`` and ``report`` open the journal strictly
-read-only — they are safe to run against a live campaign (the supervisor
-stays the single writer).
+``status --follow`` and ``trace`` open the journal strictly read-only —
+they are safe to run against a live campaign (the supervisor stays the
+single writer).
 
 Exit codes follow the repo-wide convention: ``0`` success (campaign
 complete, no quarantined jobs), ``1`` complete but with quarantined jobs,
@@ -145,47 +144,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="trace JSON destination (default: <dir>/trace.json)",
     )
 
-    report = sub.add_parser(
-        "report", help="render a self-contained HTML sweep report"
-    )
-    report.add_argument("--dir", required=True, metavar="DIR")
-    report.add_argument(
-        "--out",
-        metavar="FILE",
-        help="report destination (default: <dir>/report.html)",
-    )
-    report.add_argument(
-        "--baseline",
-        metavar="DIR",
-        help=(
-            "previous campaign directory to compare per-job wall times "
-            "against (regression strip)"
-        ),
-    )
-    report.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "regression threshold multiplier, same contract as "
-            "obs check-bench (default: 3.0)"
-        ),
-    )
-    report.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit 1 when any job regressed vs --baseline",
-    )
-    report.add_argument(
-        "--results-dir",
-        metavar="DIR",
-        help=(
-            "result store searched for per-job manifests "
-            "(default: <dir>/results)"
-        ),
-    )
-
     gc = sub.add_parser(
         "gc",
         help="delete results/checkpoints whose hash left the history",
@@ -244,9 +202,9 @@ def _load_journal_view(
     """Read-only (state, records, compaction stamps) for observers.
 
     ``records`` are the journal records *after* the snapshot — a compacted
-    journal's folded history lives only in the snapshot, so trace/report
-    panels built from records cover what the journal still holds (the
-    snapshot's ``compacted_ts`` marks the fold point).
+    journal's folded history lives only in the snapshot, so a trace built
+    from records covers what the journal still holds (the snapshot's
+    ``compacted_ts`` marks the fold point).
     """
     journal = Journal(directory, readonly=True)
     try:
@@ -515,108 +473,6 @@ def _trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_manifests(home: Path, results_root: Path) -> list:
-    """Every per-job manifest a campaign left behind.
-
-    The supervisor appends to ``<dir>/manifests.jsonl``; jobs served from a
-    *shared* result store may have journalled theirs next to the result
-    payload instead, so the store is searched too.
-    """
-    from repro.obs.manifest import read_manifests
-
-    paths = [home / "manifests.jsonl"]
-    if results_root.is_dir():
-        paths.extend(sorted(results_root.rglob("manifests.jsonl")))
-    manifests = []
-    for path in paths:
-        if not path.is_file():
-            continue
-        try:
-            manifests.extend(read_manifests(str(path)))
-        except Exception as exc:
-            print(
-                f"warning: skipping unreadable manifests {path}: {exc}",
-                file=sys.stderr,
-            )
-    return manifests
-
-
-def _report(args: argparse.Namespace) -> int:
-    from repro.obs.campaign_html import (
-        DEFAULT_TOLERANCE,
-        campaign_regressions,
-        write_campaign_report,
-    )
-
-    home = _require_campaign_dir(args.dir)
-    if home is None:
-        return 2
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    if tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
-        return 2
-    try:
-        state, records, _compactions = _load_journal_view(home)
-    except (JournalCorruptError, JournalError) as exc:
-        print(f"error: cannot load campaign: {exc}", file=sys.stderr)
-        return 2
-    base_records = None
-    if args.baseline:
-        base_home = _require_campaign_dir(args.baseline)
-        if base_home is None:
-            return 2
-        try:
-            _, base_records, _ = _load_journal_view(base_home)
-        except (JournalCorruptError, JournalError) as exc:
-            print(
-                f"error: cannot load baseline campaign: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    results_root = Path(
-        args.results_dir if args.results_dir else home / "results"
-    )
-    manifests = _campaign_manifests(home, results_root)
-    out = args.out or str(home / "report.html")
-    try:
-        size = write_campaign_report(
-            out,
-            state.to_payload(),
-            records,
-            manifests=manifests,
-            base_records=base_records,
-            tolerance=tolerance,
-            source=str(home),
-        )
-    except OSError as exc:
-        print(f"error: cannot write report {out}: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"wrote campaign report ({size} bytes, {len(state.jobs)} job(s), "
-        f"{len(manifests)} manifest(s)) to {out}"
-    )
-    if base_records is None:
-        return 0
-    rows = campaign_regressions(records, base_records, tolerance)
-    regressed = [r for r in rows if r["regressed"]]
-    for row in rows:
-        verdict = "REGRESSED" if row["regressed"] else "ok"
-        print(
-            f"  {row['job'][:18]:<18} {row['base_s']:.3f}s -> "
-            f"{row['current_s']:.3f}s  ({row['ratio']:.2f}x)  {verdict}"
-        )
-    if not rows:
-        print("  (no job computed in both campaigns; nothing to compare)")
-    if regressed:
-        print(
-            f"{len(regressed)} job(s) slower than {tolerance:g}x baseline",
-            file=sys.stderr,
-        )
-        if args.gate:
-            return 1
-    return 0
-
-
 def _gc(args: argparse.Namespace) -> int:
     home = _require_campaign_dir(args.dir)
     if home is None:
@@ -702,8 +558,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         return _status(args)
     if args.command == "trace":
         return _trace(args)
-    if args.command == "report":
-        return _report(args)
     if args.command == "gc":
         return _gc(args)
     if args.command == "compact":

@@ -11,12 +11,6 @@ Subcommands operate on the JSON-lines trace files ``--trace`` appends
     ``--campaign DIR`` discovers every per-job manifest history a campaign
     directory holds (its own ``manifests.jsonl`` plus any inside the result
     store) and adds a job-id column to each row.
-``html [--manifests FILE]... [--out report.html] [--last N]``
-    Render the self-contained HTML dashboard (:mod:`repro.obs.html`) over
-    one or more manifest histories: run-history trends, coverage and DL(T)
-    curves, n-detection depth, pipeline waterfall, static analysis and
-    resilience.  One file, inline CSS and SVG, no scripts, no
-    external resources — open it anywhere, attach it to CI artifacts.
 ``diff FILE [A B]``
     Field-level comparison of two runs from one history file (indices
     default to the last two; negatives count from the end): configuration
@@ -30,14 +24,16 @@ Subcommands operate on the JSON-lines trace files ``--trace`` appends
     copy with fresh numbers and still gate against the repository's.
 
 Timing gates in shared CI are noisy, hence the generous default tolerance:
-the gate exists to catch order-of-magnitude regressions (an accidentally
-serialised pool, a dropped word-width), not single-digit-percent drift.
+the gate exists to catch order-of-magnitude regressions (say, an engine
+that stops packing patterns into machine words), not single-digit-percent
+drift.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -87,28 +83,6 @@ def build_obs_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="show only the most recent N runs (across all files)",
-    )
-
-    p_html = sub.add_parser(
-        "html", help="render the self-contained HTML dashboard"
-    )
-    p_html.add_argument(
-        "--manifests",
-        action="append",
-        metavar="FILE",
-        help="manifest history file(s) (default: runs.jsonl; repeatable)",
-    )
-    p_html.add_argument(
-        "--out",
-        default="report.html",
-        metavar="FILE",
-        help="output HTML path (default: report.html)",
-    )
-    p_html.add_argument(
-        "--last",
-        type=int,
-        metavar="N",
-        help="render only the most recent N runs",
     )
 
     p_diff = sub.add_parser("diff", help="compare two runs from one file")
@@ -309,43 +283,6 @@ def _list_main(
 
 
 # ---------------------------------------------------------------------------
-# html
-# ---------------------------------------------------------------------------
-def _html_main(
-    files: list[str] | None, out: str, last: int | None
-) -> int:
-    from repro.obs.html import write_report
-
-    files = files or ["runs.jsonl"]
-    if last is not None and last <= 0:
-        print("error: --last must be positive", file=sys.stderr)
-        return 2
-    manifests: list[RunManifest] = []
-    for path in files:
-        try:
-            manifests.extend(read_manifests(path))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-    if not manifests:
-        print(
-            f"error: no runs recorded in {', '.join(files)}; run "
-            "`python -m repro <benchmark> --trace FILE` first",
-            file=sys.stderr,
-        )
-        return 2
-    n_bytes = write_report(
-        out, manifests, last=last, source=", ".join(files)
-    )
-    shown = min(len(manifests), last) if last else len(manifests)
-    print(
-        f"wrote {out} ({n_bytes:,} bytes, {shown} of "
-        f"{len(manifests)} recorded run(s))"
-    )
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # diff
 # ---------------------------------------------------------------------------
 def _fmt(value: object) -> str:
@@ -479,15 +416,18 @@ def _load_baseline(bench_path: str, baseline: str | None) -> object:
         baseline = "git:HEAD"
     if baseline.startswith("git:"):
         rev = baseline[len("git:") :] or "HEAD"
+        # ``REV:./path`` resolves against the working directory, so an
+        # absolute path must first become relative to it.
+        spec = f"{rev}:./{os.path.relpath(bench_path)}"
         out = subprocess.run(
-            ["git", "show", f"{rev}:./{bench_path}"],
+            ["git", "show", spec],
             capture_output=True,
             text=True,
             timeout=10.0,
         )
         if out.returncode != 0:
             raise FileNotFoundError(
-                f"git show {rev}:./{bench_path} failed: "
+                f"git show {spec} failed: "
                 f"{out.stderr.strip() or 'unknown error'}"
             )
         return json.loads(out.stdout)
@@ -578,8 +518,6 @@ def obs_main(argv: list[str] | None = None) -> int:
         return _list_main(
             args.files, args.as_json, args.limit, campaign=args.campaign
         )
-    if args.command == "html":
-        return _html_main(args.manifests, args.out, args.last)
     if args.command == "diff":
         return _diff_main(args.file, args.indices)
     return _check_bench_main(args.bench, args.baseline, args.tolerance)

@@ -158,10 +158,6 @@ class RunManifest:
     metrics: dict[str, dict] = field(default_factory=dict)
     #: Fitted and measured outcomes: R, theta_max, final T / theta / DL, ...
     results: dict[str, object] = field(default_factory=dict)
-    #: Sampled per-run curves for the HTML dashboard: coverage/DL series
-    #: over vector count, the fitted eq.-11 DL(T) curve, the n-detection
-    #: depth histogram.  Empty when not recorded (older manifests).
-    curves: dict[str, object] = field(default_factory=dict)
     schema: int = MANIFEST_SCHEMA_VERSION
 
     # -- construction -------------------------------------------------------
@@ -175,7 +171,6 @@ class RunManifest:
         cache: str | None = None,
         engine: dict[str, object] | None = None,
         resilience: dict[str, object] | None = None,
-        curves: dict[str, object] | None = None,
     ) -> "RunManifest":
         """Assemble a manifest from a config and the observability state."""
         config_d = config_to_dict(config)
@@ -189,7 +184,6 @@ class RunManifest:
             engine=_jsonable(engine or {}),
             resilience=_jsonable(resilience or {}),
             results=_jsonable(results or {}),
-            curves=_jsonable(curves or {}),
         )
         if collector is not None:
             manifest.stage_timings = {
@@ -220,10 +214,6 @@ class RunManifest:
                 "results": self.results,
             }
         ]
-        # Optional sections stay absent when empty: older readers (and the
-        # diff tool) see exactly the records they always saw.
-        if self.curves:
-            records[0]["curves"] = self.curves
         records.extend({"type": "span", **span} for span in self.spans)
         if self.metrics:
             records.append({"type": "metrics", **self.metrics})
@@ -240,7 +230,11 @@ class RunManifest:
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "RunManifest":
-        """Rebuild a manifest from parsed JSON-lines records."""
+        """Rebuild a manifest from parsed JSON-lines records.
+
+        Sections older writers recorded and this schema dropped (the
+        dashboard's ``curves``, ``attribution``) are ignored.
+        """
         head = next(r for r in records if r.get("type") == "manifest")
         manifest = cls(
             benchmark=head.get("benchmark", "?"),
@@ -253,7 +247,6 @@ class RunManifest:
             resilience=head.get("resilience", {}),
             stage_timings=head.get("stage_timings", {}),
             results=head.get("results", {}),
-            curves=head.get("curves", {}),
             schema=head.get("schema", MANIFEST_SCHEMA_VERSION),
         )
         manifest.spans = [

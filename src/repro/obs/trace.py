@@ -68,8 +68,8 @@ class Span:
     def to_record(self, children: bool = True) -> dict:
         """JSON-able representation (children recursively included).
 
-        ``t0``/``t1`` are the raw ``time.perf_counter()`` endpoints, which
-        the dashboard's pipeline waterfall lays out on a timeline.
+        ``t0``/``t1`` are the raw ``time.perf_counter()`` endpoints, so a
+        reader can lay the spans out on a timeline.
         ``children=False`` leaves the ``children`` key out.
         """
         record = {

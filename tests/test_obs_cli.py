@@ -1,11 +1,13 @@
 """The ``python -m repro obs`` run-history subcommands."""
 
 import json
+import subprocess
 
 import pytest
 
 from repro import obs
 from repro.__main__ import main
+from repro.obs.manifest import RunManifest, read_manifests
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +51,106 @@ def test_obs_list_missing_file_exits_2(tmp_path, capsys):
     code = main(["obs", "list", str(tmp_path / "nope.jsonl")])
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# list --json / --limit, on synthetic histories
+# ---------------------------------------------------------------------------
+def _manifest(seed=1, **overrides):
+    """A synthetic but schema-complete manifest."""
+    base = dict(
+        benchmark="c17",
+        config={"benchmark": "c17", "seed": seed},
+        config_hash=f"hash{seed:04d}aaaaaaaa",
+        seed=seed,
+        git="abc1234",
+        cache="miss",
+        engine={"kind": "numpy", "word_width": 1024},
+        resilience={"stages_restored": ["atpg"], "stages_recomputed": []},
+        stage_timings={"pipeline.run": 0.5, "pipeline.atpg": 0.2},
+        spans=[
+            {
+                "name": "pipeline.run",
+                "attributes": {},
+                "wall_s": 0.5,
+                "cpu_s": 0.4,
+                "t0": 10.0,
+                "t1": 10.5,
+                "children": [
+                    {
+                        "name": "pipeline.atpg",
+                        "attributes": {},
+                        "wall_s": 0.2,
+                        "cpu_s": 0.2,
+                        "t0": 10.0,
+                        "t1": 10.2,
+                        "children": [],
+                    },
+                    {
+                        "name": "fault_sim.run",
+                        "attributes": {"engine": "numpy"},
+                        "wall_s": 0.1,
+                        "cpu_s": 0.1,
+                        "t0": 10.2,
+                        "t1": 10.3,
+                        "children": [],
+                    },
+                ],
+            }
+        ],
+        metrics={"counters": {"fault_sim.faults_simulated": 22}},
+        results={
+            "final_T": 0.95,
+            "final_DL": 0.006,
+            "n_patterns": 40,
+            "theta_max_fit": 0.97,
+        },
+    )
+    base.update(overrides)
+    return RunManifest(**base)
+
+
+def _write_history(tmp_path, manifests):
+    path = tmp_path / "runs.jsonl"
+    for manifest in manifests:
+        manifest.write(str(path))
+    return path
+
+
+def test_obs_list_json_emits_typed_rows(tmp_path, capsys):
+    path = _write_history(tmp_path, [_manifest(1), _manifest(2)])
+    code = main(["obs", "list", str(path), "--json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 2
+    assert rows[0]["benchmark"] == "c17"
+    assert rows[0]["theta_max"] == pytest.approx(0.97)
+    assert rows[0]["final_DL_ppm"] == pytest.approx(6000.0)
+    assert rows[0]["wall_s"] == pytest.approx(0.5)
+    assert rows[1]["seed"] == 2
+
+
+def test_obs_list_limit_keeps_most_recent(tmp_path, capsys):
+    path = _write_history(tmp_path, [_manifest(s) for s in range(4)])
+    code = main(["obs", "list", str(path), "--json", "--limit", "2"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["seed"] for r in rows] == [2, 3]
+
+
+def test_obs_list_limit_rejects_nonpositive(tmp_path, capsys):
+    path = _write_history(tmp_path, [_manifest(1)])
+    assert main(["obs", "list", str(path), "--limit", "-1"]) == 2
+    assert "--limit" in capsys.readouterr().err
+
+
+def test_synthetic_manifest_roundtrips(tmp_path):
+    # The fixture stays honest: what we synthesise is what the real
+    # serialisation layer produces and re-reads.
+    path = _write_history(tmp_path, [_manifest(1)])
+    (back,) = read_manifests(str(path))
+    assert back.spans[0]["children"][0]["name"] == "pipeline.atpg"
+    assert back.resilience["stages_restored"] == ["atpg"]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +293,29 @@ def test_check_bench_default_baseline_is_git_head(capsys):
     assert "OK" in out
 
 
+def test_check_bench_git_baseline_takes_an_absolute_path(
+    tmp_path, monkeypatch, capsys
+):
+    # ``git show REV:./path`` resolves against the working directory, so an
+    # absolute bench path must reach git relative to it.
+    monkeypatch.chdir(tmp_path)
+    bench = tmp_path / "sub" / "BENCH_x.json"
+    bench.parent.mkdir()
+    _bench(bench, 1.0)
+    specs = []
+
+    def fake_run(cmd, **kwargs):
+        specs.append(cmd[-1])
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=bench.read_text(), stderr=""
+        )
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert main(["obs", "check-bench", str(bench.resolve())]) == 0
+    assert specs == ["HEAD:./sub/BENCH_x.json"]
+    assert "OK" in capsys.readouterr().out
+
+
 def test_obs_diff_old_schema_manifest_missing_optional_fields(
     tmp_path, capsys
 ):
@@ -236,10 +361,13 @@ def test_obs_diff_old_schema_manifest_missing_optional_fields(
     assert "x1" not in listing
 
 
-def test_obs_html_renders_old_schema_history(tmp_path, capsys):
-    # Same mixed-vintage file through the dashboard: panels degrade to
-    # notes instead of raising on the missing optional sections.
-    record = {
+def test_obs_list_and_diff_read_history_with_dashboard_curves(
+    tmp_path, capsys
+):
+    # A schema-1 manifest beside one written while the manifest still
+    # carried the retired dashboard's ``curves`` section: list and diff
+    # read both and ignore the section.
+    old = {
         "type": "manifest",
         "schema": 1,
         "benchmark": "c17",
@@ -251,13 +379,44 @@ def test_obs_html_renders_old_schema_history(tmp_path, capsys):
         "stage_timings": {"pipeline.run": 0.4},
         "results": {"final_T": 0.9},
     }
+    with_curves = {
+        **old,
+        "config": {"benchmark": "c17", "seed": 2},
+        "config_hash": "bbbb",
+        "seed": 2,
+        "engine": {"kind": "numpy", "word_width": 1024},
+        "resilience": {"stages_restored": [], "stages_recomputed": []},
+        "curves": {
+            "k": [1, 10],
+            "T": [0.3, 0.95],
+            "n_detection": {"depth_cap": 16, "counts": [2, 5]},
+        },
+        "results": {"final_T": 0.95, "final_DL": 0.006, "theta_max_fit": 0.97},
+    }
     path = tmp_path / "old.jsonl"
-    path.write_text(json.dumps(record) + "\n")
-    out = tmp_path / "dash.html"
-    code = main(["obs", "html", "--manifests", str(path), "--out", str(out)])
-    assert code == 0
-    assert "wrote" in capsys.readouterr().out
-    assert "no per-run curves" in out.read_text()
+    with open(path, "w") as handle:
+        for record in (old, with_curves):
+            handle.write(json.dumps(record) + "\n")
+    (_, back) = read_manifests(str(path))
+    assert not hasattr(back, "curves")
+    assert main(["obs", "list", str(path), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["seed"] for row in rows] == [1, 2]
+    assert rows[1]["final_DL_ppm"] == pytest.approx(6000.0)
+    assert main(["obs", "diff", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "final_T" in out
+    assert "curves" not in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["obs", "html"], ["campaign", "report"]], ids="-".join
+)
+def test_cli_rejects_the_retired_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
