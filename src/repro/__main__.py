@@ -10,7 +10,7 @@ Usage::
     python -m repro analyze [circuit ...] [--quick] [--json FILE]
                     [--certificates FILE] [--fail-on-error]
     python -m repro obs {list,diff,check-bench} ...
-    python -m repro campaign {run,resume,status,trace,gc,compact} ...
+    python -m repro campaign {run,resume,status,trace,gc} ...
 
 The default command prints the coverage-growth table (fig. 4), the
 defect-level comparison (fig. 5) and the fitted eq.-11 parameters;

@@ -6,16 +6,15 @@ One campaign = one directory = one write-ahead journal.  The package treats
 * :mod:`repro.campaign.spec` — a config sweep expanded into jobs identified
   by configuration hash (:class:`CampaignSpec`, :class:`JobSpec`);
 * :mod:`repro.campaign.journal` — the sha256-framed append-only journal with
-  torn-tail-tolerant replay and atomic snapshot compaction
-  (:class:`Journal`);
+  torn-tail-tolerant replay (:class:`Journal`), the campaign's only state;
 * :mod:`repro.campaign.state` — exact state reconstruction by replaying the
-  journal (:class:`CampaignState`);
+  whole journal (:class:`CampaignState`);
 * :mod:`repro.campaign.store` — the content-addressed result store that
   serves re-submitted sweeps from cache (:class:`ResultStore`);
 * :mod:`repro.campaign.supervisor` — the leased, heartbeat-monitored
   process-pool scheduler (:class:`CampaignSupervisor`);
 * :mod:`repro.campaign.cli` — ``python -m repro campaign run|resume|status|
-  trace|gc|compact``.
+  trace|gc``.
 
 See ``docs/CAMPAIGN.md`` for the design rationale and crash matrix.
 """

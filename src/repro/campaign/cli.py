@@ -8,9 +8,8 @@ Subcommands::
     campaign status --dir DIR --follow   live-updating table (read-only)
     campaign trace --dir DIR         Chrome trace from the journal alone
     campaign gc --dir DIR            prune results/checkpoints not in history
-    campaign compact --dir DIR       fold the journal into a snapshot
 
-``status --follow`` and ``trace`` open the journal strictly read-only —
+``status``, ``trace`` and ``gc`` open the journal strictly read-only —
 they are safe to run against a live campaign (the supervisor stays the
 single writer).
 
@@ -164,20 +163,13 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report what would be deleted without deleting",
     )
-
-    compact = sub.add_parser(
-        "compact", help="fold the journal into an atomic snapshot"
-    )
-    compact.add_argument("--dir", required=True, metavar="DIR")
     return parser
 
 
 def _require_campaign_dir(directory: str) -> Path | None:
     """The campaign home, or None (with a message) when nothing lives there."""
     path = Path(directory)
-    if not (path / JOURNAL_NAME).exists() and not (
-        path / "snapshot.json"
-    ).exists():
+    if not (path / JOURNAL_NAME).exists():
         print(
             f"error: {directory} holds no campaign journal; "
             "start one with: python -m repro campaign run SPEC --dir "
@@ -188,41 +180,14 @@ def _require_campaign_dir(directory: str) -> Path | None:
     return path
 
 
+def _load_journal_view(directory: Path) -> tuple[CampaignState, list[dict]]:
+    """Read-only (state, records) for observers: one replay of the journal."""
+    records, last_seq = Journal(directory, readonly=True).replay()
+    return CampaignState.from_records(records, last_seq), records
+
+
 def _load_state(directory: Path) -> CampaignState:
-    journal = Journal(directory, readonly=True)
-    try:
-        return CampaignState.load(journal)
-    finally:
-        journal.close()
-
-
-def _load_journal_view(
-    directory: Path,
-) -> tuple[CampaignState, list[dict], list[float]]:
-    """Read-only (state, records, compaction stamps) for observers.
-
-    ``records`` are the journal records *after* the snapshot — a compacted
-    journal's folded history lives only in the snapshot, so a trace built
-    from records covers what the journal still holds (the snapshot's
-    ``compacted_ts`` marks the fold point).
-    """
-    journal = Journal(directory, readonly=True)
-    try:
-        snapshot = journal.load_snapshot()
-        records, last_seq = journal.replay()
-        if snapshot is not None:
-            state = CampaignState.from_payload(snapshot["state"])
-        else:
-            state = CampaignState()
-        for record in records:
-            state.apply(record)
-        state.last_seq = last_seq
-        compactions = []
-        if snapshot is not None and snapshot.get("compacted_ts") is not None:
-            compactions.append(float(snapshot["compacted_ts"]))
-        return state, records, compactions
-    finally:
-        journal.close()
+    return _load_journal_view(directory)[0]
 
 
 def _keep_hashes(state: CampaignState, manifest_path: Path) -> set[str]:
@@ -454,7 +419,7 @@ def _trace(args: argparse.Namespace) -> int:
     if home is None:
         return 2
     try:
-        _state, records, compactions = _load_journal_view(home)
+        _state, records = _load_journal_view(home)
     except (JournalCorruptError, JournalError) as exc:
         print(f"error: cannot load campaign: {exc}", file=sys.stderr)
         return 2
@@ -462,7 +427,10 @@ def _trace(args: argparse.Namespace) -> int:
 
     out = args.out or str(home / "trace.json")
     try:
-        count = write_campaign_trace(out, records, compactions=compactions)
+        count = write_campaign_trace(out, records)
+    except ValueError as exc:
+        print(f"error: cannot trace campaign: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot write trace {out}: {exc}", file=sys.stderr)
         return 2
@@ -527,26 +495,6 @@ def _gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compact(args: argparse.Namespace) -> int:
-    home = _require_campaign_dir(args.dir)
-    if home is None:
-        return 2
-    journal = Journal(home)
-    try:
-        state = CampaignState.load(journal)
-        journal.compact(state.to_payload())
-    except (JournalCorruptError, JournalError) as exc:
-        print(f"error: cannot compact campaign: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        journal.close()
-    print(
-        f"compacted {home / JOURNAL_NAME} into {home / 'snapshot.json'} "
-        f"(last_seq={state.last_seq}, {len(state.jobs)} job(s))"
-    )
-    return 0
-
-
 def campaign_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro campaign``."""
     args = build_campaign_parser().parse_args(argv)
@@ -560,6 +508,4 @@ def campaign_main(argv: list[str] | None = None) -> int:
         return _trace(args)
     if args.command == "gc":
         return _gc(args)
-    if args.command == "compact":
-        return _compact(args)
     raise AssertionError(f"unhandled command {args.command!r}")

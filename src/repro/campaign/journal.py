@@ -17,12 +17,11 @@ only file the supervisor must get right under crashes.  The discipline:
   a torn append (appends are sequential), so it is real corruption: replay
   raises :class:`JournalCorruptError` rather than rebuilding wrong state.
   Out-of-order or duplicated ``seq`` values are rejected the same way.
-* **Atomic snapshot compaction.**  :meth:`Journal.compact` publishes a
-  digest-checked ``snapshot.json`` (temp file + ``os.replace``) holding a
-  state payload and the last sequence number it covers, then atomically
-  replaces the journal with only the records past the snapshot.  Replay is
-  idempotent across a crash *between* those two steps because records at or
-  below ``snapshot.last_seq`` are skipped.
+* **No compaction.**  The journal is never folded into a snapshot: every
+  reader (supervisor, ``status``, ``trace``, ``gc``) replays it from the
+  first record.  A directory that still holds a ``snapshot.json`` from the
+  retired ``campaign compact`` is refused, because its journal holds only
+  the records after the snapshot.
 
 The ``campaign.journal`` chaos point lets tests mangle the very bytes of an
 append (``truncate`` / ``corrupt``) to exercise both replay policies.
@@ -33,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import warnings
 from pathlib import Path
 from typing import IO
@@ -46,12 +44,11 @@ __all__ = [
     "JournalError",
     "JournalCorruptError",
     "JOURNAL_NAME",
-    "SNAPSHOT_NAME",
 ]
 
 JOURNAL_NAME = "journal.jsonl"
-SNAPSHOT_NAME = "snapshot.json"
-_SNAPSHOT_MAGIC = "repro-campaign-snapshot/1"
+#: What the retired ``campaign compact`` left beside a truncated journal.
+_RETIRED_SNAPSHOT = "snapshot.json"
 
 
 class JournalError(Exception):
@@ -59,7 +56,7 @@ class JournalError(Exception):
 
 
 class JournalCorruptError(JournalError):
-    """A non-tail journal record (or the snapshot) failed verification."""
+    """A non-tail journal record failed verification."""
 
 
 def _frame_digest(seq: int, record_json: str) -> str:
@@ -67,16 +64,16 @@ def _frame_digest(seq: int, record_json: str) -> str:
 
 
 class Journal:
-    """The write-ahead journal (and snapshot) of one campaign directory."""
+    """The write-ahead journal of one campaign directory."""
 
     def __init__(self, directory: str | Path, readonly: bool = False):
         """Open the journal of ``directory``.
 
         ``readonly=True`` opens for replay only: no tail repair, no appends,
         no directory creation side effects beyond the home itself.  This is
-        what observers (``campaign status --follow``, ``trace``, ``report``)
-        use while a live supervisor — the single writer — may still be
-        appending: a read-only open must never touch the file.
+        what observers (``campaign status``, ``trace``, ``gc``) use while a
+        live supervisor — the single writer — may still be appending: a
+        read-only open must never touch the file.
         """
         self.dir = Path(directory)
         self.readonly = readonly
@@ -87,7 +84,13 @@ class Journal:
                 f"cannot create campaign directory {self.dir}: {exc}"
             ) from exc
         self.path = self.dir / JOURNAL_NAME
-        self.snapshot_path = self.dir / SNAPSHOT_NAME
+        snapshot = self.dir / _RETIRED_SNAPSHOT
+        if snapshot.exists():
+            raise JournalError(
+                f"{snapshot} is a snapshot from the retired 'campaign "
+                f"compact'; {self.path} holds only the records after it, "
+                "so the campaign cannot be rebuilt from the journal"
+            )
         self._handle: IO[str] | None = None
         self._next_seq = -1 if readonly else self._recover_next_seq()
 
@@ -187,14 +190,10 @@ class Journal:
         return last_seq + 1
 
     def replay(self) -> tuple[list[dict], int]:
-        """Verified journal records newer than the snapshot, in order.
+        """Every verified journal record, in order.
 
-        Returns ``(records, last_seq)``: ``records`` are the journal records
-        not yet folded into the snapshot (state reconstruction applies them
-        on top of the snapshot's state payload, see
-        :meth:`repro.campaign.state.CampaignState.load`); ``last_seq`` is
-        the highest sequence number acknowledged anywhere (snapshot
-        included), or -1 for a fresh journal.
+        Returns ``(records, last_seq)``: ``last_seq`` is the highest
+        acknowledged sequence number, or -1 for a fresh journal.
         """
         records, last_seq, _valid_bytes, _ends_clean = self._scan()
         return records, last_seq
@@ -207,10 +206,8 @@ class Journal:
         ``ends_clean`` is False when the last verified record is missing its
         trailing newline (a crash can lose the newline but not the frame).
         """
-        snapshot = self.load_snapshot()
-        snapshot_seq = -1 if snapshot is None else int(snapshot["last_seq"])
         records: list[dict] = []
-        last_seq = snapshot_seq
+        last_seq = -1
         valid_bytes = 0
         ends_clean = True
         try:
@@ -241,10 +238,6 @@ class Journal:
                 raise
             valid_bytes += len(line.encode("utf-8"))
             ends_clean = line.endswith("\n")
-            if seq <= snapshot_seq:
-                # Replayed by the snapshot already (compaction crashed
-                # between snapshot publish and journal truncation).
-                continue
             if seq != last_seq + 1:
                 raise JournalCorruptError(
                     f"{self.path}: line {index + 1} has seq {seq}, "
@@ -279,101 +272,3 @@ class Journal:
         if frame["sha256"] != _frame_digest(seq, record_json):
             raise JournalCorruptError(f"digest mismatch on seq {seq}")
         return seq, record
-
-    # -- snapshot compaction --------------------------------------------
-    def compact(self, state_payload: dict) -> int:
-        """Atomically fold the journal into a snapshot; returns records kept.
-
-        ``state_payload`` must be the state reconstructed from everything
-        currently acknowledged (the caller replays first).  The snapshot is
-        published with ``os.replace`` before the journal is truncated (also
-        via ``os.replace``), so a crash at any point leaves a replayable
-        pair: snapshot-then-full-journal replays are de-duplicated by
-        sequence number.
-        """
-        if self.readonly:
-            raise JournalError(
-                f"journal {self.path} was opened read-only"
-            )
-        self.close()
-        _records, last_seq = self.replay()
-        blob = json.dumps(state_payload, sort_keys=True)
-        snapshot = {
-            "magic": _SNAPSHOT_MAGIC,
-            "last_seq": last_seq,
-            "state": state_payload,
-            "state_sha256": hashlib.sha256(blob.encode()).hexdigest(),
-            # Wall-clock of the compaction: the campaign trace exporter
-            # places a "journal compacted" marker here.  Outside the digest
-            # on purpose — old snapshots without it stay verifiable.
-            "compacted_ts": round(time.time(), 6),
-        }
-        tmp = self.snapshot_path.with_suffix(".json.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(snapshot, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise JournalError(
-                f"cannot write snapshot {self.snapshot_path}: {exc}"
-            ) from exc
-        # Everything at or below last_seq now lives in the snapshot; the
-        # journal restarts empty (records, if any arrived concurrently,
-        # would carry higher seqs — the supervisor is single-writer, so in
-        # practice the new journal starts empty).
-        tmp_journal = self.path.with_suffix(".jsonl.tmp")
-        try:
-            with open(tmp_journal, "w", encoding="utf-8") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_journal, self.path)
-        except OSError as exc:
-            tmp_journal.unlink(missing_ok=True)
-            raise JournalError(
-                f"cannot truncate journal {self.path}: {exc}"
-            ) from exc
-        obs.inc("campaign.journal_compactions")
-        return 0
-
-    def load_snapshot(self) -> dict | None:
-        """The verified snapshot, or None when absent.
-
-        A snapshot that fails verification is unrecoverable corruption (it
-        was published atomically, and the journal behind it was truncated),
-        so it always raises :class:`JournalCorruptError`.
-        """
-        try:
-            with open(self.snapshot_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise JournalError(
-                f"cannot read snapshot {self.snapshot_path}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise JournalCorruptError(
-                f"{self.snapshot_path}: unparsable snapshot: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or payload.get("magic") != _SNAPSHOT_MAGIC:
-            raise JournalCorruptError(
-                f"{self.snapshot_path}: bad snapshot magic"
-            )
-        state = payload.get("state")
-        blob = json.dumps(state, sort_keys=True)
-        if hashlib.sha256(blob.encode()).hexdigest() != payload.get("state_sha256"):
-            raise JournalCorruptError(
-                f"{self.snapshot_path}: snapshot state digest mismatch"
-            )
-        if not isinstance(payload.get("last_seq"), int):
-            raise JournalCorruptError(
-                f"{self.snapshot_path}: snapshot last_seq missing"
-            )
-        return {
-            "last_seq": payload["last_seq"],
-            "state": state,
-            "compacted_ts": payload.get("compacted_ts"),
-        }

@@ -58,24 +58,6 @@ class JobState:
     last_error: str | None = None
     lease_id: str | None = None
 
-    def to_payload(self) -> dict[str, object]:
-        return {
-            "job_id": self.job_id,
-            "config": self.config,
-            "priority": self.priority,
-            "max_attempts": self.max_attempts,
-            "status": self.status,
-            "attempts": self.attempts,
-            "cached": self.cached,
-            "result_sha": self.result_sha,
-            "last_error": self.last_error,
-            "lease_id": self.lease_id,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, object]) -> "JobState":
-        return cls(**payload)  # type: ignore[arg-type]
-
 
 @dataclass
 class CampaignState:
@@ -127,13 +109,13 @@ class CampaignState:
     # -- construction ---------------------------------------------------
     @classmethod
     def load(cls, journal: Journal) -> "CampaignState":
-        """Reconstruct state from the journal's snapshot + records."""
-        snapshot = journal.load_snapshot()
-        records, last_seq = journal.replay()
-        if snapshot is not None:
-            state = cls.from_payload(snapshot["state"])
-        else:
-            state = cls()
+        """Reconstruct state by replaying every journal record."""
+        return cls.from_records(*journal.replay())
+
+    @classmethod
+    def from_records(cls, records: list[dict], last_seq: int) -> "CampaignState":
+        """Fold replayed records (:meth:`Journal.replay`'s output) into state."""
+        state = cls()
         for record in records:
             state.apply(record)
         state.last_seq = last_seq
@@ -227,32 +209,6 @@ class CampaignState:
             raise JournalCorruptError(
                 f"journal references unknown job {job_id!r}"
             ) from None
-
-    # -- snapshot round trip -------------------------------------------
-    def to_payload(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "jobs": {
-                job_id: job.to_payload() for job_id, job in self.jobs.items()
-            },
-            "job_order": list(self.job_order),
-            "stopped": self.stopped,
-            "stop_reason": self.stop_reason,
-            "finished": self.finished,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CampaignState":
-        state = cls(
-            name=str(payload.get("name", "campaign")),
-            stopped=bool(payload.get("stopped", False)),
-            stop_reason=payload.get("stop_reason"),
-            finished=bool(payload.get("finished", False)),
-        )
-        for job_id, job_payload in payload.get("jobs", {}).items():
-            state.jobs[str(job_id)] = JobState.from_payload(job_payload)
-        state.job_order = [str(j) for j in payload.get("job_order", [])]
-        return state
 
     # -- spec glue ------------------------------------------------------
     def job_spec(self, job_id: str) -> JobSpec:

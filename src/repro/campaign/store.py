@@ -110,9 +110,8 @@ def dir_size_bytes(path: Path) -> int:
 class ResultStore:
     """Atomic, digest-verified result files keyed by job (config) hash."""
 
-    def __init__(self, root: str | Path, strict: bool = False):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.strict = strict
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -166,8 +165,7 @@ class ResultStore:
     def load(self, job_id: str) -> dict | None:
         """The verified result record for ``job_id``, or None when absent.
 
-        A corrupt file raises :class:`ResultCorruptError` in strict mode;
-        otherwise it is warned about, counted
+        A corrupt file is warned about, counted
         (``campaign.results_corrupt``), and treated as missing so the job
         recomputes.
         """
@@ -181,8 +179,6 @@ class ResultStore:
         try:
             return self._decode(job_id, text)
         except ResultCorruptError as exc:
-            if self.strict:
-                raise
             warnings.warn(
                 f"discarding corrupt result for job {job_id} ({exc}); "
                 "the job will be recomputed",

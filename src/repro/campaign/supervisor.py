@@ -3,7 +3,6 @@
 One :class:`CampaignSupervisor` owns a campaign directory::
 
     <dir>/journal.jsonl     the write-ahead journal (single writer: this)
-    <dir>/snapshot.json     atomic compaction of the journal (optional)
     <dir>/results/          content-addressed result store (config-hash keyed)
     <dir>/manifests.jsonl   one run manifest per completed job (obs toolchain)
     <dir>/leases/           worker heartbeat files, one per active lease
@@ -197,16 +196,15 @@ class CampaignSupervisor:
     Parameters
     ----------
     directory:
-        Campaign home; created if missing.  Holds the journal, snapshot,
-        result store, manifests and lease heartbeats.
+        Campaign home; created if missing.  Holds the journal, result
+        store, manifests and lease heartbeats.
     max_workers:
         Process-pool width.  ``0`` runs jobs inline in the supervisor
         process (no pool, no heartbeats) — the deterministic mode tests and
         tiny sweeps use.  None = machine CPU count.
     lease_timeout:
         Seconds a lease may show no heartbeat progress before it is
-        reclaimed.  None disables reclaim (a hung worker hangs the
-        campaign — only sensible inline).
+        reclaimed.
     retry:
         Deterministic backoff policy between a job's transient failures
         (the per-job *budget* lives on the job spec as ``max_attempts``).
@@ -224,10 +222,9 @@ class CampaignSupervisor:
         self,
         directory: str | Path,
         max_workers: int | None = None,
-        lease_timeout: float | None = DEFAULT_LEASE_TIMEOUT,
+        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         retry: RetryPolicy | None = None,
         results_dir: str | Path | None = None,
-        manifest_path: str | Path | None = None,
         poll_interval: float = 0.05,
         on_record: Callable[[dict], None] | None = None,
     ) -> None:
@@ -237,11 +234,7 @@ class CampaignSupervisor:
         self.store = ResultStore(
             results_dir if results_dir is not None else self.dir / "results"
         )
-        self.manifest_path = Path(
-            manifest_path
-            if manifest_path is not None
-            else self.dir / "manifests.jsonl"
-        )
+        self.manifest_path = self.dir / "manifests.jsonl"
         cpu = os.cpu_count() or 1
         self.max_workers = cpu if max_workers is None else max_workers
         if self.max_workers < 0:
@@ -435,11 +428,7 @@ class CampaignSupervisor:
             }
         )
         obs.inc("pipeline.cache_miss")
-        interval = (
-            max(0.02, min(1.0, self.lease_timeout / 4.0))
-            if self.lease_timeout is not None
-            else 1.0
-        )
+        interval = max(0.02, min(1.0, self.lease_timeout / 4.0))
         pool = self._ensure_pool()
         try:
             future = pool.submit(
@@ -604,7 +593,7 @@ class CampaignSupervisor:
         in_flight: dict["Future", _Lease],
         backoff_until: dict[str, float],
     ) -> None:
-        if self.lease_timeout is None or not in_flight:
+        if not in_flight:
             return
         now = time.monotonic()
         expired: list["Future"] = []
@@ -736,7 +725,7 @@ class CampaignSupervisor:
     def _write_manifest(
         self, job_id: str, record: dict, cache: str
     ) -> None:
-        """Append one run manifest per completed job (obs list/diff/html)."""
+        """Append one run manifest per completed job (``obs list --campaign``)."""
         job = self.state.jobs[job_id]
         try:
             config = config_from_dict(dict(job.config))
@@ -769,8 +758,3 @@ class CampaignSupervisor:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    # -- maintenance ------------------------------------------------------
-    def compact(self) -> None:
-        """Fold the journal into an atomic snapshot (see :class:`Journal`)."""
-        self.journal.compact(self.state.to_payload())

@@ -136,10 +136,7 @@ def _job_id(manifest: RunManifest) -> str | None:
 def _manifest_row(
     index: int, source: str, manifest: RunManifest, with_job: bool = False
 ) -> list[str]:
-    engine = manifest.engine or {}
-    # Manifests recorded before the engine kind existed show their
-    # serial/parallel mode instead.
-    engine_label = str(engine.get("kind") or engine.get("engine") or "?")
+    engine_label = str((manifest.engine or {}).get("kind") or "?")
     results = manifest.results or {}
     final_dl = results.get("final_DL")
     theta_max = results.get("theta_max_fit")
@@ -191,21 +188,9 @@ def _manifest_json_row(
 
 
 def _campaign_manifest_files(campaign_dir: str) -> list[str]:
-    """Manifest histories a campaign directory holds.
-
-    The supervisor's own ``manifests.jsonl`` first, then any appended
-    beside payloads in the (possibly shared) result store, recursively.
-    """
-    from pathlib import Path
-
-    home = Path(campaign_dir)
-    paths = []
-    if (home / "manifests.jsonl").is_file():
-        paths.append(home / "manifests.jsonl")
-    results = home / "results"
-    if results.is_dir():
-        paths.extend(sorted(results.rglob("manifests.jsonl")))
-    return [str(p) for p in paths]
+    """The supervisor's ``manifests.jsonl`` in a campaign directory, if any."""
+    path = os.path.join(campaign_dir, "manifests.jsonl")
+    return [path] if os.path.isfile(path) else []
 
 
 def _list_main(

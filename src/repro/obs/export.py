@@ -134,10 +134,7 @@ def _record_ts(record: dict) -> float | None:
     return None
 
 
-def campaign_chrome_trace(
-    records: Sequence[dict],
-    compactions: Sequence[float] | None = None,
-) -> dict:
+def campaign_chrome_trace(records: Sequence[dict]) -> dict:
     """Build one Chrome/Perfetto trace for a whole campaign.
 
     ``records`` are replayed journal records (plain dicts) — the trace is
@@ -149,12 +146,11 @@ def campaign_chrome_trace(
       becomes a complete event on the tid of the worker pid that finished it
       (attempt number when the worker never reported, e.g. a reclaim);
     * **instant markers** for lease reclaims, transient-failure retries,
-      cache hits, stop records and journal compactions
-      (``compactions``: wall-clock stamps from snapshots).
+      cache hits and stop records.
 
-    The timebase is rebased to the earliest journal wall clock.  Journals
-    written before records carried ``ts`` degrade to a synthetic index
-    timebase (one millisecond per record), flagged in ``otherData``.
+    The timebase is rebased to the earliest journal wall clock (the ``ts``
+    the supervisor stamps on every record).  Raises :class:`ValueError`
+    when no record carries one: there is no timeline to draw.
     """
     records = list(records)
     # Synthetic pid per job, in first-seen order (campaign record first).
@@ -172,20 +168,17 @@ def campaign_chrome_trace(
                     lane(str(entry["job_id"]))
 
     stamps = [t for r in records if (t := _record_ts(r)) is not None]
-    synthetic = not stamps
-    if synthetic:
-        # Pre-PR-10 journal: no wall clocks.  Space records 1ms apart so
-        # ordering still reads; flagged below.
-        base = 0.0
-        times = [0.001 * i for i in range(len(records))]
-    else:
-        base = min(stamps)
-        last = base
-        times = []
-        for record in records:
-            ts = _record_ts(record)
-            last = ts if ts is not None else last
-            times.append(last)
+    if not stamps:
+        raise ValueError(
+            "the journal holds no record with a wall-clock 'ts' stamp"
+        )
+    base = min(stamps)
+    last = base
+    times = []
+    for record in records:
+        ts = _record_ts(record)
+        last = ts if ts is not None else last
+        times.append(last)
 
     def us(ts: float) -> float:
         return round(1e6 * (ts - base), 3)
@@ -292,15 +285,11 @@ def campaign_chrome_trace(
     # Leases still open at the end of the journal: the supervisor died (or
     # is still running).  Draw them to the last known instant so the killed
     # attempt is visible next to its later reclaim.
-    t_end = times[-1] if times else 0.0
+    t_end = times[-1]
     for job_id in list(open_leases):
         close_lease(
             job_id, t_end, {"type": "open", "note": "no terminal record"}
         )
-
-    for ts in compactions or ():
-        if isinstance(ts, (int, float)) and not synthetic:
-            marker("journal compacted", float(ts), SUPERVISOR_LANE)
 
     # Process metadata: the supervisor lane first, one group per job after.
     used = {e["pid"] for e in trace_events}
@@ -334,23 +323,15 @@ def campaign_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {
             "source": "repro campaign journal",
-            "timebase": (
-                "synthetic (journal predates per-record wall clocks)"
-                if synthetic
-                else "journal wall clock, rebased to the earliest record"
-            ),
+            "timebase": "journal wall clock, rebased to the earliest record",
             "jobs": len(job_pids),
         },
     }
 
 
-def write_campaign_trace(
-    path: str,
-    records: Sequence[dict],
-    compactions: Sequence[float] | None = None,
-) -> int:
+def write_campaign_trace(path: str, records: Sequence[dict]) -> int:
     """Write a campaign trace JSON to ``path``; returns the event count."""
-    trace = campaign_chrome_trace(records, compactions=compactions)
+    trace = campaign_chrome_trace(records)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle, sort_keys=True)
         handle.write("\n")

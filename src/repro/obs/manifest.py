@@ -144,12 +144,10 @@ class RunManifest:
     git: str | None = None
     cache: str | None = None  # "hit" | "miss" | None (not recorded)
     #: Stuck-at fault-simulation engine descriptor: kind and word width.
-    #: Empty when not recorded.  Older manifests also carry the retired
-    #: pool's keys (``engine``, ``workers``, ``degraded``, ...).
+    #: Empty when not recorded.
     engine: dict[str, object] = field(default_factory=dict)
     #: Resilience record of the run: stages restored vs recomputed from
-    #: checkpoints.  Older manifests also carry the retired pool's
-    #: degradation and chunk counts.
+    #: checkpoints.
     resilience: dict[str, object] = field(default_factory=dict)
     #: span name -> cumulative wall seconds.
     stage_timings: dict[str, float] = field(default_factory=dict)

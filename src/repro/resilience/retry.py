@@ -15,12 +15,13 @@ __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often and how patiently failed work is re-attempted.
+    """How patiently failed work is re-attempted.
+
+    The retry *budget* is not part of the policy: each campaign job carries
+    its own ``max_attempts``.
 
     Attributes
     ----------
-    max_attempts:
-        Total attempts, the first try included (default 2: one retry).
     backoff_base:
         Delay in seconds before the first retry.
     backoff_factor:
@@ -29,14 +30,11 @@ class RetryPolicy:
         Upper bound on any single delay.
     """
 
-    max_attempts: int = 2
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ValueError("backoff delays must be non-negative")
         if self.backoff_factor < 1.0:
@@ -51,10 +49,6 @@ class RetryPolicy:
         return min(
             self.backoff_base * self.backoff_factor**retry_index, self.backoff_max
         )
-
-    def delays(self) -> list[float]:
-        """Every backoff delay the policy will apply, in order."""
-        return [self.delay(i) for i in range(self.max_attempts - 1)]
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()

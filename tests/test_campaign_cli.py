@@ -228,7 +228,7 @@ def test_campaign_run_progress_counts_every_submitted_job(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# status / compact / gc
+# status / gc
 # ---------------------------------------------------------------------------
 def test_campaign_status_table(capsys, tmp_path):
     spec = _write_spec(tmp_path)
@@ -245,19 +245,6 @@ def test_campaign_status_table(capsys, tmp_path):
 def test_campaign_status_missing_dir_exits_2(capsys, tmp_path):
     assert main(["campaign", "status", "--dir", str(tmp_path / "void")]) == 2
     assert "no campaign journal" in capsys.readouterr().err
-
-
-def test_campaign_compact_then_status(capsys, tmp_path):
-    spec = _write_spec(tmp_path)
-    camp = _campaign(tmp_path)
-    assert main(["campaign", "run", spec, "--dir", camp, "--workers", "0"]) == 0
-    capsys.readouterr()
-    assert main(["campaign", "compact", "--dir", camp]) == 0
-    assert "compacted" in capsys.readouterr().out
-    records, _ = Journal(tmp_path / "camp").replay()
-    assert records == []  # everything folded into the snapshot
-    assert main(["campaign", "status", "--dir", camp]) == 0
-    assert "totals: 2 done" in capsys.readouterr().out
 
 
 def test_campaign_gc_reclaims_unreferenced_results(capsys, tmp_path):

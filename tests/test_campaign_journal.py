@@ -182,54 +182,45 @@ def test_chaos_corrupt_makes_torn_tail(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# snapshot compaction
+# a directory compacted before compaction was retired
 # ---------------------------------------------------------------------------
-def test_compaction_round_trip(tmp_path):
-    _write_journal(tmp_path, 4)
-    journal = Journal(tmp_path)
-    journal.compact({"answer": 42})
-    assert (tmp_path / "snapshot.json").exists()
-    assert (tmp_path / "journal.jsonl").read_text() == ""
-    snapshot = journal.load_snapshot()
-    assert snapshot["last_seq"] == 3
-    assert snapshot["state"] == {"answer": 42}
-    # Compaction stamps its wall clock (trace/report use it as a marker).
-    assert isinstance(snapshot["compacted_ts"], float)
-    # New appends continue the global sequence past the snapshot.
-    assert journal.append(_note(50)) == 4
-    replayed, last_seq = Journal(tmp_path).replay()
-    assert replayed == [_note(50)]
-    assert last_seq == 4
+def test_journal_refuses_a_compacted_directory(tmp_path, capsys):
+    """A snapshot beside a truncated journal is refused, never misread."""
+    import hashlib
 
+    from repro.__main__ import main
+    from repro.campaign import JournalError
 
-def test_compaction_crash_between_steps_is_idempotent(tmp_path):
-    """Snapshot published but journal not yet truncated: replay dedups."""
-    records = _write_journal(tmp_path, 3)
-    journal_bytes = (tmp_path / "journal.jsonl").read_bytes()
-    journal = Journal(tmp_path)
-    journal.compact({"state": "folded"})
-    # Simulate the crash: the pre-compaction journal is still on disk.
-    (tmp_path / "journal.jsonl").write_bytes(journal_bytes)
-    replayed, last_seq = Journal(tmp_path).replay()
-    assert replayed == []  # every record is at or below snapshot.last_seq
-    assert last_seq == 2
-    del records
-
-
-def test_corrupt_snapshot_always_raises(tmp_path):
-    _write_journal(tmp_path, 2)
-    journal = Journal(tmp_path)
-    journal.compact({"x": 1})
-    snapshot_path = tmp_path / "snapshot.json"
-    payload = json.loads(snapshot_path.read_text())
-    payload["state"] = {"x": 2}  # digest no longer matches
-    snapshot_path.write_text(json.dumps(payload))
-    with pytest.raises(JournalCorruptError, match="digest"):
-        Journal(tmp_path).replay()
+    # What the retired compaction left: the folded state of records 0..3
+    # in snapshot.json and only the records after it (none) in the journal.
+    state = {"name": "campaign", "jobs": {}, "job_order": [],
+             "stopped": False, "stop_reason": None, "finished": False}
+    blob = json.dumps(state, sort_keys=True)
+    (tmp_path / "snapshot.json").write_text(
+        json.dumps(
+            {
+                "magic": "repro-campaign-snapshot/1",
+                "last_seq": 3,
+                "state": state,
+                "state_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+            },
+            sort_keys=True,
+        )
+    )
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text("")
+    for readonly in (False, True):
+        with pytest.raises(JournalError, match="snapshot.json"):
+            Journal(tmp_path, readonly=readonly)
+    for command in ("status", "resume", "trace"):
+        assert main(["campaign", command, "--dir", str(tmp_path)]) == 2
+        assert "snapshot.json" in capsys.readouterr().err
+    assert journal.read_text() == ""  # refused without touching anything
+    assert not (tmp_path / "trace.json").exists()
 
 
 # ---------------------------------------------------------------------------
-# readonly mode (status --follow / trace / report open the journal this way)
+# readonly mode (status / trace / gc open the journal this way)
 # ---------------------------------------------------------------------------
 def test_readonly_replay_leaves_torn_tail_untouched(tmp_path):
     _write_journal(tmp_path, 2)
@@ -251,5 +242,3 @@ def test_readonly_journal_refuses_to_write(tmp_path):
     journal = Journal(tmp_path, readonly=True)
     with pytest.raises(JournalError, match="read-only"):
         journal.append(_note(9))
-    with pytest.raises(JournalError, match="read-only"):
-        journal.compact({"x": 1})

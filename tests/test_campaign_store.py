@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign import (
-    ResultCorruptError,
-    ResultStore,
-    record_sha256,
-    result_record,
-)
+from repro.campaign import ResultStore, record_sha256, result_record
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.resilience.checkpoint import CheckpointStore
 
@@ -45,32 +40,32 @@ def test_corrupt_result_tolerant_mode_warns_and_recomputes(tmp_path):
 
 
 def test_corrupt_result_strict_mode_raises(tmp_path):
-    store = ResultStore(tmp_path, strict=True)
+    store = ResultStore(tmp_path)
     store.save("job0", _record())
     store.path_for("job0").write_text("{not json")
-    with pytest.raises(ResultCorruptError):
-        store.load("job0")
+    with pytest.warns(RuntimeWarning, match="unparsable envelope"):
+        assert store.load("job0") is None
 
 
 def test_truncated_result_detected(tmp_path):
-    store = ResultStore(tmp_path, strict=True)
+    store = ResultStore(tmp_path)
     store.save("job0", _record())
     path = store.path_for("job0")
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ResultCorruptError):
-        store.load("job0")
+    with pytest.warns(RuntimeWarning, match="unparsable envelope"):
+        assert store.load("job0") is None
 
 
 def test_wrong_job_id_detected(tmp_path):
-    store = ResultStore(tmp_path, strict=True)
+    store = ResultStore(tmp_path)
     store.save("job0", _record())
     envelope = json.loads(store.path_for("job0").read_text())
     target = tmp_path / "job1"
     target.mkdir()
     (target / "result.json").write_text(json.dumps(envelope))
-    with pytest.raises(ResultCorruptError, match="names job"):
-        store.load("job1")
+    with pytest.warns(RuntimeWarning, match="names job"):
+        assert store.load("job1") is None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.resilience.retry import RetryPolicy
 
 #: Near-zero backoff so retry scenarios finish in milliseconds.
 FAST_RETRY = RetryPolicy(
-    max_attempts=2, backoff_base=0.001, backoff_factor=1.0, backoff_max=0.001
+    backoff_base=0.001, backoff_factor=1.0, backoff_max=0.001
 )
 
 

@@ -17,7 +17,7 @@ from repro.resilience.chaos import ChaosPlan, ChaosRule
 from repro.resilience.retry import RetryPolicy
 
 FAST_RETRY = RetryPolicy(
-    max_attempts=2, backoff_base=0.001, backoff_factor=1.0, backoff_max=0.001
+    backoff_base=0.001, backoff_factor=1.0, backoff_max=0.001
 )
 
 

@@ -2,8 +2,8 @@
 
 The tests prove the post-mortem property: a Chrome/Perfetto trace rebuilds
 from the *journal alone* — one process group per job, lanes per worker,
-instant markers for reclaims/retries/cache hits — and degrades to a
-synthetic timebase on pre-``ts`` journals.
+instant markers for reclaims/retries/cache hits — and refuses a journal
+with no ``ts`` stamp rather than invent a timebase.
 """
 
 import json
@@ -95,25 +95,13 @@ def test_trace_lease_intervals_land_on_worker_lanes():
 
 
 def test_trace_markers_for_reclaim_retry_and_cache_hit():
-    trace = campaign_chrome_trace(
-        _synthetic_records(), compactions=[101.45]
-    )
+    trace = campaign_chrome_trace(_synthetic_records())
     markers = {
         e["name"] for e in trace["traceEvents"] if e["ph"] == "i"
     }
     assert "lease reclaimed" in markers
     assert "retry (transient failure)" in markers
     assert "cache hit" in markers
-    assert "journal compacted" in markers
-
-
-def test_trace_degrades_to_synthetic_timebase_without_ts():
-    trace = campaign_chrome_trace(_synthetic_records(with_ts=False))
-    assert "synthetic" in trace["otherData"]["timebase"]
-    spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    assert spans, "lease intervals must survive the ts-less degrade"
-    # 1ms-per-record spacing keeps ordering readable.
-    assert all(e["dur"] > 0 for e in spans)
 
 
 def test_trace_closes_leases_left_open_by_a_crash():
@@ -168,3 +156,17 @@ def test_trace_cli_writes_trace_json(capsys, tmp_path):
     }
     assert "campaign supervisor" in process_names
     assert sum(n.startswith("job ") for n in process_names) == 2
+
+
+def test_trace_refuses_a_journal_without_ts(capsys, tmp_path):
+    from repro.campaign import Journal
+
+    with Journal(tmp_path / "camp") as journal:
+        for record in _synthetic_records(with_ts=False):
+            journal.append(record)
+    with pytest.raises(ValueError, match="'ts'"):
+        campaign_chrome_trace(_synthetic_records(with_ts=False))
+    assert main(["campaign", "trace", "--dir", str(tmp_path / "camp")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'ts'" in err
+    assert not (tmp_path / "camp" / "trace.json").exists()

@@ -353,11 +353,10 @@ def test_obs_diff_old_schema_manifest_missing_optional_fields(
     assert code == 0
     assert "seed" in out
     assert "final_T" in out
-    # The listing labels the pool-era engine dict by its serial/parallel
-    # mode and ignores its worker count.
+    # The pool-era engine dict has no ``kind``: the listing shows "?".
     assert main(["obs", "list", str(path)]) == 0
     listing = capsys.readouterr().out
-    assert "serial" in listing
+    assert "serial" not in listing
     assert "x1" not in listing
 
 
@@ -410,7 +409,9 @@ def test_obs_list_and_diff_read_history_with_dashboard_curves(
 
 
 @pytest.mark.parametrize(
-    "argv", [["obs", "html"], ["campaign", "report"]], ids="-".join
+    "argv",
+    [["obs", "html"], ["campaign", "report"], ["campaign", "compact"]],
+    ids="-".join,
 )
 def test_cli_rejects_the_retired_subcommand(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

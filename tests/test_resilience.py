@@ -51,19 +51,14 @@ def test_classify_fatal_types():
 # RetryPolicy
 # ---------------------------------------------------------------------------
 def test_retry_policy_deterministic_exponential_backoff():
-    policy = RetryPolicy(
-        max_attempts=5, backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5
-    )
-    assert policy.delays() == [0.1, 0.2, 0.4, 0.5]
+    policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
+    assert [policy.delay(i) for i in range(4)] == [0.1, 0.2, 0.4, 0.5]
     # Same policy, same delays — no jitter.
-    assert policy.delays() == RetryPolicy(
-        max_attempts=5, backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5
-    ).delays()
+    again = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
+    assert [again.delay(i) for i in range(4)] == [0.1, 0.2, 0.4, 0.5]
 
 
 def test_retry_policy_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
         RetryPolicy(backoff_base=-1.0)
     with pytest.raises(ValueError):
