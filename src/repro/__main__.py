@@ -6,7 +6,6 @@ Usage::
                     [--seed N] [--max-random-patterns N]
                     [--profile] [--trace run.jsonl] [--trace-format jsonl]
                     [--progress] [--events events.jsonl]
-                    [--checkpoint-dir DIR] [--resume]
     python -m repro analyze [circuit ...] [--quick] [--json FILE]
                     [--certificates FILE] [--fail-on-error]
     python -m repro obs {list,diff,check-bench} ...
@@ -22,11 +21,6 @@ writes a Chrome/Perfetto trace instead (load it in ``chrome://tracing`` or
 https://ui.perfetto.dev).  ``--progress`` prints one stderr line per
 finished pipeline stage with its wall time, and ``--events FILE`` streams
 one JSON line per finished span to FILE, ending on ``pipeline.run``.
-``--checkpoint-dir DIR``
-persists every completed pipeline stage under ``DIR`` (keyed by
-configuration hash) and ``--resume`` restores the stages a previous,
-interrupted run already completed; a corrupt checkpoint exits non-zero
-with a one-line message.
 
 ``analyze`` runs the static-analysis subsystem (lint, SCOAP testability and
 the certified redundancy prover) over one or more built-in circuits without
@@ -49,10 +43,10 @@ totals after each job transition, ``status --follow`` watches a campaign
 read-only from another terminal, and ``trace`` exports a Chrome/Perfetto
 trace built from the journal alone (one lane group per job).
 
-A single run interrupted with Ctrl-C exits ``130`` after flushing its
-stage checkpoints (when ``--checkpoint-dir`` is active) and appending an
-interrupted-run manifest line (when ``--trace`` is active), with a
-one-line hint on how to resume.
+A single run interrupted with Ctrl-C exits ``130`` after appending an
+interrupted-run manifest line (when ``--trace`` is active), with a one-line
+hint: rerun it, or use ``campaign run`` for sweeps that must survive
+interruption.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from repro.experiments import (
     format_table,
     run_experiment,
 )
-from repro.resilience import CheckpointError
 from repro.switchsim.coverage import TECHNIQUES
 
 
@@ -148,23 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--events",
         metavar="FILE",
         help="stream one JSON line per finished span to FILE (tailable)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help=(
-            "persist each completed pipeline stage under DIR (keyed by the "
-            "configuration hash) so an interrupted run can be resumed"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "restore stages already checkpointed by an identical "
-            "configuration instead of recomputing them "
-            "(requires --checkpoint-dir)"
-        ),
     )
     return parser
 
@@ -372,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         return campaign_main(argv[1:])
     args = build_parser().parse_args(argv)
 
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
     if args.trace_format == "chrome" and not args.trace:
         print(
             "error: --trace-format chrome requires --trace FILE",
@@ -436,22 +409,8 @@ def _run_main(
     print(f"running pipeline on {args.benchmark} (Y = {args.target_yield})...")
     hits_before = cache_info().hits
     try:
-        result = run_experiment(
-            config,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            # From the CLI a corrupt checkpoint is a hard error: exit
-            # non-zero with one line rather than silently recomputing work
-            # the user explicitly asked to reuse.
-            strict_checkpoints=bool(args.checkpoint_dir),
-        )
-    except CheckpointError as exc:
-        print(f"error: checkpoint failure: {exc}", file=sys.stderr)
-        return 2
+        result = run_experiment(config)
     except KeyboardInterrupt:
-        # Completed stages are already checkpointed (each stage flushes at
-        # its boundary), so all that remains is to record the interruption
-        # and say how to pick the run back up.
         print("\ninterrupted", file=sys.stderr)
         if args.trace and args.trace_format == "jsonl":
             try:
@@ -471,19 +430,11 @@ def _run_main(
                     f"warning: cannot append manifest {args.trace}: {exc}",
                     file=sys.stderr,
                 )
-        if args.checkpoint_dir:
-            print(
-                "completed stages are checkpointed; resume with: "
-                f"python -m repro {args.benchmark} "
-                f"--checkpoint-dir {args.checkpoint_dir} --resume",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "hint: run with --checkpoint-dir DIR to make interrupted "
-                "runs resumable (--resume)",
-                file=sys.stderr,
-            )
+        print(
+            "hint: rerun, or use 'python -m repro campaign run' for "
+            "resumable sweeps",
+            file=sys.stderr,
+        )
         return 130
     chrome = args.trace_format == "chrome"
     if collector is not None:
@@ -493,21 +444,11 @@ def _run_main(
         collector.on_end = None
         if chrome:
             n_events = obs.write_chrome_trace(args.trace, collector)
-    if args.checkpoint_dir:
-        restored = ", ".join(result.stages_restored) or "none"
-        recomputed = ", ".join(result.stages_recomputed) or "none"
-        print(f"checkpoints: restored {restored}; recomputed {recomputed}")
-        cache_status = None
-    else:
-        cache_status = "hit" if cache_info().hits > hits_before else "miss"
-        print(
-            f"pipeline cache: {cache_status} "
-            + (
-                "(reusing memoised result)"
-                if cache_status == "hit"
-                else "(full run)"
-            )
-        )
+    cache_status = "hit" if cache_info().hits > hits_before else "miss"
+    print(
+        f"pipeline cache: {cache_status} "
+        + ("(reusing memoised result)" if cache_status == "hit" else "(full run)")
+    )
 
     if args.svg:
         from repro.layout.render import render_svg
@@ -566,7 +507,6 @@ def _run_main(
             registry=metrics,
             cache=cache_status,
             engine=result.engine,
-            resilience=result.resilience_info(),
             results={
                 "R": fit.susceptibility_ratio,
                 "theta_max_fit": fit.theta_max,

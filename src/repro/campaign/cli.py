@@ -7,7 +7,7 @@ Subcommands::
     campaign status --dir DIR        job table + counts (read-only)
     campaign status --dir DIR --follow   live-updating table (read-only)
     campaign trace --dir DIR         Chrome trace from the journal alone
-    campaign gc --dir DIR            prune results/checkpoints not in history
+    campaign gc --dir DIR            prune results not in history
 
 ``status``, ``trace`` and ``gc`` open the journal strictly read-only —
 they are safe to run against a live campaign (the supervisor stays the
@@ -40,7 +40,6 @@ from repro.campaign.state import DONE, LEASED, PENDING, QUARANTINED, CampaignSta
 from repro.campaign.store import ResultStore, dir_size_bytes
 from repro.campaign.supervisor import DEFAULT_LEASE_TIMEOUT, CampaignSupervisor
 from repro.obs.events import JsonlWriter
-from repro.resilience.checkpoint import CheckpointStore
 
 __all__ = ["campaign_main", "build_campaign_parser"]
 
@@ -145,18 +144,13 @@ def build_campaign_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser(
         "gc",
-        help="delete results/checkpoints whose hash left the history",
+        help="delete results whose hash left the history",
     )
     gc.add_argument("--dir", required=True, metavar="DIR")
     gc.add_argument(
         "--results-dir",
         metavar="DIR",
         help="result store to prune (default: <dir>/results)",
-    )
-    gc.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="also prune this per-stage checkpoint store",
     )
     gc.add_argument(
         "--dry-run",
@@ -464,33 +458,12 @@ def _gc(args: argparse.Namespace) -> int:
             f"gc (dry run): would remove {len(candidates)} result dir(s), "
             f"{_fmt_bytes(would_free)} from {results_root}"
         )
-        removed, reclaimed = len(candidates), would_free
     else:
         removed, reclaimed = store.prune(keep)
         print(
             f"gc: removed {removed} result dir(s), "
             f"{_fmt_bytes(reclaimed)} reclaimed from {results_root}"
         )
-    if args.checkpoint_dir:
-        ckpt_root = Path(args.checkpoint_dir)
-        if args.dry_run:
-            n = sum(
-                1
-                for entry in ckpt_root.iterdir()
-                if entry.is_dir() and entry.name not in keep
-            ) if ckpt_root.is_dir() else 0
-            print(
-                f"gc (dry run): would prune up to {n} checkpoint dir(s) "
-                f"from {ckpt_root}"
-            )
-        else:
-            ck_removed, ck_reclaimed = CheckpointStore.prune(ckpt_root, keep)
-            removed += ck_removed
-            reclaimed += ck_reclaimed
-            print(
-                f"gc: removed {ck_removed} checkpoint dir(s), "
-                f"{_fmt_bytes(ck_reclaimed)} reclaimed from {ckpt_root}"
-            )
     print(f"kept {len(keep)} hash(es) still in journal/manifest history")
     return 0
 

@@ -6,7 +6,7 @@ cartesian product of per-field value lists) and/or an explicit ``jobs`` list
 of per-job overrides.  :meth:`CampaignSpec.expand` materialises the sweep
 into :class:`JobSpec` units of work, each identified by the **config hash**
 (:func:`repro.obs.manifest.config_hash`) of its expanded configuration — the
-same key the checkpoint store and run manifests already use.  Content
+same key the run manifests already use.  Content
 addressing is what makes the campaign layer idempotent: re-submitting an
 overlapping sweep re-derives the same job ids, and any job whose id is
 already in the result store is served from cache instead of recomputed.
@@ -114,7 +114,7 @@ class JobSpec:
     ----------
     job_id:
         The configuration hash — the job's identity in the journal, the
-        result store, the checkpoint store and the run manifests.
+        result store and the run manifests.
     config:
         The expanded configuration the job runs.
     priority:

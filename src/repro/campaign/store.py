@@ -1,10 +1,9 @@
 """Content-addressed campaign results keyed by experiment-configuration hash.
 
 A :class:`ResultStore` persists one canonical **result record** per job
-under ``<root>/<job_id>/result.json``, with the same atomic, digest-verified
-file discipline as :class:`repro.resilience.checkpoint.CheckpointStore`:
-writes publish via temp-file + ``os.replace``, loads verify payload size and
-SHA-256 before anything is trusted.  Because the job id *is* the config
+under ``<root>/<job_id>/result.json`` with an atomic, digest-verified file
+discipline: writes publish via temp-file + ``os.replace``, loads verify
+payload size and SHA-256 before anything is trusted.  Because the job id *is* the config
 hash, any re-submitted or overlapping sweep that expands to a job already in
 the store is served from cache — zero fault simulation — and served
 **bit-identically**: the record stores only deterministic outputs of

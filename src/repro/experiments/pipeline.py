@@ -22,10 +22,8 @@ Results are memoised per configuration: every figure bench shares one run.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 from repro import obs
 from repro.analysis import AnalysisResult, analyze_circuit
@@ -43,9 +41,6 @@ from repro.defects.fault_types import FaultList
 from repro.defects.statistics import DefectStatistics
 from repro.layout.design import LayoutDesign, build_layout
 from repro.obs.manifest import RETIRED_FIELDS, config_hash
-from repro.resilience import chaos
-from repro.resilience.checkpoint import CheckpointStore
-from repro.resilience.errors import CheckpointCorruptError
 from repro.simulation.fault_sim import FaultSimResult
 from repro.simulation.faults import StuckAtFault, collapse_faults
 from repro.simulation.numpy_sim import NumpyFaultSimulator
@@ -139,21 +134,10 @@ class ExperimentResult:
     #: Descriptor of the fault-simulation engine that produced
     #: ``stuck_result``: ``{"kind": "numpy", "word_width": 1024}``.
     engine: dict[str, object] = field(default_factory=dict)
-    #: Stage names restored from checkpoints (empty without a checkpoint dir).
-    stages_restored: list[str] = field(default_factory=list)
-    #: Stage names computed (and checkpointed, when a store is attached).
-    stages_recomputed: list[str] = field(default_factory=list)
     #: PODEM search statistics from the deterministic top-off: total
     #: backtracks plus learned-implication prune/conflict counts (empty when
     #: the top-off was skipped).
     podem_stats: dict[str, int] = field(default_factory=dict)
-
-    def resilience_info(self) -> dict[str, object]:
-        """Which stages were restored from checkpoints, for manifests."""
-        return {
-            "stages_restored": list(self.stages_restored),
-            "stages_recomputed": list(self.stages_recomputed),
-        }
 
     # -- per-k series ------------------------------------------------------
     def T_at(self, k: int) -> float:
@@ -211,72 +195,7 @@ def _sample_ks(n_patterns: int) -> list[int]:
     return ks
 
 
-def _make_stage_runner(
-    store: CheckpointStore | None,
-    resume: bool,
-    restored: list[str],
-    recomputed: list[str],
-) -> Callable:
-    """Build the run-one-stage closure used by :func:`_run_pipeline`.
-
-    A stage either restores its artifact from the checkpoint store (resume
-    mode, verified payload present and decodable against the current run) or
-    computes it, persists it, and passes the ``pipeline.stage`` chaos point —
-    the hook tests and the CI chaos-smoke job use to simulate a crash
-    *between* stages.
-    """
-
-    def run_stage(
-        name: str,
-        compute: Callable[[], object],
-        encode: Callable | None = None,
-        decode: Callable | None = None,
-    ) -> object:
-        if store is not None and resume:
-            payload = store.load(name)
-            if payload is not None:
-                try:
-                    value = decode(payload) if decode is not None else payload
-                except Exception as exc:
-                    # The file verified but its content no longer matches
-                    # this run (e.g. artifact shape drift): same policy as
-                    # corruption — strict raises, tolerant recomputes.
-                    if store.strict:
-                        raise CheckpointCorruptError(
-                            f"checkpoint for stage {name!r} does not match "
-                            f"this run: {exc}"
-                        ) from exc
-                    warnings.warn(
-                        f"checkpoint for stage {name!r} does not match this "
-                        f"run ({exc}); recomputing",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    obs.inc("resilience.checkpoints_corrupt")
-                else:
-                    restored.append(name)
-                    obs.inc("resilience.stages_restored")
-                    return value
-        value = compute()
-        if store is not None:
-            store.save(name, encode(value) if encode is not None else value)
-        recomputed.append(name)
-        obs.inc("resilience.stages_recomputed")
-        chaos.maybe_inject("pipeline.stage", key=name)
-        return value
-
-    return run_stage
-
-
-def _run_pipeline(
-    config: ExperimentConfig,
-    store: CheckpointStore | None = None,
-    resume: bool = False,
-) -> ExperimentResult:
-    restored: list[str] = []
-    recomputed: list[str] = []
-    run_stage = _make_stage_runner(store, resume, restored, recomputed)
-
+def _run_pipeline(config: ExperimentConfig) -> ExperimentResult:
     with obs.span(
         "pipeline.run", benchmark=config.benchmark, seed=config.seed
     ):
@@ -296,9 +215,7 @@ def _run_pipeline(
         # random stream is simulated first, once, and analysis sees only the
         # faults it leaves undetected; random ATPG then replays its stop
         # rule from the same simulation.  SCOAP measures and the prover's
-        # learned implications are reused by PODEM.  Deterministic and cheap
-        # relative to the simulation stages, the stream and the analysis are
-        # recomputed rather than checkpointed.
+        # learned implications are reused by PODEM.
         with obs.span("pipeline.random_stream", n_faults=len(collapsed)):
             stream = simulate_random_stream(
                 circuit,
@@ -315,106 +232,73 @@ def _run_pipeline(
             screened = analysis.screen(collapsed)
         learned = analysis.prover.learned if analysis.prover is not None else None
 
-        def compute_atpg() -> dict[str, object]:
-            random_result = generate_random_tests(
+        random_result = generate_random_tests(
+            circuit,
+            screened,
+            target_coverage=config.random_coverage_target,
+            max_patterns=config.max_random_patterns,
+            seed=config.seed,
+            stream=stream,
+        )
+        patterns: list[list[int]] = list(random_result.test_set.patterns)
+        n_random = len(random_result.test_set)
+        redundant: list[StuckAtFault] = []
+        podem_stats: dict[str, int] = {}
+        if config.deterministic_topoff:
+            deterministic = generate_deterministic_tests(
                 circuit,
-                screened,
-                target_coverage=config.random_coverage_target,
-                max_patterns=config.max_random_patterns,
-                seed=config.seed,
-                stream=stream,
+                random_result.undetected,
+                backtrack_limit=config.backtrack_limit,
+                untestable=static_untestable,
+                scoap=analysis.scoap,
+                learned=learned,
             )
-            if config.deterministic_topoff:
-                deterministic = generate_deterministic_tests(
-                    circuit,
-                    random_result.undetected,
-                    backtrack_limit=config.backtrack_limit,
-                    untestable=static_untestable,
-                    scoap=analysis.scoap,
-                    learned=learned,
-                )
-                # The paper assumes "redundant faults can be neglected, so
-                # T(k) -> 1".  Proven-redundant faults are excluded from the
-                # coverage denominator; backtrack-aborted faults
-                # (overwhelmingly redundant too at this limit — see
-                # tests/test_podem.py) are excluded alongside, reported.
-                redundant = list(deterministic.redundant) + list(
-                    deterministic.aborted
-                )
-                deterministic_patterns = list(deterministic.test_set.patterns)
-                podem_stats = {
-                    "backtracks": deterministic.backtracks,
-                    "learned_prunes": deterministic.learned_prunes,
-                    "learned_conflicts": deterministic.learned_conflicts,
-                }
-            else:
-                redundant = []
-                deterministic_patterns = []
-                podem_stats = {}
-            excluded = set(redundant)
-            return {
-                "patterns": list(random_result.test_set.patterns)
-                + deterministic_patterns,
-                "n_random": len(random_result.test_set),
-                "redundant": redundant,
-                "testable": [f for f in screened if f not in excluded],
-                "podem_stats": podem_stats,
+            # The paper assumes "redundant faults can be neglected, so
+            # T(k) -> 1".  Proven-redundant faults are excluded from the
+            # coverage denominator; backtrack-aborted faults (overwhelmingly
+            # redundant too at this limit — see tests/test_podem.py) are
+            # excluded alongside, reported.
+            redundant = list(deterministic.redundant) + list(deterministic.aborted)
+            patterns += deterministic.test_set.patterns
+            podem_stats = {
+                "backtracks": deterministic.backtracks,
+                "learned_prunes": deterministic.learned_prunes,
+                "learned_conflicts": deterministic.learned_conflicts,
             }
-
-        atpg = run_stage("atpg", compute_atpg)
-        patterns: list[list[int]] = atpg["patterns"]
-        n_random: int = atpg["n_random"]
-        redundant: list[StuckAtFault] = atpg["redundant"]
-        testable: list[StuckAtFault] = atpg["testable"]
-        # Checkpoints written before the podem_stats key existed decode to a
-        # dict without it; degrade to empty stats rather than KeyError.
-        podem_stats: dict[str, int] = atpg.get("podem_stats", {})
+        excluded = set(redundant)
+        testable = [f for f in screened if f not in excluded]
         obs.set_gauge("pipeline.n_patterns", len(patterns))
         obs.set_gauge("pipeline.n_stuck_faults", len(testable))
         obs.set_gauge("pipeline.n_untestable_static", len(static_untestable))
         if analysis.prover is not None:
             obs.set_gauge("pipeline.n_proved", len(analysis.prover.proved))
 
-        def compute_stuck() -> dict[str, object]:
-            with obs.span("pipeline.stuck_fault_sim", n_patterns=len(patterns)):
-                stuck_sim = NumpyFaultSimulator(circuit)
-                result = stuck_sim.run(patterns, faults=testable)
-            return {
-                "result": result,
-                "engine": {"kind": stuck_sim.kind, "word_width": stuck_sim.width},
-            }
-
-        stuck = run_stage("stuck_sim", compute_stuck)
-        stuck_result: FaultSimResult = stuck["result"]
-        engine: dict[str, object] = stuck["engine"]
+        with obs.span("pipeline.stuck_fault_sim", n_patterns=len(patterns)):
+            stuck_sim = NumpyFaultSimulator(circuit)
+            stuck_result = stuck_sim.run(patterns, faults=testable)
+        engine: dict[str, object] = {
+            "kind": stuck_sim.kind,
+            "word_width": stuck_sim.width,
+        }
 
         # --- layout, extraction, yield scaling ---
         with obs.span("pipeline.build_layout"):
             design = build_layout(circuit)
 
-        def compute_extraction() -> FaultList:
-            statistics = config.statistics or DefectStatistics()
-            extracted = extract_faults(design, statistics)
-            with obs.span("pipeline.scale_weights"):
-                return extracted.scaled_to_yield(config.target_yield)
-
-        faults = run_stage("extraction", compute_extraction)
+        statistics = config.statistics or DefectStatistics()
+        faults = extract_faults(design, statistics)
+        with obs.span("pipeline.scale_weights"):
+            # Rebinding frees the unscaled list before switch-level
+            # simulation, the run's memory peak.
+            faults = faults.scaled_to_yield(config.target_yield)
         if obs.is_enabled():
             for fault in faults:
                 obs.observe("weights.scaled", fault.weight)
 
         # --- switch-level simulation of the same sequence ---
-        def compute_switch() -> SwitchSimResult:
-            with obs.span("pipeline.switch_sim_setup"):
-                switch = SwitchLevelFaultSimulator(design, patterns)
-            return switch.run(faults.faults)
-
-        switch_result = run_stage(
-            "switch_sim",
-            compute_switch,
-            encode=_encode_switch_result,
-            decode=lambda payload: _decode_switch_result(payload, faults.faults),
-        )
+        with obs.span("pipeline.switch_sim_setup"):
+            switch = SwitchLevelFaultSimulator(design, patterns)
+        switch_result = switch.run(faults.faults)
         with obs.span("pipeline.build_coverage"):
             coverage = build_coverage(
                 faults, switch_result, technique=config.detection
@@ -438,57 +322,7 @@ def _run_pipeline(
         coverage=coverage,
         sample_ks=_sample_ks(len(patterns)),
         engine=engine,
-        stages_restored=restored,
-        stages_recomputed=recomputed,
         podem_stats=podem_stats,
-    )
-
-
-def _encode_switch_result(result: SwitchSimResult) -> dict[str, object]:
-    """Re-key a switch-sim result from ``id(fault)`` to fault-list indices.
-
-    ``SwitchSimResult`` keys detections by object identity, which pickling
-    cannot preserve; the extraction order is deterministic, so indices into
-    ``result.faults`` are a stable checkpoint representation.
-    """
-    index_of = {id(fault): i for i, fault in enumerate(result.faults)}
-    return {
-        "n_faults": len(result.faults),
-        "n_patterns": result.n_patterns,
-        "first_detection": {
-            index_of[key]: k for key, k in result.first_detection.items()
-        },
-        "first_detection_potential": {
-            index_of[key]: k
-            for key, k in result.first_detection_potential.items()
-        },
-        "first_detection_iddq": {
-            index_of[key]: k for key, k in result.first_detection_iddq.items()
-        },
-        "iddq_peak": {index_of[key]: v for key, v in result.iddq_peak.items()},
-    }
-
-
-def _decode_switch_result(
-    payload: dict[str, object], faults: list
-) -> SwitchSimResult:
-    """Rebuild a switch-sim result against the current extraction's faults."""
-    if payload["n_faults"] != len(faults):
-        raise ValueError(
-            f"checkpoint covers {payload['n_faults']} realistic faults, the "
-            f"current extraction has {len(faults)}"
-        )
-
-    def rekey(name: str) -> dict[int, object]:
-        return {id(faults[i]): v for i, v in payload[name].items()}
-
-    return SwitchSimResult(
-        faults=list(faults),
-        first_detection=rekey("first_detection"),
-        first_detection_potential=rekey("first_detection_potential"),
-        first_detection_iddq=rekey("first_detection_iddq"),
-        iddq_peak=rekey("iddq_peak"),
-        n_patterns=payload["n_patterns"],
     )
 
 
@@ -497,44 +331,23 @@ def _run_cached(config: ExperimentConfig) -> ExperimentResult:
     return _run_pipeline(config)
 
 
-def run_experiment(
-    config: ExperimentConfig | None = None,
-    *,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    strict_checkpoints: bool = False,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run (or fetch the memoised) end-to-end pipeline for ``config``.
 
-    Without ``checkpoint_dir`` the run is memoised in-process per
-    configuration, reported through the ``pipeline.cache_hit`` /
-    ``pipeline.cache_miss`` counters (and observable without enabling
-    metrics via :func:`cache_info` deltas).
-
-    With ``checkpoint_dir``, every completed stage (test-pattern generation,
-    stuck-at fault simulation, realistic-fault extraction, switch-level
-    simulation) is persisted under ``checkpoint_dir/<config hash>/`` as it
-    completes; with ``resume=True`` the run restores any stage already
-    checkpointed by an identical configuration instead of recomputing it —
-    the recovery path for a run killed mid-pipeline.
-    ``ExperimentResult.stages_restored`` / ``stages_recomputed`` record which
-    path each stage took.  ``strict_checkpoints`` makes a corrupt or
-    mismatched checkpoint raise
-    :class:`~repro.resilience.errors.CheckpointCorruptError` instead of
-    recomputing with a warning.
+    The run is memoised in-process per configuration, reported through the
+    ``pipeline.cache_hit`` / ``pipeline.cache_miss`` counters (and
+    observable without enabling metrics via :func:`cache_info` deltas).
+    Recovery from an interrupted run is per whole experiment: ``campaign
+    run``/``resume`` (:mod:`repro.campaign`) journal each job.
     """
     config = config or ExperimentConfig()
-    if checkpoint_dir is None:
-        hits_before = _run_cached.cache_info().hits
-        result = _run_cached(config)
-        if _run_cached.cache_info().hits > hits_before:
-            obs.inc("pipeline.cache_hit")
-        else:
-            obs.inc("pipeline.cache_miss")
-        return result
-    store = CheckpointStore(checkpoint_dir, config, strict=strict_checkpoints)
-    obs.inc("pipeline.cache_miss")
-    return _run_pipeline(config, store=store, resume=resume)
+    hits_before = _run_cached.cache_info().hits
+    result = _run_cached(config)
+    if _run_cached.cache_info().hits > hits_before:
+        obs.inc("pipeline.cache_hit")
+    else:
+        obs.inc("pipeline.cache_miss")
+    return result
 
 
 def cache_info():

@@ -44,8 +44,8 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Fields deleted from a configuration dataclass, keyed by the dataclass's
 #: name, with the value every configuration carried before the deletion.
 #: :func:`config_to_dict` keeps emitting them, so config hashes (campaign
-#: job ids, result-store keys, checkpoint directories) do not move when a
-#: field goes.  Append entries; never edit or remove one.
+#: job ids, result-store keys) do not move when a field goes.  Append
+#: entries; never edit or remove one.
 RETIRED_FIELDS: Mapping[str, Mapping[str, object]] = MappingProxyType(
     {
         "ExperimentConfig": MappingProxyType(
@@ -146,9 +146,6 @@ class RunManifest:
     #: Stuck-at fault-simulation engine descriptor: kind and word width.
     #: Empty when not recorded.
     engine: dict[str, object] = field(default_factory=dict)
-    #: Resilience record of the run: stages restored vs recomputed from
-    #: checkpoints.
-    resilience: dict[str, object] = field(default_factory=dict)
     #: span name -> cumulative wall seconds.
     stage_timings: dict[str, float] = field(default_factory=dict)
     #: Top-level span trees (nested records).
@@ -168,7 +165,6 @@ class RunManifest:
         results: dict[str, object] | None = None,
         cache: str | None = None,
         engine: dict[str, object] | None = None,
-        resilience: dict[str, object] | None = None,
     ) -> "RunManifest":
         """Assemble a manifest from a config and the observability state."""
         config_d = config_to_dict(config)
@@ -180,7 +176,6 @@ class RunManifest:
             git=git_describe(),
             cache=cache,
             engine=_jsonable(engine or {}),
-            resilience=_jsonable(resilience or {}),
             results=_jsonable(results or {}),
         )
         if collector is not None:
@@ -207,7 +202,6 @@ class RunManifest:
                 "git": self.git,
                 "cache": self.cache,
                 "engine": self.engine,
-                "resilience": self.resilience,
                 "stage_timings": self.stage_timings,
                 "results": self.results,
             }
@@ -231,7 +225,8 @@ class RunManifest:
         """Rebuild a manifest from parsed JSON-lines records.
 
         Sections older writers recorded and this schema dropped (the
-        dashboard's ``curves``, ``attribution``) are ignored.
+        dashboard's ``curves``, ``attribution``, the retired per-stage
+        ``resilience`` record) are ignored.
         """
         head = next(r for r in records if r.get("type") == "manifest")
         manifest = cls(
@@ -242,7 +237,6 @@ class RunManifest:
             git=head.get("git"),
             cache=head.get("cache"),
             engine=head.get("engine", {}),
-            resilience=head.get("resilience", {}),
             stage_timings=head.get("stage_timings", {}),
             results=head.get("results", {}),
             schema=head.get("schema", MANIFEST_SCHEMA_VERSION),

@@ -2,23 +2,17 @@
 
 Every recovery path in the resilience layer is exercised by *injecting* the
 failure it recovers from, at a named **chaos point**, under a
-:class:`ChaosPlan` installed for the duration of a test (or the CI
-chaos-smoke job).  Injection is fully deterministic: a rule either names the
-exact hits it fires on (``keys`` / ``attempts``) or uses a ``rate`` resolved
-by hashing ``(plan seed, point, key, attempt)`` — never wall-clock or global
-RNG state — so a failing chaos test replays bit-identically.
+:class:`ChaosPlan` installed for the duration of a test.  Injection is fully
+deterministic: a rule either names the exact hits it fires on (``keys`` /
+``attempts``) or uses a ``rate`` resolved by hashing ``(plan seed, point,
+key, attempt)`` — never wall-clock or global RNG state — so a failing chaos
+test replays bit-identically.
 
 Chaos points currently wired in:
 
 ========================  =====================================================
 point                     where / what it can inject
 ========================  =====================================================
-``checkpoint.save``       cooperative: :class:`~repro.resilience.checkpoint.
-                          CheckpointStore` mangles the file it just wrote;
-                          kinds ``truncate``, ``corrupt``.  ``key`` = stage.
-``pipeline.stage``        right after a pipeline stage completes (and its
-                          checkpoint is saved); kind ``exception`` simulates
-                          a crash between stages.  ``key`` = stage name.
 ``campaign.job``          inside the campaign worker, before the experiment
                           runs (and before the heartbeat thread starts);
                           kinds ``exception``, ``fatal``, ``crash``,

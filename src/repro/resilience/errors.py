@@ -24,8 +24,6 @@ __all__ = [
     "ResilienceError",
     "TransientFailure",
     "FatalFailure",
-    "CheckpointError",
-    "CheckpointCorruptError",
     "ChaosInjectedError",
     "ChaosInjectedFatalError",
     "FailureKind",
@@ -44,14 +42,6 @@ class TransientFailure(ResilienceError):
 
 class FatalFailure(ResilienceError):
     """A deterministic failure: retrying reproduces it."""
-
-
-class CheckpointError(ResilienceError):
-    """A checkpoint could not be read or written."""
-
-
-class CheckpointCorruptError(CheckpointError):
-    """A checkpoint file failed its integrity check (truncated/corrupt)."""
 
 
 class ChaosInjectedError(TransientFailure):

@@ -9,9 +9,7 @@ Pomeranz-&-Reddy-style analyses consume downstream.
 :class:`ConeIndex` restricts faulty-machine work to output cones: reader
 adjacency over dense net ids, a lazy per-net cone memo, and the gate-name and
 driver-gate lookups.  The engine that uses both is
-:class:`repro.simulation.numpy_sim.NumpyFaultSimulator`.  Both names stay in
-this module because pickled pipeline checkpoints refer to
-``repro.simulation.fault_sim.FaultSimResult``.
+:class:`repro.simulation.numpy_sim.NumpyFaultSimulator`.
 """
 
 from __future__ import annotations

@@ -8,8 +8,6 @@ import pytest
 from repro import obs
 from repro.__main__ import main
 from repro.campaign import Journal
-from repro.experiments import ExperimentConfig
-from repro.resilience.checkpoint import CheckpointStore
 
 
 @pytest.fixture(autouse=True)
@@ -268,31 +266,6 @@ def test_campaign_gc_reclaims_unreferenced_results(capsys, tmp_path):
     assert "reclaimed" in out
     assert not store.has("feedfacedeadbeef")
     assert len(store.job_ids()) == 2  # live results kept
-
-
-def test_campaign_gc_prunes_checkpoints_too(capsys, tmp_path):
-    spec = _write_spec(tmp_path, seeds=(1,))
-    camp = _campaign(tmp_path)
-    assert main(["campaign", "run", spec, "--dir", camp, "--workers", "0"]) == 0
-    capsys.readouterr()
-    ckpt_root = tmp_path / "ckpts"
-    orphan = CheckpointStore(
-        ckpt_root, ExperimentConfig(benchmark="c17", seed=424242)
-    )
-    orphan.save("stage_a", {"x": 1})
-    assert (
-        main(
-            [
-                "campaign", "gc",
-                "--dir", camp,
-                "--checkpoint-dir", str(ckpt_root),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "removed 1 checkpoint dir(s)" in out
-    assert not (ckpt_root / orphan.config_hash).exists()
 
 
 def test_campaign_status_stop_only_journal(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Unit tests: content-addressed result store, prune paths, checkpoint gc."""
+"""Unit tests: content-addressed result store and its prune path."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.campaign import ResultStore, record_sha256, result_record
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.resilience.checkpoint import CheckpointStore
 
 
 def _record(i: int = 0) -> dict:
@@ -83,7 +82,7 @@ def test_result_record_is_deterministic_and_json_safe():
 
 
 # ---------------------------------------------------------------------------
-# prune (ResultStore + CheckpointStore)
+# prune
 # ---------------------------------------------------------------------------
 def test_result_store_prune_removes_only_unkept(tmp_path):
     store = ResultStore(tmp_path)
@@ -95,25 +94,3 @@ def test_result_store_prune_removes_only_unkept(tmp_path):
     assert reclaimed > 0
     assert store.job_ids() == ["job1"]
     assert (tmp_path / "unrelated").exists()
-
-
-def test_checkpoint_store_prune(tmp_path):
-    configs = [
-        ExperimentConfig(benchmark="c17", seed=s, max_random_patterns=16)
-        for s in (1, 2)
-    ]
-    stores = [CheckpointStore(tmp_path, c) for c in configs]
-    for store in stores:
-        store.save("stage_a", {"x": 1})
-    (tmp_path / "not_a_store").mkdir()  # no config.json / *.ckpt: kept
-    keep = {stores[0].config_hash}
-    removed, reclaimed = CheckpointStore.prune(tmp_path, keep)
-    assert removed == 1
-    assert reclaimed > 0
-    assert (tmp_path / stores[0].config_hash).exists()
-    assert not (tmp_path / stores[1].config_hash).exists()
-    assert (tmp_path / "not_a_store").exists()
-
-
-def test_checkpoint_prune_missing_root_is_noop(tmp_path):
-    assert CheckpointStore.prune(tmp_path / "ghost", set()) == (0, 0)

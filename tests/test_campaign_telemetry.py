@@ -113,6 +113,12 @@ def test_per_job_counters_bit_identical_across_fresh_campaigns(tmp_path):
     # One non-empty counters snapshot per *computed* job, keyed by job id.
     assert set(first) == job_ids
     assert all(first.values())
+    # Recovery is per job, so no job carries per-stage resilience counters.
+    assert not any(
+        name.startswith("resilience.")
+        for counters in first.values()
+        for name in counters
+    )
     assert first == second == pooled
     assert (
         json.dumps(first, sort_keys=True)

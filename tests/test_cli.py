@@ -220,61 +220,6 @@ def test_cli_analyze_defaults_to_all_benchmarks(capsys):
         assert name in out
 
 
-def test_cli_checkpoint_then_resume(capsys, tmp_path):
-    ckpt = tmp_path / "ckpt"
-    code = main(["c17", "--seed", "424", "--checkpoint-dir", str(ckpt)])
-    assert code == 0
-    first = capsys.readouterr().out
-    assert "recomputed atpg, stuck_sim, extraction, switch_sim" in first
-
-    code = main(
-        ["c17", "--seed", "424", "--checkpoint-dir", str(ckpt), "--resume"]
-    )
-    assert code == 0
-    second = capsys.readouterr().out
-    assert "restored atpg, stuck_sim, extraction, switch_sim" in second
-
-    # The resumed run reports the exact same fitted parameters.
-    fit_line = next(line for line in first.splitlines() if "fit of eq. 11" in line)
-    assert fit_line in second
-
-
-def test_cli_resume_requires_checkpoint_dir(capsys):
-    code = main(["c17", "--resume"])
-    assert code == 2
-    assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
-
-
-def test_cli_unwritable_checkpoint_dir_fails_cleanly(capsys, tmp_path):
-    blocker = tmp_path / "occupied"
-    blocker.write_text("not a directory")
-    code = main(["c17", "--checkpoint-dir", str(blocker / "sub")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "checkpoint failure" in err
-    assert "Traceback" not in err
-
-
-def test_cli_corrupt_checkpoint_exits_nonzero(capsys, tmp_path):
-    from repro.experiments import ExperimentConfig
-    from repro.resilience import CheckpointStore
-
-    ckpt = tmp_path / "ckpt"
-    assert main(["c17", "--seed", "425", "--checkpoint-dir", str(ckpt)]) == 0
-    capsys.readouterr()
-    store = CheckpointStore(ckpt, ExperimentConfig(benchmark="c17", seed=425))
-    path = store.path_for("atpg")
-    path.write_bytes(path.read_bytes()[:40])
-
-    code = main(
-        ["c17", "--seed", "425", "--checkpoint-dir", str(ckpt), "--resume"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "checkpoint failure" in err
-    assert "Traceback" not in err
-
-
 def test_cli_invalid_config_value_exits_nonzero(capsys):
     code = main(["c17", "--yield", "1.5"])
     assert code == 2
@@ -315,20 +260,25 @@ def test_cli_invalid_config_leaves_nothing_enabled_or_open(
     assert not events.exists()
 
 
-def test_cli_checkpoint_error_leaves_nothing_enabled_or_open(
+def test_cli_interrupted_run_leaves_nothing_enabled_or_open(
     capsys, tmp_path, monkeypatch
 ):
+    # Ctrl-C mid-run still goes through main's cleanup: obs disabled and
+    # the --events writer closed.
+    import repro.__main__ as main_mod
+
+    def _interrupt(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(main_mod, "run_experiment", _interrupt)
     opened = _record_writers(monkeypatch)
-    blocker = tmp_path / "occupied"
-    blocker.write_text("not a directory")
     code = main(
         [
             "c17", "--progress", "--events", str(tmp_path / "events.jsonl"),
-            "--checkpoint-dir", str(blocker / "sub"),
         ]
     )
-    assert code == 2
-    assert "checkpoint failure" in capsys.readouterr().err
+    assert code == 130
+    assert "interrupted" in capsys.readouterr().err
     assert not obs.is_enabled()
     assert len(opened) == 1
     assert opened[0]._handle is None
@@ -444,6 +394,28 @@ def test_cli_rejects_the_retired_flag(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["c17", "--checkpoint-dir", "ck"], "--checkpoint-dir"),
+        (["c17", "--resume"], "--resume"),
+        (
+            ["campaign", "gc", "--dir", "camp", "--checkpoint-dir", "ck"],
+            "--checkpoint-dir",
+        ),
+    ],
+    ids=["checkpoint-dir", "resume", "campaign-gc-checkpoint-dir"],
+)
+def test_cli_rejects_the_retired_checkpoint_flags(capsys, tmp_path, argv, flag):
+    # Recovery is per campaign job: argparse refuses the per-stage
+    # checkpoint flags rather than ignoring them.
+    argv = [str(tmp_path / a) if a in ("ck", "camp") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_analyze_certificates_rejected_with_quick(capsys, tmp_path):
     # --quick stops before the prover, so there would be no certificates.
     code = main(
@@ -455,22 +427,18 @@ def test_cli_analyze_certificates_rejected_with_quick(capsys, tmp_path):
     assert not (tmp_path / "c.json").exists()
 
 
-def test_cli_keyboard_interrupt_exits_130_with_resume_hint(
-    capsys, tmp_path, monkeypatch
-):
+def test_cli_keyboard_interrupt_exits_130_with_resume_hint(capsys, monkeypatch):
     import repro.__main__ as main_mod
 
     def _interrupt(*_args, **_kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(main_mod, "run_experiment", _interrupt)
-    code = main(
-        ["c17", "--seed", "5150", "--checkpoint-dir", str(tmp_path / "ck")]
-    )
+    code = main(["c17", "--seed", "5150"])
     assert code == 130
     err = capsys.readouterr().err
     assert "interrupted" in err
-    assert "--resume" in err
+    assert "hint: rerun, or use 'python -m repro campaign run'" in err
 
 
 def test_cli_keyboard_interrupt_writes_interrupted_manifest(
@@ -488,6 +456,6 @@ def test_cli_keyboard_interrupt_writes_interrupted_manifest(
     assert code == 130
     err = capsys.readouterr().err
     assert "interrupted-run manifest appended" in err
-    assert "--checkpoint-dir DIR" in err  # resumability hint without one
+    assert "for resumable sweeps" in err
     (manifest,) = read_manifests(str(trace))
     assert manifest.results == {"interrupted": True}

@@ -1,7 +1,7 @@
-"""Literal configuration hashes: campaign store keys and checkpoint dirs.
+"""Literal configuration hashes: campaign job ids and result-store keys.
 
 ``config_hash`` names every campaign result-store entry, campaign job id and
-checkpoint directory.  Deleting an ``ExperimentConfig`` field or changing a
+run manifest.  Deleting an ``ExperimentConfig`` field or changing a
 default would silently re-key all of them, so the hashes of the default
 config of every registered benchmark, and of a few campaign-grid deltas,
 are pinned here as literals.  A deleted field keeps hashing through

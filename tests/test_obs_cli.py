@@ -66,7 +66,6 @@ def _manifest(seed=1, **overrides):
         git="abc1234",
         cache="miss",
         engine={"kind": "numpy", "word_width": 1024},
-        resilience={"stages_restored": ["atpg"], "stages_recomputed": []},
         stage_timings={"pipeline.run": 0.5, "pipeline.atpg": 0.2},
         spans=[
             {
@@ -150,7 +149,7 @@ def test_synthetic_manifest_roundtrips(tmp_path):
     path = _write_history(tmp_path, [_manifest(1)])
     (back,) = read_manifests(str(path))
     assert back.spans[0]["children"][0]["name"] == "pipeline.atpg"
-    assert back.resilience["stages_restored"] == ["atpg"]
+    assert back.engine == {"kind": "numpy", "word_width": 1024}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +383,7 @@ def test_obs_list_and_diff_read_history_with_dashboard_curves(
         "config_hash": "bbbb",
         "seed": 2,
         "engine": {"kind": "numpy", "word_width": 1024},
-        "resilience": {"stages_restored": [], "stages_recomputed": []},
+        "resilience": {},
         "curves": {
             "k": [1, 10],
             "T": [0.3, 0.95],
@@ -398,6 +397,7 @@ def test_obs_list_and_diff_read_history_with_dashboard_curves(
             handle.write(json.dumps(record) + "\n")
     (_, back) = read_manifests(str(path))
     assert not hasattr(back, "curves")
+    assert not hasattr(back, "resilience")
     assert main(["obs", "list", str(path), "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["seed"] for row in rows] == [1, 2]

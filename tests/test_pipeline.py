@@ -8,6 +8,7 @@ from repro.core import williams_brown
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.pipeline import scaled_weight_check
 from repro.simulation import collapse_faults
+from repro.switchsim import TECHNIQUES
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,36 @@ def test_podem_stats_recorded_on_topoff_run():
     # The proved faults are exactly the statically-excluded ones: they
     # leave the coverage denominator before ATPG.
     assert set(prover.proved) <= set(result.static_untestable)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"target_yield": 0.0}, "target_yield"),
+        ({"target_yield": 1.5}, "target_yield"),
+        ({"random_coverage_target": -0.1}, "random_coverage_target"),
+        ({"max_random_patterns": -1}, "max_random_patterns"),
+        ({"backtrack_limit": -5}, "backtrack_limit"),
+    ],
+)
+def test_config_validation_rejects_bad_knobs(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(benchmark="c17", **kwargs)
+
+
+def test_config_rejects_unknown_detection_technique():
+    # A typo fails at construction, before any pipeline stage runs.
+    with pytest.raises(ValueError, match="iddqq"):
+        ExperimentConfig(benchmark="c17", detection="iddqq")
+    for technique in TECHNIQUES:
+        ExperimentConfig(benchmark="c17", detection=technique)
+
+
+def test_config_validation_accepts_boundaries():
+    ExperimentConfig(
+        benchmark="c17",
+        target_yield=1.0,
+        random_coverage_target=1.0,
+        max_random_patterns=0,
+        backtrack_limit=0,
+    )

@@ -73,7 +73,7 @@ def test_retry_policy_validation():
 def test_chaos_noop_without_plan():
     chaos.uninstall()
     chaos.maybe_inject("campaign.job", key=0)  # must not raise
-    assert chaos.planned_kind("checkpoint.save", key="atpg") is None
+    assert chaos.planned_kind("campaign.journal", key="done") is None
     assert chaos.current_plan() is None
 
 
@@ -127,12 +127,12 @@ def test_chaos_fatal_kind_raises_fatal():
 
 def test_chaos_cooperative_kinds_do_not_fire_actively():
     plan = ChaosPlan(
-        rules=(ChaosRule(point="checkpoint.save", kind="truncate", keys={"atpg"}),)
+        rules=(ChaosRule(point="campaign.journal", kind="truncate", keys={"done"}),)
     )
     with chaos.active(plan):
-        chaos.maybe_inject("checkpoint.save", key="atpg")  # must not raise
-        assert chaos.planned_kind("checkpoint.save", key="atpg") == "truncate"
-        assert chaos.planned_kind("checkpoint.save", key="other") is None
+        chaos.maybe_inject("campaign.journal", key="done")  # must not raise
+        assert chaos.planned_kind("campaign.journal", key="done") == "truncate"
+        assert chaos.planned_kind("campaign.journal", key="lease") is None
 
 
 def test_chaos_plan_is_picklable_for_worker_shipping():
