@@ -4,6 +4,10 @@ The paper determines ``(R, theta_max)`` by fitting eq. 11 to the simulated
 ``(T(k), DL(theta(k)))`` points (fig. 5: R = 1.9, theta_max = 0.96), and the
 Agrawal ``n`` by fitting eq. 2 to fallout data.  These fits, plus
 susceptibility estimation from coverage-growth curves, live here.
+
+The eq. 11 fit the pipeline runs needs numpy alone.  The other fits import
+``scipy.optimize`` inside the function: that import takes most of a second
+and over 40 MB, which an experiment that never calls them should not pay.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares
 
 from repro import obs
-from repro.core.coverage_growth import coverage_at
 from repro.core.defect_level import agrawal, sousa_defect_level
 
 __all__ = [
@@ -51,12 +53,19 @@ def fit_sousa_model(
     r_bounds: tuple[float, float] = (0.1, 10.0),
     theta_bounds: tuple[float, float] = (0.5, 1.0),
 ) -> SousaFit:
-    """Least-squares fit of ``(R, theta_max)`` in eq. 11.
+    """Bounded least-squares fit of ``(R, theta_max)`` in eq. 11.
 
     Fitting happens on the *exponent* scale (the realistic coverage
     ``theta = 1 - ln(1 - DL)/ln(Y)``), which weights the high-coverage tail
     where the models actually differ, the way the paper's log-scale DL plots
     do.
+
+    The fit is solved by variable projection.  For a fixed ``R`` the model
+    ``theta_max * g`` with ``g = 1 - (1 - T)^R`` is linear in ``theta_max``,
+    so the best ``theta_max`` is ``<g, theta> / <g, g>`` clipped to
+    ``theta_bounds``.  What remains is a 1-D minimisation over ``R``: a
+    log-spaced grid from bound to bound brackets the minimum, and bisection
+    on the sign of the profiled cost's slope narrows it to adjacent floats.
     """
     T = np.asarray(coverages, dtype=float)
     dl = np.asarray(defect_levels, dtype=float)
@@ -67,31 +76,74 @@ def fit_sousa_model(
 
     log_y = math.log(yield_value)
     theta_obs = 1.0 - np.log(np.clip(1.0 - dl, 1e-15, 1.0)) / log_y
-
-    def residuals(params: np.ndarray) -> np.ndarray:
-        r, theta_max = params
-        theta_model = theta_max * (1.0 - np.power(np.clip(1.0 - T, 0.0, 1.0), r))
-        return theta_model - theta_obs
-
     with obs.span("fitting.sousa", n_points=int(T.size)):
-        result = least_squares(
-            residuals,
-            x0=np.array([1.5, 0.95]),
-            bounds=(
-                np.array([r_bounds[0], theta_bounds[0]]),
-                np.array([r_bounds[1], theta_bounds[1]]),
-            ),
+        r_fit, theta_fit, resid = _profiled_fit(
+            np.clip(1.0 - T, 0.0, 1.0), theta_obs, r_bounds, theta_bounds
         )
-    r_fit, theta_fit = result.x
     fit = SousaFit(
-        susceptibility_ratio=float(r_fit),
-        theta_max=float(theta_fit),
-        residual=float(np.sqrt(np.mean(result.fun**2))),
+        susceptibility_ratio=r_fit,
+        theta_max=theta_fit,
+        residual=float(np.sqrt(np.mean(resid**2))),
     )
     obs.set_gauge("fitting.R", fit.susceptibility_ratio)
     obs.set_gauge("fitting.theta_max", fit.theta_max)
     obs.set_gauge("fitting.residual", fit.residual)
     return fit
+
+
+_GRID_POINTS = 64
+
+
+def _profiled_fit(
+    q: np.ndarray,
+    theta_obs: np.ndarray,
+    r_bounds: tuple[float, float],
+    theta_bounds: tuple[float, float],
+) -> tuple[float, float, np.ndarray]:
+    """Minimise ``|theta_max * (1 - q^R) - theta_obs|`` over the bounds.
+
+    Returns ``(R, theta_max, residuals)``.
+    """
+    t_lo, t_hi = map(float, theta_bounds)
+    # d(q^R)/dR = q^R ln q; points with q = 0 contribute nothing.
+    log_q = np.log(np.where(q > 0.0, q, 1.0))
+
+    def project(r: float) -> tuple[float, np.ndarray, np.ndarray]:
+        q_r = np.power(q, r)
+        g = 1.0 - q_r
+        gg = float(g @ g)
+        theta = float(g @ theta_obs) / gg if gg > 0.0 else t_hi
+        theta = min(max(theta, t_lo), t_hi)
+        return theta, theta * g - theta_obs, q_r
+
+    def cost(r: float) -> float:
+        resid = project(r)[1]
+        return float(resid @ resid)
+
+    def slope(r: float) -> float:
+        # Envelope theorem: the clipped theta_max is optimal for this R, so
+        # the profiled cost's derivative is the partial derivative in R.
+        theta, resid, q_r = project(r)
+        return -theta * float(resid @ (q_r * log_q))
+
+    grid = np.geomspace(*r_bounds, _GRID_POINTS)
+    grid[[0, -1]] = r_bounds
+    best = int(np.argmin([cost(r) for r in grid]))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, _GRID_POINTS - 1)])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if slope(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    # The grid's end points are the bounds themselves, and ties go to the
+    # grid point, so an optimum on a bound returns that bound exactly.
+    r_fit = min((float(grid[best]), lo, hi), key=cost)
+    theta_fit, resid, _ = project(r_fit)
+    return r_fit, theta_fit, resid
 
 
 @dataclass(frozen=True)
@@ -131,6 +183,8 @@ def fit_sousa_with_yield(
     if T.shape != dl.shape or T.size < 3:
         raise ValueError("need matching coverage/DL arrays with >= 3 points")
 
+    from scipy.optimize import least_squares
+
     log_dl_obs = np.log(np.clip(dl, 1e-15, 1.0))
 
     def residuals(params: np.ndarray) -> np.ndarray:
@@ -163,6 +217,8 @@ def fit_agrawal_n(
     n_bounds: tuple[float, float] = (1.0, 50.0),
 ) -> float:
     """Fit the Agrawal model's average multiplicity ``n`` to (T, DL) data."""
+    from scipy.optimize import curve_fit
+
     T = np.asarray(coverages, dtype=float)
     dl = np.asarray(defect_levels, dtype=float)
 
@@ -193,6 +249,8 @@ def fit_susceptibility(
     if np.any(k_arr < 1):
         raise ValueError("vector counts must be >= 1")
 
+    from scipy.optimize import curve_fit
+
     if theta_max is not None:
 
         def model_fixed(k: np.ndarray, log_s: float) -> np.ndarray:
@@ -210,11 +268,3 @@ def fit_susceptibility(
         model, k_arr, c_arr, p0=[2.0, 0.95], bounds=([1e-3, 0.1], [1e3, 1.0])
     )
     return float(math.exp(popt[0])), float(popt[1])
-
-
-def _self_check() -> None:  # pragma: no cover - sanity helper
-    ks = [2, 4, 8, 16, 64, 256, 1024]
-    s = math.exp(3.0)
-    curve = [coverage_at(k, s) for k in ks]
-    fitted, _ = fit_susceptibility(ks, curve, theta_max=1.0)
-    assert abs(math.log(fitted) - 3.0) < 1e-6

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     agrawal,
@@ -62,6 +64,107 @@ def test_fit_sousa_validation():
         fit_sousa_model([0.5], [0.1], 0.75)
     with pytest.raises(ValueError):
         fit_sousa_model([0.5, 0.6], [0.1, 0.2], 1.5)
+
+
+R_BOUNDS = (0.1, 10.0)
+THETA_BOUNDS = (0.5, 1.0)
+
+
+def _scipy_fit(coverages, dls, y):
+    """Eq. 11 fitted by ``scipy.optimize.least_squares``: the oracle.
+
+    Tolerances are tightened to the floor scipy accepts, so the oracle's
+    own stopping rule does not widen the comparison.
+    """
+    from scipy.optimize import least_squares
+
+    q = np.clip(1.0 - np.asarray(coverages, dtype=float), 0.0, 1.0)
+    dl = np.asarray(dls, dtype=float)
+    theta_obs = 1.0 - np.log(np.clip(1.0 - dl, 1e-15, 1.0)) / math.log(y)
+    result = least_squares(
+        lambda p: p[1] * (1.0 - q ** p[0]) - theta_obs,
+        x0=[1.5, 0.95],
+        bounds=([R_BOUNDS[0], THETA_BOUNDS[0]], [R_BOUNDS[1], THETA_BOUNDS[1]]),
+        ftol=1e-15,
+        xtol=1e-15,
+        gtol=1e-15,
+    )
+    r, theta = result.x
+    return r, theta, float(np.sqrt(np.mean(result.fun**2)))
+
+
+def _assert_matches_oracle(coverages, dls, y):
+    fit = fit_sousa_model(coverages, dls, y, R_BOUNDS, THETA_BOUNDS)
+    r, theta, residual = _scipy_fit(coverages, dls, y)
+    assert R_BOUNDS[0] <= fit.susceptibility_ratio <= R_BOUNDS[1]
+    assert THETA_BOUNDS[0] <= fit.theta_max <= THETA_BOUNDS[1]
+    # The absolute term only absorbs rounding on noise-free data, where
+    # both residuals are around 1e-16.
+    assert fit.residual <= residual * (1 + 1e-9) + 1e-12
+    interior = (
+        R_BOUNDS[0] < fit.susceptibility_ratio < R_BOUNDS[1]
+        and THETA_BOUNDS[0] < fit.theta_max < THETA_BOUNDS[1]
+    )
+    if interior:
+        assert fit.susceptibility_ratio == pytest.approx(r, abs=1e-4)
+        assert fit.theta_max == pytest.approx(theta, abs=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_true=st.floats(0.1, 10.0),
+    theta_true=st.floats(0.5, 1.0),
+    y=st.floats(0.5, 0.95),
+    n=st.integers(5, 40),
+    first_T=st.floats(0.01, 0.5),
+    last_T=st.sampled_from([0.999, 1.0]),
+    noise=st.one_of(st.just(0.0), st.floats(0.001, 0.1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_sousa_matches_scipy_oracle(
+    r_true, theta_true, y, n, first_T, last_T, noise, seed
+):
+    coverages = np.linspace(first_T, last_T, n)
+    dls = np.array([sousa_defect_level(y, t, r_true, theta_true) for t in coverages])
+    if noise:
+        rng = np.random.default_rng(seed)
+        dls = np.clip(dls * (1 + rng.normal(0, noise, n)), 1e-12, 0.999)
+    _assert_matches_oracle(coverages, dls, y)
+
+
+@pytest.mark.parametrize("name", ["c17", "alu4", "c432"])
+def test_fit_sousa_matches_scipy_oracle_on_pipeline_points(name):
+    from repro.experiments.pipeline import ExperimentConfig, run_experiment
+
+    result = run_experiment(ExperimentConfig(benchmark=name))
+    ks = [k for k in result.sample_ks if result.T_at(k) > 0]
+    coverages = [result.T_at(k) for k in ks]
+    dls = [result.dl_at(k) for k in ks]
+    _assert_matches_oracle(coverages, dls, result.config.target_yield)
+
+
+@pytest.mark.parametrize(
+    "r_true, theta_scale, expected",
+    [
+        (1.5, 1.1, (None, THETA_BOUNDS[1])),
+        (0.05, 0.8, (R_BOUNDS[0], None)),
+        (20.0, 0.8, (R_BOUNDS[1], None)),
+    ],
+)
+def test_fit_sousa_bound_optimum_returns_the_bound(r_true, theta_scale, expected):
+    # theta(T) = theta_scale * (1 - (1-T)^r_true), built on the exponent
+    # scale so theta_scale may exceed theta_max's upper bound.
+    y = 0.75
+    coverages = np.linspace(0.05, 0.75, 25)
+    theta = theta_scale * (1.0 - (1.0 - coverages) ** r_true)
+    dls = 1.0 - y ** (1.0 - theta)
+    fit = fit_sousa_model(coverages, dls, y, R_BOUNDS, THETA_BOUNDS)
+    r_bound, theta_bound = expected
+    if r_bound is not None:
+        assert fit.susceptibility_ratio == r_bound
+    if theta_bound is not None:
+        assert fit.theta_max == theta_bound
+    _assert_matches_oracle(coverages, dls, y)
 
 
 def test_fit_agrawal_n_recovers():
