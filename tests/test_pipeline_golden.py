@@ -19,9 +19,9 @@ from repro.campaign.store import result_record
 from repro.experiments.pipeline import ExperimentConfig, run_experiment
 
 GOLDEN = {
-    "c17": "806d730b95f62c6f2caf3919d93e2083f3b23ce1b2c8704627fe599a6c3fee46",
-    "alu4": "06580fd81230ffffa5f7aa6f7b2ec4d049c21b8ba468084be7034f220ad3d393",
-    "c432": "4bb8a1f11863e4d5c25cc33cc10aef782bdec8d0404154a52dba1469d0172ca5",
+    "c17": "11c15dd41205844006d3e98c338cf1812fc8d0d7d5a0e4ffa03a51d96b335a74",
+    "alu4": "e541090ec1b3a7de0f9cb5a6149a109e8e7ec51ae6fb28ca216ed2b2cfe10c5e",
+    "c432": "3ba2d4ae2d796346c7cc3068b801801d63f0bb675776387c511af6f8b9d15c62",
 }
 
 
