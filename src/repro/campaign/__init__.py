@@ -12,7 +12,10 @@ One campaign = one directory = one write-ahead journal.  The package treats
 * :mod:`repro.campaign.store` — the content-addressed result store that
   serves re-submitted sweeps from cache (:class:`ResultStore`);
 * :mod:`repro.campaign.supervisor` — the leased, heartbeat-monitored
-  process-pool scheduler (:class:`CampaignSupervisor`);
+  process-pool scheduler (:class:`CampaignSupervisor`), which retries
+  transient failures and quarantines fatal ones;
+* :mod:`repro.campaign.chaos` — deterministic failure injection at the
+  campaign's named points, so every recovery path is exercised by tests;
 * :mod:`repro.campaign.cli` — ``python -m repro campaign run|resume|status|
   trace|gc``.
 

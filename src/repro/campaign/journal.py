@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import IO
 
 from repro import obs
-from repro.resilience import chaos
+from repro.campaign import chaos
 
 __all__ = [
     "Journal",

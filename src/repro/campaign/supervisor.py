@@ -22,19 +22,23 @@ substrate):
   while it runs, and a lease with no progress for ``lease_timeout`` seconds
   is reclaimed — the hung pool is abandoned, a fresh one is built, and the
   job returns to the queue (its attempt spent).
-* Failures classify through the PR-4 taxonomy
-  (:func:`repro.resilience.classify_failure`): transient failures retry with
-  the deterministic :class:`~repro.resilience.retry.RetryPolicy` backoff
-  until the job's ``max_attempts`` budget is spent; fatal failures (and
-  spent budgets) quarantine the job immediately.  Nothing is silent —
-  counters, warnings, and a journal record per transition, which an
-  ``on_record`` callback sees as it is written.
+* Failures classify as transient or fatal (:func:`classify_failure`):
+  transient failures retry after a fixed exponential backoff
+  (:func:`backoff_s`) until the job's ``max_attempts`` budget is spent;
+  fatal failures (and spent budgets) quarantine the job immediately.
+  Nothing is silent — counters, warnings, and a journal record per
+  transition, which an ``on_record`` callback sees as it is written.
 * A broken pool degrades the worker count (never below one) rather than
   failing the campaign; SIGINT/SIGTERM journal a clean ``stop`` record so a
   later ``campaign resume`` continues exactly where the run stopped.
 
-The ``campaign.job`` chaos point fires inside the worker before the
-experiment runs (kinds ``exception``/``fatal``/``crash``/``sleep``); the
+There is one job path.  ``max_workers=0`` swaps the process pool for a
+pool of width one that runs each job at once in the supervisor process;
+the job still holds a lease with a heartbeat file and is harvested by the
+same lease checks as a pool job.
+
+The ``campaign.job`` chaos point fires where the job runs, before the
+experiment (kinds ``exception``/``fatal``/``crash``/``sleep``); the
 cooperative ``campaign.lease`` point (kind ``expire``) forces a lease to be
 treated as expired, exercising the reclaim path deterministically.
 """
@@ -51,15 +55,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
+from repro.campaign import chaos
 from repro.campaign.journal import Journal
 from repro.campaign.spec import CampaignSpec, config_from_dict
 from repro.campaign.state import DONE, CampaignState, campaign_record
 from repro.campaign.store import ResultStore, result_record
 from repro.experiments import run_experiment
 from repro.obs.manifest import RunManifest
-from repro.resilience import chaos
-from repro.resilience.errors import FailureKind, classify_failure
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -68,6 +70,39 @@ __all__ = ["CampaignSupervisor", "CampaignReport"]
 
 #: Default no-progress window before a lease is reclaimed.
 DEFAULT_LEASE_TIMEOUT = 120.0
+#: How long the run loop waits on in-flight jobs before checking leases.
+POLL_INTERVAL_S = 0.05
+
+
+def backoff_s(retry_index: int) -> float:
+    """Delay before a job's retry number ``retry_index`` (0-based).
+
+    0.05 s, doubling per retry, capped at 2 s.  Jitter-free: the workers
+    are local processes, not a shared service, and tests assert exact
+    retry counts.
+    """
+    return min(0.05 * 2.0**retry_index, 2.0)
+
+
+def classify_failure(exc: BaseException) -> str:
+    """``"transient"`` if a clean retry may cure ``exc``, else ``"fatal"``.
+
+    Transient: the worker or pool died (``BrokenExecutor``), a timeout, or
+    the OS refused a resource.  Anything else is a deterministic bug that a
+    retry would reproduce.
+    """
+    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+
+    transient = (
+        chaos.ChaosInjectedError,
+        BrokenExecutor,
+        FuturesTimeoutError,
+        OSError,  # includes ConnectionError and the builtin TimeoutError
+        EOFError,
+        MemoryError,
+    )
+    return "transient" if isinstance(exc, transient) else "fatal"
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +129,9 @@ def _run_campaign_job(
     job_id: str,
     config_dict: dict[str, object],
     attempt: int,
-    hb_path: str | None,
+    hb_path: str,
     hb_interval: float,
-    telemetry: bool = False,
+    telemetry: bool,
 ) -> dict[str, object]:
     """Execute one job in a worker: run the experiment, return its record.
 
@@ -112,18 +147,14 @@ def _run_campaign_job(
     """
     chaos.maybe_inject("campaign.job", key=job_id, attempt=attempt)
     stop = threading.Event()
-    thread: threading.Thread | None = None
-    if hb_path is not None:
-        try:
-            Path(hb_path).write_text("0", encoding="utf-8")
-        except OSError:
-            pass
-        thread = threading.Thread(
-            target=_heartbeat_loop,
-            args=(hb_path, hb_interval, stop),
-            daemon=True,
-        )
-        thread.start()
+    try:
+        Path(hb_path).write_text("0", encoding="utf-8")
+    except OSError:
+        pass
+    thread = threading.Thread(
+        target=_heartbeat_loop, args=(hb_path, hb_interval, stop), daemon=True
+    )
+    thread.start()
     prev_collector, prev_registry = obs.collector(), obs.registry()
     fresh_registry = obs.enable()[1] if telemetry else None
     try:
@@ -141,13 +172,34 @@ def _run_campaign_job(
         return payload
     finally:
         stop.set()
-        if thread is not None:
-            thread.join(timeout=1.0)
+        thread.join(timeout=1.0)
         if fresh_registry is not None:
             if prev_collector is not None and prev_registry is not None:
                 obs.enable(prev_collector, prev_registry)
             else:
                 obs.disable()
+
+
+class _InlinePool:
+    """A pool of width one whose ``submit`` runs the job at once, here.
+
+    ``max_workers=0`` uses it in place of the process pool: the returned
+    future is already done, so the run loop harvests it through the same
+    lease checks as a pool job.
+    """
+
+    def submit(self, fn: Callable[..., object], *args: object) -> "Future":
+        from concurrent.futures import Future
+
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing to stop: every submitted job has already run."""
 
 
 # ----------------------------------------------------------------------
@@ -199,15 +251,12 @@ class CampaignSupervisor:
         Campaign home; created if missing.  Holds the journal, result
         store, manifests and lease heartbeats.
     max_workers:
-        Process-pool width.  ``0`` runs jobs inline in the supervisor
-        process (no pool, no heartbeats) — the deterministic mode tests and
-        tiny sweeps use.  None = machine CPU count.
+        Process-pool width.  ``0`` runs each job in the supervisor process,
+        one at a time, under the same leases — the deterministic mode tests
+        and tiny sweeps use.  None = machine CPU count.
     lease_timeout:
         Seconds a lease may show no heartbeat progress before it is
         reclaimed.
-    retry:
-        Deterministic backoff policy between a job's transient failures
-        (the per-job *budget* lives on the job spec as ``max_attempts``).
     results_dir:
         Result-store root; defaults to ``<directory>/results``.  Point
         several campaigns at one store to share their cache.
@@ -223,9 +272,7 @@ class CampaignSupervisor:
         directory: str | Path,
         max_workers: int | None = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        retry: RetryPolicy | None = None,
         results_dir: str | Path | None = None,
-        poll_interval: float = 0.05,
         on_record: Callable[[dict], None] | None = None,
     ) -> None:
         self.dir = Path(directory)
@@ -242,14 +289,10 @@ class CampaignSupervisor:
                 f"max_workers must be >= 0, got {self.max_workers}"
             )
         self.lease_timeout = lease_timeout
-        self.retry = retry or DEFAULT_RETRY_POLICY
-        self.poll_interval = poll_interval
         self.on_record = on_record
-        self._pool: "ProcessPoolExecutor | None" = None
+        self._pool: "ProcessPoolExecutor | _InlinePool | None" = None
         self._pool_workers = max(1, self.max_workers)
         self._stop_signal: str | None = None
-        #: Backoff sleeper; tests substitute a recorder.
-        self._sleep: Callable[[float], None] = time.sleep
         self._report = CampaignReport(name=self.state.name)
 
     # -- submission ----------------------------------------------------
@@ -326,36 +369,17 @@ class CampaignSupervisor:
                         progressed = True
                 if progressed:
                     continue
-                slots = (
-                    max(0, 1 - len(in_flight))
-                    if self.max_workers == 0
-                    else max(0, self._pool_workers - len(in_flight))
-                )
+                slots = max(0, self._pool_workers - len(in_flight))
                 for job_id in ready[:slots]:
-                    if self.max_workers == 0:
-                        self._run_inline(job_id, backoff_until)
-                        progressed = True
-                    else:
-                        lease = self._submit_job(job_id, in_flight)
-                        progressed = lease or progressed
-                if self.max_workers == 0:
-                    if progressed:
-                        continue
+                    self._submit_job(job_id, in_flight, backoff_until)
+                if not in_flight:
+                    # Every pending job is backing off, or none is left.
                     if not self._wait_for_backoff(backoff_until):
                         break
                     continue
-                if not in_flight:
-                    if any(
-                        backoff_until.get(j.job_id, 0.0) > now
-                        for j in self.state.pending_jobs()
-                    ):
-                        if not self._wait_for_backoff(backoff_until):
-                            break
-                        continue
-                    break
                 done, _ = wait(
                     set(in_flight),
-                    timeout=self.poll_interval,
+                    timeout=POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 # Expiry first, harvest second: a chaos-forced ``expire``
@@ -410,8 +434,11 @@ class CampaignSupervisor:
 
     # -- job execution --------------------------------------------------
     def _submit_job(
-        self, job_id: str, in_flight: dict["Future", _Lease]
-    ) -> bool:
+        self,
+        job_id: str,
+        in_flight: dict["Future", _Lease],
+        backoff_until: dict[str, float],
+    ) -> None:
         job = self.state.jobs[job_id]
         attempt = job.attempts  # 0-based lease index
         lease_id = f"{job_id}.a{attempt}"
@@ -441,9 +468,9 @@ class CampaignSupervisor:
                 self.on_record is not None,
             )
         except Exception as exc:  # pool broke at submission
-            self._handle_failure(job_id, attempt, exc, {})
+            self._handle_failure(job_id, attempt, exc, backoff_until)
             self._degrade_pool(f"submit failed: {exc}")
-            return False
+            return
         in_flight[future] = _Lease(
             job_id=job_id,
             lease_id=lease_id,
@@ -451,36 +478,6 @@ class CampaignSupervisor:
             granted_mono=time.monotonic(),
             hb_path=hb_path,
         )
-        return True
-
-    def _run_inline(
-        self, job_id: str, backoff_until: dict[str, float]
-    ) -> None:
-        """Execute one job in-process (``max_workers=0``), same journal flow."""
-        job = self.state.jobs[job_id]
-        attempt = job.attempts
-        self._append(
-            {
-                "type": "lease",
-                "job": job_id,
-                "lease_id": f"{job_id}.a{attempt}",
-                "attempt": attempt,
-            }
-        )
-        obs.inc("pipeline.cache_miss")
-        try:
-            payload = _run_campaign_job(
-                job_id,
-                dict(job.config),
-                attempt,
-                None,
-                1.0,
-                telemetry=self.on_record is not None,
-            )
-        except Exception as exc:
-            self._handle_failure(job_id, attempt, exc, backoff_until)
-            return
-        self._complete_job(job_id, payload)
 
     def _finish_lease(
         self,
@@ -539,37 +536,35 @@ class CampaignSupervisor:
         exc: BaseException,
         backoff_until: dict[str, float],
     ) -> None:
-        failure = classify_failure(exc)
+        kind = classify_failure(exc)
+        reason = f"{type(exc).__name__}: {exc}"
         job = self.state.jobs[job_id]
         self._append(
             {
                 "type": "fail",
                 "job": job_id,
                 "attempt": attempt,
-                "kind": failure.kind.value,
-                "reason": failure.reason,
+                "kind": kind,
+                "reason": reason,
             }
         )
         obs.inc("campaign.job_failures")
-        obs.inc(f"campaign.job_failure.{failure.exception_type}")
-        if (
-            failure.kind is FailureKind.FATAL
-            or job.attempts >= job.max_attempts
-        ):
+        obs.inc(f"campaign.job_failure.{type(exc).__name__}")
+        if kind == "fatal" or job.attempts >= job.max_attempts:
             why = (
                 "deterministic failure"
-                if failure.kind is FailureKind.FATAL
+                if kind == "fatal"
                 else f"retry budget spent ({job.attempts}/{job.max_attempts})"
             )
-            self._quarantine(job_id, f"{why}: {failure.reason}")
+            self._quarantine(job_id, f"{why}: {reason}")
             return
-        delay = self.retry.delay(job.attempts - 1)
+        delay = backoff_s(job.attempts - 1)
         backoff_until[job_id] = time.monotonic() + delay
         obs.inc("campaign.jobs_retried")
         self._report.jobs_retried += 1
         warnings.warn(
             f"campaign job {job_id} failed transiently "
-            f"({failure.reason}); retrying in {delay:.2f}s "
+            f"({reason}); retrying in {delay:.2f}s "
             f"(attempt {job.attempts}/{job.max_attempts})",
             RuntimeWarning,
             stacklevel=2,
@@ -652,7 +647,7 @@ class CampaignSupervisor:
                     lease.job_id, f"retry budget spent after reclaim: {reason}"
                 )
             else:
-                delay = self.retry.delay(job.attempts - 1)
+                delay = backoff_s(job.attempts - 1)
                 backoff_until[lease.job_id] = time.monotonic() + delay
                 obs.inc("campaign.jobs_retried")
                 self._report.jobs_retried += 1
@@ -666,14 +661,18 @@ class CampaignSupervisor:
         self._shutdown_pool(abandon=True)
 
     # -- pool management --------------------------------------------------
-    def _ensure_pool(self) -> "ProcessPoolExecutor":
+    def _ensure_pool(self) -> "ProcessPoolExecutor | _InlinePool":
         from concurrent.futures import ProcessPoolExecutor
 
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._pool_workers,
-                initializer=_init_campaign_worker,
-                initargs=(chaos.current_plan(),),
+            self._pool = (
+                _InlinePool()
+                if self.max_workers == 0
+                else ProcessPoolExecutor(
+                    max_workers=self._pool_workers,
+                    initializer=_init_campaign_worker,
+                    initargs=(chaos.current_plan(),),
+                )
             )
         return self._pool
 
@@ -718,7 +717,7 @@ class CampaignSupervisor:
             return False
         delay = max(0.0, min(deadlines) - time.monotonic())
         if delay:
-            self._sleep(min(delay, 1.0))
+            time.sleep(min(delay, 1.0))
         return True
 
     # -- reporting --------------------------------------------------------

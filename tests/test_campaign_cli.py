@@ -161,8 +161,8 @@ def test_campaign_run_nonpositive_lease_timeout_exits_2(capsys, tmp_path):
 
 
 def test_campaign_quarantine_exits_1(capsys, tmp_path):
-    from repro.resilience import chaos
-    from repro.resilience.chaos import ChaosPlan, ChaosRule
+    from repro.campaign import chaos
+    from repro.campaign.chaos import ChaosPlan, ChaosRule
 
     plan = ChaosPlan(rules=(ChaosRule(point="campaign.job", kind="fatal"),))
     with chaos.active(plan):

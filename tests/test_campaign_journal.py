@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import Journal, JournalCorruptError
-from repro.resilience import chaos
-from repro.resilience.chaos import ChaosPlan, ChaosRule
+from repro.campaign import chaos
+from repro.campaign.chaos import ChaosPlan, ChaosRule
 
 
 def _note(i: int) -> dict:

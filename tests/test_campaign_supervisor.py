@@ -13,18 +13,12 @@ from repro.campaign import (
     CampaignSupervisor,
     Journal,
     ResultStore,
+    chaos,
     result_record,
 )
+from repro.campaign.chaos import ChaosPlan, ChaosRule
 from repro.campaign.state import DONE, QUARANTINED
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.resilience import chaos
-from repro.resilience.chaos import ChaosPlan, ChaosRule
-from repro.resilience.retry import RetryPolicy
-
-#: Near-zero backoff so retry scenarios finish in milliseconds.
-FAST_RETRY = RetryPolicy(
-    backoff_base=0.001, backoff_factor=1.0, backoff_max=0.001
-)
 
 
 def _spec(seeds=(1, 2)) -> CampaignSpec:
@@ -37,7 +31,6 @@ def _spec(seeds=(1, 2)) -> CampaignSpec:
 
 def _inline(tmp_path, **kwargs) -> CampaignSupervisor:
     kwargs.setdefault("max_workers", 0)
-    kwargs.setdefault("retry", FAST_RETRY)
     return CampaignSupervisor(tmp_path / "camp", **kwargs)
 
 
@@ -144,7 +137,6 @@ def test_resubmission_serves_from_cache_with_zero_recompute(tmp_path, metrics):
     third = CampaignSupervisor(
         tmp_path / "camp2",
         max_workers=0,
-        retry=FAST_RETRY,
         results_dir=tmp_path / "camp" / "results",
     )
     third.submit(_spec())
@@ -177,7 +169,6 @@ def test_cached_results_identical_to_computed(tmp_path):
     second = CampaignSupervisor(
         tmp_path / "other",
         max_workers=0,
-        retry=FAST_RETRY,
         results_dir=tmp_path / "camp" / "results",
     )
     second.submit(spec)
@@ -198,7 +189,6 @@ def test_corrupt_cached_result_recomputes(tmp_path):
     fresh = CampaignSupervisor(
         tmp_path / "fresh",
         max_workers=0,
-        retry=FAST_RETRY,
         results_dir=store.root,
     )
     fresh.submit(spec)
@@ -229,6 +219,71 @@ def test_transient_failure_retries_then_succeeds(tmp_path):
     assert report.finished
     fails = _journal_records(tmp_path, "fail")
     assert [f["kind"] for f in fails] == ["transient"]
+
+
+def test_transient_retry_journals_alike_inline_and_on_a_pool(tmp_path):
+    """Inline jobs take the pool's lease path: same journal, same record."""
+    plan = ChaosPlan(
+        rules=(
+            ChaosRule(point="campaign.job", kind="exception", attempts={0}),
+        )
+    )
+    spec = _spec(seeds=(1,))
+    (job,) = spec.expand()
+    narratives, stored = [], []
+    for workers in (0, 1):
+        home = tmp_path / f"w{workers}"
+        sup = CampaignSupervisor(home, max_workers=workers)
+        sup.submit(spec)
+        with chaos.active(plan):
+            with pytest.warns(RuntimeWarning, match="retrying"):
+                assert sup.run().finished
+        records, _ = Journal(home).replay()
+        narratives.append(
+            [
+                (r["type"], r.get("job"), r.get("attempt"), r.get("kind"))
+                for r in records
+            ]
+        )
+        stored.append(ResultStore(home / "results").load(job.job_id))
+    assert narratives[0] == narratives[1]
+    assert [n[0] for n in narratives[0]] == [
+        "campaign", "lease", "fail", "lease", "done", "end"
+    ]
+    assert stored[0] == stored[1] is not None
+
+
+def test_refused_submit_retries_after_backoff(tmp_path):
+    """A pool that refuses a submit must not strand the job."""
+    from concurrent.futures import Future
+
+    class RefuseFirstSubmit:
+        calls = 0
+
+        def submit(self, fn, *args):
+            self.calls += 1
+            if self.calls == 1:
+                raise OSError("cannot fork")
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    pool = RefuseFirstSubmit()
+    sup = CampaignSupervisor(tmp_path / "camp", max_workers=1)
+    sup._ensure_pool = lambda: pool
+    sup.submit(_spec(seeds=(1,)))
+    with pytest.warns(RuntimeWarning, match="retrying"):
+        report = sup.run()
+    assert report.finished
+    assert report.n_done == 1
+    assert report.jobs_retried == 1
+    assert pool.calls == 2
+    assert [r["type"] for r in _journal_records(tmp_path)] == [
+        "campaign", "lease", "fail", "lease", "done", "end"
+    ]
 
 
 def test_fatal_failure_quarantines_immediately(tmp_path):
@@ -377,9 +432,7 @@ def test_resubmission_strengthens_budget_without_resetting_progress(tmp_path):
 def test_pool_run_matches_inline_results(tmp_path):
     spec = _spec(seeds=(7,))
     (job,) = spec.expand()
-    sup = CampaignSupervisor(
-        tmp_path / "camp", max_workers=2, retry=FAST_RETRY
-    )
+    sup = CampaignSupervisor(tmp_path / "camp", max_workers=2)
     sup.submit(spec)
     report = sup.run()
     assert report.jobs_computed == 1
@@ -400,8 +453,6 @@ def test_forced_lease_expiry_reclaims_and_retries(tmp_path):
         tmp_path / "camp",
         max_workers=1,
         lease_timeout=60.0,
-        retry=FAST_RETRY,
-        poll_interval=0.02,
     )
     sup.submit(_spec(seeds=(1,)))
     with chaos.active(plan):
@@ -433,8 +484,6 @@ def test_hung_worker_lease_expires_and_job_recovers(tmp_path):
         tmp_path / "camp",
         max_workers=1,
         lease_timeout=0.5,
-        retry=FAST_RETRY,
-        poll_interval=0.02,
     )
     sup.submit(_spec(seeds=(1,)))
     with chaos.active(plan):
@@ -456,12 +505,7 @@ def test_crashed_worker_is_retried(tmp_path):
     plan = ChaosPlan(
         rules=(ChaosRule(point="campaign.job", kind="crash", attempts={0}),)
     )
-    sup = CampaignSupervisor(
-        tmp_path / "camp",
-        max_workers=1,
-        retry=FAST_RETRY,
-        poll_interval=0.02,
-    )
+    sup = CampaignSupervisor(tmp_path / "camp", max_workers=1)
     sup.submit(_spec(seeds=(1,)))
     with chaos.active(plan):
         with pytest.warns(RuntimeWarning):

@@ -9,16 +9,10 @@ import json
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignSpec, CampaignSupervisor, Journal
+from repro.campaign import CampaignSpec, CampaignSupervisor, Journal, chaos
+from repro.campaign.chaos import ChaosPlan, ChaosRule
 from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import _run_cached
-from repro.resilience import chaos
-from repro.resilience.chaos import ChaosPlan, ChaosRule
-from repro.resilience.retry import RetryPolicy
-
-FAST_RETRY = RetryPolicy(
-    backoff_base=0.001, backoff_factor=1.0, backoff_max=0.001
-)
 
 
 @pytest.fixture(autouse=True)
@@ -42,8 +36,7 @@ def _run_campaign(directory, max_workers=0) -> list[dict]:
     """Run a fresh campaign with a record callback; return what it saw."""
     seen: list[dict] = []
     sup = CampaignSupervisor(
-        directory, max_workers=max_workers, retry=FAST_RETRY,
-        on_record=seen.append,
+        directory, max_workers=max_workers, on_record=seen.append
     )
     sup.submit(_spec())
     report = sup.run()
@@ -80,8 +73,7 @@ def test_on_record_stream_carries_failures_and_retries(tmp_path):
     )
     seen: list[dict] = []
     sup = CampaignSupervisor(
-        tmp_path / "camp", max_workers=0, retry=FAST_RETRY,
-        on_record=seen.append,
+        tmp_path / "camp", max_workers=0, on_record=seen.append
     )
     sup.submit(_spec())
     with chaos.active(plan):
